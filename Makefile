@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-wire trace figures examples chaos crash heal scale obs clean
+.PHONY: all build vet test test-race bench bench-wire bench-grid trace figures examples chaos crash heal scale obs clean
 
 all: build vet test
 
@@ -38,6 +38,11 @@ bench-wire:
 	$(GO) test -bench='RoundTrip|ConcurrentCalls|Pipelined' -benchmem -run='^$$' ./internal/wire/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_wire.json
 
+# The grid benchmark: four closed-loop workloads against real daemons,
+# end-to-end metrics gated by BENCHMARK.json (see bench/README.md).
+bench-grid:
+	bash bench/run.sh
+
 # Causal tracing suite: the trace plane (span records, wire envelope
 # compat, collector) under the race detector, then the propagation-
 # overhead benchmark — untraced vs unsampled vs fully-sampled round
@@ -71,7 +76,9 @@ crash:
 	$(GO) test -race -count=1 -v -run 'TestRecoverNotStaleAfterPartition' ./internal/faults/
 
 # Self-healing suite: failure detector, reconcile-loop, and HA
-# (election/fencing/autoscale/rollout) unit tests, the deployment
+# (election/fencing/autoscale/rollout) unit tests, the member table the
+# restart hooks resolve through (kill/restart of every role, Close racing
+# a restart, the restarted-replica regression), the deployment
 # self-heal and controller-failover tests, and the chaos convergence
 # runs — kill a scheduler AND a roster replica mid-workload, then kill
 # the ACTING LEADER mid-heal; a follower must finish the repair with
@@ -80,7 +87,7 @@ crash:
 # JSON.
 heal:
 	$(GO) test -race -count=1 ./internal/ctrl/
-	$(GO) test -race -count=1 -run 'TestDeploymentSelfHeals|TestDeploymentControlPlaneFailover|TestDeploymentAddAndRetireScheduler|TestDeploymentCloseIdempotent' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestMember|TestRestartedReplicaResumesAntiEntropy|TestDeploymentSelfHeals|TestDeploymentControlPlaneFailover|TestDeploymentAddAndRetireScheduler|TestDeploymentClose' ./internal/core/
 	$(GO) test -race -count=1 -v -run 'TestCtrlHeal|TestCtrlLeaderFailoverHeal' -timeout 10m ./internal/faults/
 	$(GO) test -bench='Detector|ReconcileTick|FailoverMTTR' -benchmem -run='^$$' ./internal/ctrl/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_ctrl.json
@@ -121,5 +128,6 @@ examples:
 	$(GO) run ./examples/condor-checkpoint
 	$(GO) run ./examples/applet-farm
 
+# Untracked outputs only: the BENCH_*.json files are committed records.
 clean:
-	rm -rf figures/ test_output.txt bench_output.txt BENCH_telemetry.json BENCH_pstate.json
+	rm -rf figures/ test_output.txt bench_output.txt .bench_build/ bench/out/

@@ -109,20 +109,14 @@ type Deployment struct {
 
 	cfg DeploymentConfig
 
-	// mu guards the daemon handles: the controller's restart hook swaps
-	// them in place concurrently with accessors and Close.
-	mu        sync.Mutex
-	closed    bool
-	gossips   []*gossip.Server
-	scheds    []*sched.Server
-	ps        *pstate.Server
-	extraPS   []*pstate.Server
-	standbyPS []*pstate.Server
-	logs      *logsvc.Server
-	psDirs    map[string]string // pstate addr -> data directory
+	// members holds every daemon of the constellation. Boot fills it, the
+	// controllers' restart, rollout and scale hooks operate on it, the
+	// accessors read it, and Close closes it.
+	members *MemberTable
 
-	ctrlSrvs   []*ctrl.Server
-	beaters    map[string]*ctrl.Beater // member ID -> sidecar
+	// mu serializes changes to the scheduler roster (and their
+	// publication) and guards the observatory handle.
+	mu         sync.Mutex
 	nextSchedN int
 	obsSrv     *obs.Server
 
@@ -155,71 +149,40 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.Controllers <= 0 {
 		cfg.Controllers = 1
 	}
-	d := &Deployment{
-		cfg:       cfg,
-		transport: cfg.Transport,
-		psDirs:    make(map[string]string),
-		beaters:   make(map[string]*ctrl.Beater),
-	}
+	d := &Deployment{cfg: cfg, transport: cfg.Transport, members: new(MemberTable)}
 	ok := false
 	defer func() {
 		if !ok {
 			d.Close()
 		}
 	}()
+	var err error
 
 	// Logging server first so other services can reference it.
-	ls, err := logsvc.NewServer(logsvc.ServerConfig{ListenAddr: "127.0.0.1:0", File: cfg.LogFile, Transport: cfg.Transport})
-	if err != nil {
+	if d.LogAddr, err = d.members.Add("logd1", ctrl.RoleLogSvc, d.startLog); err != nil {
 		return nil, err
 	}
-	if _, err := ls.Start(); err != nil {
-		return nil, err
-	}
-	d.logs = ls
-	d.LogAddr = ls.Addr()
 
-	// Gossip pool: later members bootstrap off the first (well-known)
-	// address.
+	// Gossip pool: later members bootstrap off the earlier (well-known)
+	// addresses.
 	for i := 0; i < cfg.Gossips; i++ {
-		g := gossip.NewServer(gossip.ServerConfig{
-			ListenAddr:   "127.0.0.1:0",
-			WellKnown:    append([]string(nil), d.GossipAddrs...),
-			SyncInterval: cfg.SyncInterval,
-			Heartbeat:    cfg.SyncInterval,
-			Transport:    cfg.Transport,
-		})
-		addr, err := g.Start()
+		addr, err := d.members.Add(fmt.Sprintf("g%d", i+1), ctrl.RoleGossip, d.startGossip)
 		if err != nil {
-			return nil, fmt.Errorf("core: gossip %d: %w", i, err)
+			return nil, err
 		}
-		d.gossips = append(d.gossips, g)
 		d.GossipAddrs = append(d.GossipAddrs, addr)
 	}
 
 	for i := 0; i < cfg.Schedulers; i++ {
-		s := sched.NewServer(sched.ServerConfig{
-			ListenAddr:   "127.0.0.1:0",
-			N:            cfg.N,
-			K:            cfg.K,
-			Heuristics:   cfg.Heuristics,
-			DefaultSteps: cfg.StepsPerCycle,
-			LogAddr:      d.LogAddr,
-			Transport:    cfg.Transport,
-		})
-		addr, err := s.Start()
-		if err != nil {
-			return nil, fmt.Errorf("core: scheduler %d: %w", i, err)
+		if _, err := d.AddScheduler(); err != nil {
+			return nil, err
 		}
-		d.scheds = append(d.scheds, s)
-		d.SchedAddrs = append(d.SchedAddrs, addr)
 	}
-	d.nextSchedN = cfg.Schedulers
 
 	// Publish the scheduler roster through the Gossip service so clients
 	// can learn the viable schedulers dynamically (section 5.4).
 	d.rosterSvc = wire.NewService(wire.ServiceConfig{
-		ListenAddr: "127.0.0.1:0",
+		ListenAddr: bootAddr,
 		Transport:  cfg.Transport,
 		Silent:     true,
 	})
@@ -242,56 +205,33 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	d.PublishRoster()
 
+	// Persistent state managers, numbered pstate1.. in boot order: the
+	// roster (the primary, when configured, then the extras), then the
+	// standbys.
+	var dirs []string
 	if cfg.PStateDir != "" {
-		ps, err := pstate.NewServer(pstate.ServerConfig{ListenAddr: "127.0.0.1:0", Dir: cfg.PStateDir, Transport: cfg.Transport})
+		dirs = append(dirs, cfg.PStateDir)
+	}
+	dirs = append(dirs, cfg.ExtraPStateDirs...)
+	nRoster := len(dirs)
+	for i, dir := range append(dirs, cfg.StandbyPStateDirs...) {
+		standby := i >= nRoster
+		addr, err := d.members.Add(fmt.Sprintf("pstate%d", i+1), ctrl.RolePState, d.startPState(dir, standby))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := ps.Start(); err != nil {
-			return nil, err
+		if standby {
+			d.StandbyPStateAddrs = append(d.StandbyPStateAddrs, addr)
+		} else {
+			d.PStateAddrs = append(d.PStateAddrs, addr)
 		}
-		d.ps = ps
-		d.PStateAddr = ps.Addr()
-		d.PStateAddrs = append(d.PStateAddrs, ps.Addr())
-		d.psDirs[ps.Addr()] = cfg.PStateDir
 	}
-	for i, dir := range cfg.ExtraPStateDirs {
-		ps, err := pstate.NewServer(pstate.ServerConfig{ListenAddr: "127.0.0.1:0", Dir: dir, Transport: cfg.Transport})
-		if err != nil {
-			return nil, fmt.Errorf("core: extra pstate %d: %w", i, err)
-		}
-		if _, err := ps.Start(); err != nil {
-			return nil, fmt.Errorf("core: extra pstate %d: %w", i, err)
-		}
-		d.extraPS = append(d.extraPS, ps)
-		d.PStateAddrs = append(d.PStateAddrs, ps.Addr())
-		d.psDirs[ps.Addr()] = dir
+	if cfg.PStateDir != "" {
+		d.PStateAddr = d.PStateAddrs[0]
 	}
-	// Replicated persistent state: every manager anti-entropies against
-	// its siblings so the fleet converges even when a checkpoint missed
-	// some of them.
+	// A roster replica booted knowing only the siblings bound before it.
 	for _, ps := range d.PStates() {
-		peers := make([]string, 0, len(d.PStateAddrs)-1)
-		for _, a := range d.PStateAddrs {
-			if a != ps.Addr() {
-				peers = append(peers, a)
-			}
-		}
-		ps.SetPeers(peers)
-	}
-	// Standby managers live outside the roster: no peers, no traffic —
-	// cold spares the controller promotes (and backfills) on demand.
-	for i, dir := range cfg.StandbyPStateDirs {
-		ps, err := pstate.NewServer(pstate.ServerConfig{ListenAddr: "127.0.0.1:0", Dir: dir, Transport: cfg.Transport})
-		if err != nil {
-			return nil, fmt.Errorf("core: standby pstate %d: %w", i, err)
-		}
-		if _, err := ps.Start(); err != nil {
-			return nil, fmt.Errorf("core: standby pstate %d: %w", i, err)
-		}
-		d.standbyPS = append(d.standbyPS, ps)
-		d.StandbyPStateAddrs = append(d.StandbyPStateAddrs, ps.Addr())
-		d.psDirs[ps.Addr()] = dir
+		ps.SetPeers(Without(d.PStateAddrs, ps.Addr()))
 	}
 
 	if cfg.Controller {
@@ -306,6 +246,52 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	ok = true
 	return d, nil
+}
+
+// The stock start closures: how a daemon of each role is configured in
+// this constellation, written once. Sibling lists are read when the
+// closure runs, so a member booted early knows the siblings bound so far
+// and one restarted in place knows them all.
+
+func (d *Deployment) startLog(listen string) (Daemon, error) {
+	return StartDaemon(logsvc.NewServer(logsvc.ServerConfig{ListenAddr: listen, File: d.cfg.LogFile, Transport: d.transport}))
+}
+
+func (d *Deployment) startGossip(listen string) (Daemon, error) {
+	return StartDaemon(gossip.NewServer(gossip.ServerConfig{
+		ListenAddr:   listen,
+		WellKnown:    Without(d.GossipAddrs, listen),
+		SyncInterval: d.cfg.SyncInterval,
+		Heartbeat:    d.cfg.SyncInterval,
+		Transport:    d.transport,
+	}), nil)
+}
+
+func (d *Deployment) startSched(listen string) (Daemon, error) {
+	return StartDaemon(sched.NewServer(sched.ServerConfig{
+		ListenAddr:   listen,
+		N:            d.cfg.N,
+		K:            d.cfg.K,
+		Heuristics:   d.cfg.Heuristics,
+		DefaultSteps: d.cfg.StepsPerCycle,
+		LogAddr:      d.LogAddr,
+		Transport:    d.transport,
+	}), nil)
+}
+
+// startPState configures a persistent state manager over dir. A roster
+// replica anti-entropies against its siblings so the fleet converges even
+// when a checkpoint missed some of them; a standby lives outside the
+// roster — no peers, no traffic — a cold spare the controller promotes
+// (and backfills) on demand.
+func (d *Deployment) startPState(dir string, standby bool) StartFunc {
+	return func(listen string) (Daemon, error) {
+		cfg := pstate.ServerConfig{ListenAddr: listen, Dir: dir, Transport: d.transport}
+		if !standby {
+			cfg.Peers = Without(d.PStateAddrs, listen)
+		}
+		return StartDaemon(pstate.NewServer(cfg))
+	}
 }
 
 // DefaultObsRules is the constellation's stock alert rule set: a
@@ -356,13 +342,9 @@ func (d *Deployment) startObservatory() error {
 		Silent:    true,
 		Interval:  interval,
 		Targets:   targets,
-		Roster: func() []string {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return append([]string(nil), d.SchedAddrs...)
-		},
-		Rules:   rules,
-		PStates: append([]string(nil), d.PStateAddrs...),
+		Roster:    func() []string { return d.members.Addrs(ctrl.RoleSched) },
+		Rules:     rules,
+		PStates:   append([]string(nil), d.PStateAddrs...),
 	})
 	addr, err := s.Start()
 	if err != nil {
@@ -375,11 +357,11 @@ func (d *Deployment) startObservatory() error {
 	return nil
 }
 
-// startControllers launches the control-plane group plus one heartbeat
-// sidecar per service daemon. Every controller ingests every heartbeat
-// (the sidecars broadcast), so follower detector state is warm; the
-// group elects its acting leader over a controller clique once all the
-// members' addresses are known.
+// startControllers launches the control-plane group and puts the fleet
+// under it. Every controller ingests every heartbeat (the sidecars
+// broadcast), so follower detector state is warm; the group elects its
+// acting leader over a controller clique once all the members' addresses
+// are known.
 func (d *Deployment) startControllers() error {
 	var spec *ctrl.FleetSpec
 	if d.cfg.SchedulerMax > 0 {
@@ -391,76 +373,48 @@ func (d *Deployment) startControllers() error {
 		}}}
 	}
 	for i := 0; i < d.cfg.Controllers; i++ {
-		cfg := ctrl.ServerConfig{
-			ListenAddr:  "127.0.0.1:0",
-			Transport:   d.transport,
-			Interval:    d.cfg.HeartbeatInterval,
-			ID:          fmt.Sprintf("ctrl%d", i+1),
-			Grouped:     d.cfg.Controllers > 1,
-			Gossips:     append([]string(nil), d.GossipAddrs...),
-			PStates:     append([]string(nil), d.PStateAddrs...),
-			Restart:     d.restartMember,
-			ApplyConfig: d.applyMemberSpec,
-			TargetLoad:  d.cfg.SchedulerTargetLoad,
-		}
-		if d.cfg.Observatory {
-			// The observatory starts after the controllers (it scrapes
-			// their addresses), so the hook resolves it lazily.
-			cfg.AlertFiring = d.obsFiring
-		}
-		if spec != nil {
-			cfg.Spec = spec
-			cfg.ScaleUp = d.scaleUpRole
-			cfg.ScaleDown = d.retireMember
-		}
-		cs, err := ctrl.NewServer(cfg)
+		id := fmt.Sprintf("ctrl%d", i+1)
+		addr, err := d.members.Add(id, ctrl.RoleCtrl, func(listen string) (Daemon, error) {
+			cfg := ctrl.ServerConfig{
+				ListenAddr:  listen,
+				Transport:   d.transport,
+				Interval:    d.cfg.HeartbeatInterval,
+				ID:          id,
+				Grouped:     d.cfg.Controllers > 1,
+				Gossips:     append([]string(nil), d.GossipAddrs...),
+				PStates:     append([]string(nil), d.PStateAddrs...),
+				Restart:     d.restartMember,
+				ApplyConfig: d.applyMemberSpec,
+				TargetLoad:  d.cfg.SchedulerTargetLoad,
+			}
+			if d.cfg.Observatory {
+				// The observatory starts after the controllers (it scrapes
+				// their addresses), so the hook resolves it lazily.
+				cfg.AlertFiring = d.obsFiring
+			}
+			if spec != nil {
+				cfg.Spec = spec
+				cfg.ScaleUp = d.scaleUpRole
+				cfg.ScaleDown = d.retireMember
+			}
+			return StartDaemon(ctrl.NewServer(cfg))
+		})
 		if err != nil {
-			return fmt.Errorf("core: controller %d: %w", i+1, err)
+			return err
 		}
-		addr, err := cs.Start()
-		if err != nil {
-			return fmt.Errorf("core: controller %d: %w", i+1, err)
-		}
-		d.ctrlSrvs = append(d.ctrlSrvs, cs)
 		d.CtrlAddrs = append(d.CtrlAddrs, addr)
 	}
 	d.CtrlAddr = d.CtrlAddrs[0]
-	if d.cfg.Controllers > 1 {
-		// Addresses are only known after every bind: wire the election
-		// clique now. Leadership settles within a few election intervals.
-		for _, cs := range d.ctrlSrvs {
-			cs.JoinGroup(append([]string(nil), d.CtrlAddrs...))
-		}
-	}
-	for i, a := range d.GossipAddrs {
-		d.startBeater(fmt.Sprintf("g%d", i+1), ctrl.RoleGossip, a)
-	}
-	for i, a := range d.SchedAddrs {
-		d.startBeater(fmt.Sprintf("sched%d", i+1), ctrl.RoleSched, a)
-	}
-	for i, a := range d.PStateAddrs {
-		d.startBeater(fmt.Sprintf("pstate%d", i+1), ctrl.RolePState, a)
-	}
-	for i, a := range d.StandbyPStateAddrs {
-		d.startBeater(fmt.Sprintf("pstate%d", len(d.PStateAddrs)+i+1), ctrl.RolePState, a)
-	}
-	d.startBeater("logd1", ctrl.RoleLogSvc, d.LogAddr)
+	d.members.Shadow(d.cfg.HeartbeatInterval, d.transport)
 	return nil
 }
 
-// startBeater launches one member's heartbeat sidecar, broadcasting to
-// the whole controller group.
-func (d *Deployment) startBeater(id, role, daemonAddr string) {
-	b := ctrl.NewBeater(ctrl.BeaterConfig{
-		Member:    ctrl.Member{ID: id, Role: role, Addr: daemonAddr},
-		Ctrls:     append([]string(nil), d.CtrlAddrs...),
-		Interval:  d.cfg.HeartbeatInterval,
-		Transport: d.transport,
-	})
-	b.Start()
-	d.mu.Lock()
-	d.beaters[id] = b
-	d.mu.Unlock()
+// restartMember is the controllers' restart hook: recreate the dead
+// daemon in place — same address, same data directory, same start
+// closure as at boot — so the rest of the fleet's configuration stays
+// valid.
+func (d *Deployment) restartMember(m ctrl.Member) error {
+	return d.members.Restart(m.ID)
 }
 
 // applyMemberSpec is the controllers' rollout hook: recreate the daemon
@@ -471,12 +425,9 @@ func (d *Deployment) applyMemberSpec(m ctrl.Member, spec ctrl.ServiceSpec) error
 	if err := d.restartMember(m); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	b := d.beaters[m.ID]
-	d.mu.Unlock()
-	if b != nil {
-		b.SetConfigVer(spec.ConfigVer)
-		b.SetVersion(spec.Version)
+	if e, ok := d.members.Get(m.ID); ok && e.Beater != nil {
+		e.Beater.SetConfigVer(spec.ConfigVer)
+		e.Beater.SetVersion(spec.Version)
 	}
 	return nil
 }
@@ -497,228 +448,82 @@ func (d *Deployment) retireMember(m ctrl.Member) error {
 	if m.Role != ctrl.RoleSched {
 		return fmt.Errorf("core: role %q does not autoscale", m.Role)
 	}
-	d.mu.Lock()
-	b := d.beaters[m.ID]
-	delete(d.beaters, m.ID)
-	d.mu.Unlock()
-	if b != nil {
-		b.Close()
-	}
 	if !d.RemoveScheduler(m.Addr) {
 		return fmt.Errorf("core: no scheduler at %s to retire", m.Addr)
 	}
 	return nil
 }
 
-// AddScheduler starts one more scheduling server, republishes the
-// roster and the sharding ring, and (under a control plane) shadows the
-// new daemon with a heartbeat sidecar. Returns the new shard's address.
+// AddScheduler starts one more scheduling server — sched<n>, counting
+// every scheduler the deployment ever started — and republishes the
+// roster and the sharding ring. Returns the new shard's address.
 func (d *Deployment) AddScheduler() (string, error) {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return "", fmt.Errorf("core: deployment closed")
-	}
-	s := sched.NewServer(sched.ServerConfig{
-		ListenAddr:   "127.0.0.1:0",
-		N:            d.cfg.N,
-		K:            d.cfg.K,
-		Heuristics:   d.cfg.Heuristics,
-		DefaultSteps: d.cfg.StepsPerCycle,
-		LogAddr:      d.LogAddr,
-		Transport:    d.transport,
-	})
-	addr, err := s.Start()
+	defer d.mu.Unlock()
+	d.nextSchedN++
+	addr, err := d.members.Add(fmt.Sprintf("sched%d", d.nextSchedN), ctrl.RoleSched, d.startSched)
 	if err != nil {
-		d.mu.Unlock()
 		return "", err
 	}
-	d.scheds = append(d.scheds, s)
 	d.SchedAddrs = append(d.SchedAddrs, addr)
-	d.nextSchedN++
-	id := fmt.Sprintf("sched%d", d.nextSchedN)
-	hasCtrl := len(d.CtrlAddrs) > 0
-	d.mu.Unlock()
 	d.PublishRoster()
-	if hasCtrl {
-		d.startBeater(id, ctrl.RoleSched, addr)
-	}
 	return addr, nil
-}
-
-// restartMember is the controller's restart hook: recreate the dead
-// daemon in place — same address, same data directory — so the rest of
-// the fleet's configuration stays valid.
-func (d *Deployment) restartMember(m ctrl.Member) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("core: deployment closed")
-	}
-	switch m.Role {
-	case ctrl.RoleSched:
-		for i, a := range d.SchedAddrs {
-			if a != m.Addr {
-				continue
-			}
-			d.scheds[i].Close() // release the address before rebinding it
-			s := sched.NewServer(sched.ServerConfig{
-				ListenAddr:   m.Addr,
-				N:            d.cfg.N,
-				K:            d.cfg.K,
-				Heuristics:   d.cfg.Heuristics,
-				DefaultSteps: d.cfg.StepsPerCycle,
-				LogAddr:      d.LogAddr,
-				Transport:    d.transport,
-			})
-			if _, err := s.Start(); err != nil {
-				return err
-			}
-			d.scheds[i] = s
-			return nil
-		}
-	case ctrl.RolePState:
-		dir, okDir := d.psDirs[m.Addr]
-		if !okDir {
-			break
-		}
-		var slot **pstate.Server
-		if d.ps != nil && d.ps.Addr() == m.Addr {
-			slot = &d.ps
-		}
-		for i := range d.extraPS {
-			if slot == nil && d.extraPS[i].Addr() == m.Addr {
-				slot = &d.extraPS[i]
-			}
-		}
-		for i := range d.standbyPS {
-			if slot == nil && d.standbyPS[i].Addr() == m.Addr {
-				slot = &d.standbyPS[i]
-			}
-		}
-		if slot == nil {
-			break
-		}
-		(*slot).Close()
-		ps, err := pstate.NewServer(pstate.ServerConfig{ListenAddr: m.Addr, Dir: dir, Transport: d.transport})
-		if err != nil {
-			return err
-		}
-		if _, err := ps.Start(); err != nil {
-			return err
-		}
-		*slot = ps
-		return nil
-	case ctrl.RoleLogSvc:
-		if m.Addr != d.LogAddr {
-			break
-		}
-		d.logs.Close()
-		ls, err := logsvc.NewServer(logsvc.ServerConfig{ListenAddr: m.Addr, File: d.cfg.LogFile, Transport: d.transport})
-		if err != nil {
-			return err
-		}
-		if _, err := ls.Start(); err != nil {
-			return err
-		}
-		d.logs = ls
-		return nil
-	case ctrl.RoleGossip:
-		for i, a := range d.GossipAddrs {
-			if a != m.Addr {
-				continue
-			}
-			well := make([]string, 0, len(d.GossipAddrs)-1)
-			for j, g := range d.GossipAddrs {
-				if j != i {
-					well = append(well, g)
-				}
-			}
-			d.gossips[i].Close()
-			g := gossip.NewServer(gossip.ServerConfig{
-				ListenAddr:   m.Addr,
-				WellKnown:    well,
-				SyncInterval: d.cfg.SyncInterval,
-				Heartbeat:    d.cfg.SyncInterval,
-				Transport:    d.transport,
-			})
-			if _, err := g.Start(); err != nil {
-				return err
-			}
-			d.gossips[i] = g
-			return nil
-		}
-	}
-	return fmt.Errorf("core: no restartable daemon %q (%s) at %s", m.ID, m.Role, m.Addr)
 }
 
 // Schedulers exposes the running scheduling servers (e.g. to read Found).
 func (d *Deployment) Schedulers() []*sched.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]*sched.Server(nil), d.scheds...)
+	return Daemons[*sched.Server](d.members, ctrl.RoleSched)
 }
 
 // GossipServers exposes the running Gossip pool.
 func (d *Deployment) GossipServers() []*gossip.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]*gossip.Server(nil), d.gossips...)
+	return Daemons[*gossip.Server](d.members, ctrl.RoleGossip)
 }
 
 // PState exposes the primary persistent state manager (nil if not
 // configured).
 func (d *Deployment) PState() *pstate.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ps
+	if d.PStateAddr == "" {
+		return nil
+	}
+	return d.PStates()[0]
 }
 
 // PStates exposes every running persistent state manager in the active
 // roster (standbys excluded).
 func (d *Deployment) PStates() []*pstate.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := []*pstate.Server{}
-	if d.ps != nil {
-		out = append(out, d.ps)
-	}
-	return append(out, d.extraPS...)
+	return Daemons[*pstate.Server](d.members, ctrl.RolePState)[:len(d.PStateAddrs)]
 }
 
 // StandbyPStates exposes the persistent state managers outside the
 // active roster.
 func (d *Deployment) StandbyPStates() []*pstate.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]*pstate.Server(nil), d.standbyPS...)
+	return Daemons[*pstate.Server](d.members, ctrl.RolePState)[len(d.PStateAddrs):]
 }
 
 // LogServer exposes the logging server.
 func (d *Deployment) LogServer() *logsvc.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.logs
+	return Daemons[*logsvc.Server](d.members, ctrl.RoleLogSvc)[0]
 }
 
 // Controller exposes the first control-plane daemon (nil without
 // Controller).
 func (d *Deployment) Controller() *ctrl.Server {
-	if len(d.ctrlSrvs) == 0 {
-		return nil
+	if cs := d.Controllers(); len(cs) > 0 {
+		return cs[0]
 	}
-	return d.ctrlSrvs[0]
+	return nil
 }
 
 // Controllers exposes the whole control-plane group.
 func (d *Deployment) Controllers() []*ctrl.Server {
-	return append([]*ctrl.Server(nil), d.ctrlSrvs...)
+	return Daemons[*ctrl.Server](d.members, ctrl.RoleCtrl)
 }
 
 // LeaderController returns the controller currently acting as the
 // fenced group leader (nil when none has won the election yet).
 func (d *Deployment) LeaderController() *ctrl.Server {
-	for _, cs := range d.ctrlSrvs {
+	for _, cs := range d.Controllers() {
 		if cs.Role() == ctrl.CtrlLeader {
 			return cs
 		}
@@ -780,81 +585,34 @@ func (d *Deployment) obsFiring(role string) int {
 	return 0
 }
 
-// RemoveScheduler stops the scheduling server at addr, drops it from the
-// roster, and republishes both the roster and a re-sharded ring through
-// the Gossip service. Components re-route their reports to the surviving
-// shards on the next ring update; consistent hashing bounds how many
-// work-keys move. Returns false if no scheduler binds addr.
+// RemoveScheduler stops the scheduling server at addr (and its heartbeat
+// sidecar), drops it from the roster, and republishes both the roster and
+// a re-sharded ring through the Gossip service. Components re-route their
+// reports to the surviving shards on the next ring update; consistent
+// hashing bounds how many work-keys move. Returns false if no scheduler
+// binds addr.
 func (d *Deployment) RemoveScheduler(addr string) bool {
 	d.mu.Lock()
-	idx := -1
-	for i, a := range d.SchedAddrs {
-		if a == addr {
-			idx = i
-			break
+	defer d.mu.Unlock()
+	for _, e := range d.members.Entries(ctrl.RoleSched) {
+		if e.Addr == addr && d.members.Remove(e.ID) == nil {
+			d.SchedAddrs = Without(d.SchedAddrs, addr)
+			d.PublishRoster()
+			return true
 		}
 	}
-	if idx < 0 {
-		d.mu.Unlock()
-		return false
-	}
-	s := d.scheds[idx]
-	d.scheds = append(d.scheds[:idx], d.scheds[idx+1:]...)
-	d.SchedAddrs = append(d.SchedAddrs[:idx], d.SchedAddrs[idx+1:]...)
-	d.mu.Unlock()
-	s.Close()
-	d.PublishRoster()
-	return true
+	return false
 }
 
-// Close stops every service. Idempotent: the control plane restarts
-// daemons in place, so a second Close (or one racing a restart) must
-// tear down whatever is currently running without double-close panics.
+// Close stops every service: the observatory, then the member table
+// (sidecars, controllers, services), then the roster publisher.
+// Idempotent, and safe against a controller restarting a daemon at the
+// same moment — the table refuses the restart or reaps its result.
 func (d *Deployment) Close() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.closed = true
-	d.mu.Unlock()
-	// Stop the healing machinery first so nothing is resurrected while
-	// the fleet is being dismantled; restartMember refuses once closed.
-	d.mu.Lock()
-	beaters := make([]*ctrl.Beater, 0, len(d.beaters))
-	for _, b := range d.beaters {
-		beaters = append(beaters, b)
-	}
-	d.mu.Unlock()
-	for _, b := range beaters {
-		b.Close()
-	}
-	for _, cs := range d.ctrlSrvs {
-		cs.Close()
-	}
 	if s := d.Observatory(); s != nil {
 		s.Close()
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, g := range d.gossips {
-		g.Close()
-	}
-	for _, s := range d.scheds {
-		s.Close()
-	}
-	if d.ps != nil {
-		d.ps.Close()
-	}
-	for _, ps := range d.extraPS {
-		ps.Close()
-	}
-	for _, ps := range d.standbyPS {
-		ps.Close()
-	}
-	if d.logs != nil {
-		d.logs.Close()
-	}
+	d.members.Close()
 	if d.rosterSvc != nil {
 		d.rosterSvc.Close()
 	}

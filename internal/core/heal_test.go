@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -188,5 +189,61 @@ func TestDeploymentCloseIdempotent(t *testing.T) {
 	// And a restart hook arriving after close is refused.
 	if err := d.restartMember(ctrl.Member{ID: "sched1", Role: ctrl.RoleSched, Addr: d.SchedAddrs[0]}); err == nil {
 		t.Fatal("restart after close succeeded")
+	}
+}
+
+// A roster replica the controller restarts in place comes back as the
+// replica it was: it knows its siblings, so it goes on initiating
+// anti-entropy rounds (with no peers a round is a no-op and the healed
+// replica would only ever be repaired by others, never repair).
+func TestRestartedReplicaResumesAntiEntropy(t *testing.T) {
+	d := startDeployment(t, DeploymentConfig{
+		PStateDir:         t.TempDir(),
+		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
+		Controller:        true,
+		HeartbeatInterval: 50 * time.Millisecond,
+	})
+	probe := wire.NewClient(time.Second)
+	t.Cleanup(probe.Close)
+	// Enough heartbeats for the detector to model the victim's arrivals:
+	// a member it barely knows gets ten seconds of grace before a verdict.
+	eventually(t, 10*time.Second, func() bool {
+		ms, _ := ctrl.FetchMembers(probe, d.CtrlAddr, time.Second)
+		for _, m := range ms {
+			if m.ID == "pstate2" {
+				return m.Beats >= 4
+			}
+		}
+		return false
+	}, "pstate2 never attested to the controller")
+
+	victim := d.PStates()[1]
+	siblings := []string{d.PStateAddrs[0], d.PStateAddrs[2]}
+	if got := victim.Peers(); !slices.Equal(got, siblings) {
+		t.Fatalf("peers before the kill: %v, want %v", got, siblings)
+	}
+	victim.Close()
+	// No standby to promote, so the controller restarts the replica.
+	eventually(t, 15*time.Second, func() bool {
+		st, err := ctrl.FetchStatus(probe, d.CtrlAddr, time.Second)
+		return err == nil && st.Restarts >= 1 && d.PStates()[1] != victim
+	}, "killed replica never restarted")
+
+	healed := d.PStates()[1]
+	if healed.Addr() != d.PStateAddrs[1] {
+		t.Fatalf("restarted at %s, was %s", healed.Addr(), d.PStateAddrs[1])
+	}
+	if got := healed.Peers(); !slices.Equal(got, siblings) {
+		t.Errorf("peers after the controller's restart: %v, want %v", got, siblings)
+	}
+	rounds := func() int64 {
+		return healed.Metrics().Snapshot("pstate.antientropy.rounds").Value("pstate.antientropy.rounds")
+	}
+	before := rounds()
+	if _, err := healed.SyncNow(); err != nil {
+		t.Errorf("anti-entropy round on the restarted replica: %v", err)
+	}
+	if rounds() <= before {
+		t.Error("pstate.antientropy.rounds did not grow on the restarted replica")
 	}
 }

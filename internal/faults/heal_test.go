@@ -3,6 +3,8 @@ package faults
 import (
 	"testing"
 	"time"
+
+	"everyware/internal/wire"
 )
 
 // TestCtrlHeal is the self-healing acceptance run: a scheduler AND a
@@ -15,6 +17,27 @@ import (
 func TestCtrlHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heal scenario skipped in -short mode")
+	}
+	// A kill that cannot resolve through the member table is refused
+	// before any fault is scheduled, not discovered when it fires.
+	for _, bad := range []struct {
+		kill KillSpec
+		ctrl bool
+		want string
+	}{
+		{KillSpec{Target: "sched9"}, true, `faults: kill target "sched9" is not a registered daemon`},
+		{KillSpec{Target: "ctrl-leader"}, false, `faults: kill target "ctrl-leader" requires the control plane`},
+	} {
+		_, err := RunScenario(ScenarioConfig{
+			Gossips: 1, Schedulers: 1, Components: 1, PStates: 1,
+			Ctrl:      bad.ctrl,
+			Dir:       t.TempDir(),
+			Transport: wire.NewMemTransport(),
+			Kills:     []KillSpec{bad.kill},
+		})
+		if err == nil || err.Error() != bad.want {
+			t.Errorf("kill %q (ctrl=%v): error %v, want %s", bad.kill.Target, bad.ctrl, err, bad.want)
+		}
 	}
 	res, err := RunScenario(ScenarioConfig{
 		Seed: 42,

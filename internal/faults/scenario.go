@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -263,18 +264,12 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var exporter *dtrace.Exporter
 	tracerFor := func(label string) wire.Tracer { return nil }
 	if cfg.Trace {
-		ls, err := logsvc.NewServer(logsvc.ServerConfig{
-			ListenAddr: "127.0.0.1:0",
-			Transport:  cfg.Transport,
-		})
-		if err != nil {
-			return nil, err
-		}
-		collectorAddr, err = ls.Start()
+		ls, err := core.StartDaemon(logsvc.NewServer(logsvc.ServerConfig{ListenAddr: "127.0.0.1:0", Transport: cfg.Transport}))
 		if err != nil {
 			return nil, err
 		}
 		defer ls.Close()
+		collectorAddr = ls.Addr()
 		in.RegisterName(collectorAddr, "logd")
 		expClient := wire.NewClient(time.Second)
 		expClient.Transport = cfg.Transport
@@ -293,169 +288,94 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 
+	// The fleet is one core.MemberTable: every daemon is a row holding the
+	// closure that starts it, so boot, KillSpec restarts, the durability
+	// experiment's restart and the controllers' restart hook all run the
+	// same configuration. The closures below carry what is the scenario's
+	// own — the injected dialer, the retry ladder, the tracer, the crash
+	// hook, the chaos-tuned intervals.
+	fleet := new(core.MemberTable)
+	defer fleet.Close()
+	add := func(label, role string, start core.StartFunc) error {
+		addr, err := fleet.Add(label, role, start)
+		if err == nil {
+			in.RegisterName(addr, label)
+		}
+		return err
+	}
+
 	// Persistent state manager replicas. Each stores under its own
-	// subdirectory, anti-entropies against its siblings through an
+	// subdirectory and anti-entropies against its siblings through an
 	// injected dialer (repair traffic rides the same chaotic network as
-	// everything else), and — when the durability experiment is on —
-	// pstate2 carries a crash-point hook armed mid-run.
+	// everything else). Only the first PStates managers form the active
+	// quorum roster; standbys carry no peers until the controller promotes
+	// one. When the durability experiment is on, pstate2 carries a
+	// crash-point hook armed mid-run.
 	var crasher *Crasher
 	if cfg.PStateCrash {
 		crasher = NewCrasher(cfg.Seed, "pstate2", 0, 0)
 	}
-	// The fleet registry maps every daemon's scenario label to kill and
-	// restart-in-place closures — KillSpec targets and the controller's
-	// restart hook both resolve through it. fleetMu guards the daemon
-	// handle slices, which restarts swap live.
-	type daemonCtl struct {
-		kill    func()
-		restart func() error
+	roster := func() []string {
+		addrs := fleet.Addrs(ctrl.RolePState)
+		return addrs[:min(len(addrs), cfg.PStates)]
 	}
-	var fleetMu sync.Mutex
-	fleet := make(map[string]*daemonCtl)
-
-	nPS := cfg.PStates + cfg.StandbyPStates
-	psrvs := make([]*pstate.Server, nPS)
-	psAddrs := make([]string, nPS)
-	psDirs := make([]string, nPS)
-	psSync := 60 * time.Millisecond
-	for i := 0; i < nPS; i++ {
+	for i := 0; i < cfg.PStates+cfg.StandbyPStates; i++ {
 		label := fmt.Sprintf("pstate%d", i+1)
-		psDirs[i] = filepath.Join(cfg.Dir, label)
-		scfg := pstate.ServerConfig{
-			ListenAddr:   "127.0.0.1:0",
-			Dir:          psDirs[i],
-			SyncInterval: psSync,
-			Transport:    cfg.Transport,
-			Dialer:       in.DialerOn(cfg.Transport, label),
-			Retry:        retryPolicy(),
-			Tracer:       tracerFor(label),
-		}
-		if crasher != nil && i == 1 {
-			scfg.CrashPoints = crasher.Hook()
-		}
-		ps, err := pstate.NewServer(scfg)
-		if err != nil {
-			return nil, err
-		}
-		addr, err := ps.Start()
-		if err != nil {
-			return nil, err
-		}
-		i, label := i, label
-		defer func() {
-			fleetMu.Lock()
-			h := psrvs[i]
-			fleetMu.Unlock()
-			h.Close()
-		}()
-		in.RegisterName(addr, label)
-		psrvs[i] = ps
-		psAddrs[i] = addr
-		fleet[label] = &daemonCtl{
-			kill: func() {
-				fleetMu.Lock()
-				h := psrvs[i]
-				fleetMu.Unlock()
-				h.Close()
-			},
-			restart: func() error {
-				np, err := pstate.NewServer(pstate.ServerConfig{
-					ListenAddr:   psAddrs[i],
-					Dir:          psDirs[i],
-					SyncInterval: psSync,
-					Transport:    cfg.Transport,
-					Dialer:       in.DialerOn(cfg.Transport, label),
-					Retry:        retryPolicy(),
-					Tracer:       tracerFor(label),
-				})
-				if err != nil {
-					return err
-				}
-				if _, err := np.Start(); err != nil {
-					return err
-				}
-				fleetMu.Lock()
-				psrvs[i] = np
-				fleetMu.Unlock()
-				return nil
-			},
-		}
-	}
-	// Only the first PStates managers form the active quorum roster;
-	// standbys carry no peers until the controller promotes one.
-	rosterAddrs := append([]string(nil), psAddrs[:cfg.PStates]...)
-	psPeers := func(self int) []string {
-		peers := make([]string, 0, cfg.PStates-1)
-		for j, a := range rosterAddrs {
-			if j != self {
-				peers = append(peers, a)
+		err := add(label, ctrl.RolePState, func(listen string) (core.Daemon, error) {
+			scfg := pstate.ServerConfig{
+				ListenAddr:   listen,
+				Dir:          filepath.Join(cfg.Dir, label),
+				SyncInterval: 60 * time.Millisecond,
+				Transport:    cfg.Transport,
+				Dialer:       in.DialerOn(cfg.Transport, label),
+				Retry:        retryPolicy(),
+				Tracer:       tracerFor(label),
 			}
+			if i < cfg.PStates {
+				scfg.Peers = core.Without(roster(), listen)
+			}
+			if crasher != nil && i == 1 {
+				scfg.CrashPoints = crasher.Hook()
+			}
+			return core.StartDaemon(pstate.NewServer(scfg))
+		})
+		if err != nil {
+			return nil, err
 		}
-		return peers
 	}
-	for i := 0; i < cfg.PStates; i++ {
-		psrvs[i].SetPeers(psPeers(i))
+	psAddrs, rosterAddrs := fleet.Addrs(ctrl.RolePState), roster()
+	// A replica booted knowing only the siblings bound before it.
+	for _, ps := range core.Daemons[*pstate.Server](fleet, ctrl.RolePState)[:cfg.PStates] {
+		ps.SetPeers(core.Without(rosterAddrs, ps.Addr()))
 	}
 
 	// Scheduling servers.
-	schedSrvs := make([]*sched.Server, cfg.Schedulers)
-	schedAddrs := make([]string, cfg.Schedulers)
 	for i := 0; i < cfg.Schedulers; i++ {
 		label := fmt.Sprintf("sched%d", i+1)
-		newSched := func(listen string) *sched.Server {
-			return sched.NewServer(sched.ServerConfig{
+		err := add(label, ctrl.RoleSched, func(listen string) (core.Daemon, error) {
+			return core.StartDaemon(sched.NewServer(sched.ServerConfig{
 				ListenAddr:   listen,
 				DefaultSteps: 400,
 				Transport:    cfg.Transport,
 				Tracer:       tracerFor(label),
 				LogAddr:      collectorAddr,
-			})
-		}
-		ss := newSched("127.0.0.1:0")
-		addr, err := ss.Start()
+			}), nil)
+		})
 		if err != nil {
 			return nil, err
 		}
-		i := i
-		defer func() {
-			fleetMu.Lock()
-			h := schedSrvs[i]
-			fleetMu.Unlock()
-			h.Close()
-		}()
-		in.RegisterName(addr, label)
-		schedSrvs[i] = ss
-		schedAddrs[i] = addr
-		fleet[label] = &daemonCtl{
-			kill: func() {
-				fleetMu.Lock()
-				h := schedSrvs[i]
-				fleetMu.Unlock()
-				h.Close()
-			},
-			restart: func() error {
-				ns := newSched(schedAddrs[i])
-				if _, err := ns.Start(); err != nil {
-					return err
-				}
-				fleetMu.Lock()
-				schedSrvs[i] = ns
-				fleetMu.Unlock()
-				return nil
-			},
-		}
 	}
+	schedAddrs := fleet.Addrs(ctrl.RoleSched)
 
-	// Gossip pool: g1 is the well-known member; the rest join through it.
-	// All pool and component traffic dials through the injector.
-	gossips := make([]*gossip.Server, cfg.Gossips)
-	gossipAddrs := make([]string, 0, cfg.Gossips)
+	// Gossip pool: g1 is the well-known member; the rest join through it,
+	// and a restarted member rejoins through all the others. All pool and
+	// component traffic dials through the injector.
 	for i := 0; i < cfg.Gossips; i++ {
 		label := fmt.Sprintf("g%d", i+1)
-		newGossip := func(listen string, well []string) *gossip.Server {
-			return gossip.NewServer(gossip.ServerConfig{
+		err := add(label, ctrl.RoleGossip, func(listen string) (core.Daemon, error) {
+			return core.StartDaemon(gossip.NewServer(gossip.ServerConfig{
 				ListenAddr:   listen,
-				WellKnown:    well,
+				WellKnown:    core.Without(fleet.Addrs(ctrl.RoleGossip), listen),
 				SyncInterval: 40 * time.Millisecond,
 				Heartbeat:    25 * time.Millisecond,
 				MaxFailures:  20,
@@ -467,57 +387,25 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				Dialer:      in.DialerOn(cfg.Transport, label),
 				Retry:       retryPolicy(),
 				Tracer:      tracerFor(label),
-			})
-		}
-		g := newGossip("127.0.0.1:0", append([]string(nil), gossipAddrs...))
-		addr, err := g.Start()
+			}), nil)
+		})
 		if err != nil {
 			return nil, err
 		}
-		i := i
-		defer func() {
-			fleetMu.Lock()
-			h := gossips[i]
-			fleetMu.Unlock()
-			h.Close()
-		}()
-		in.RegisterName(addr, label)
-		gossips[i] = g
-		gossipAddrs = append(gossipAddrs, addr)
-		fleet[label] = &daemonCtl{
-			kill: func() {
-				fleetMu.Lock()
-				h := gossips[i]
-				fleetMu.Unlock()
-				h.Close()
-			},
-			restart: func() error {
-				well := make([]string, 0, cfg.Gossips-1)
-				for j, a := range gossipAddrs {
-					if j != i {
-						well = append(well, a)
-					}
-				}
-				ng := newGossip(gossipAddrs[i], well)
-				if _, err := ng.Start(); err != nil {
-					return err
-				}
-				fleetMu.Lock()
-				gossips[i] = ng
-				fleetMu.Unlock()
-				return nil
-			},
-		}
 	}
-	if !waitFor(15*time.Second, func() bool {
-		for _, g := range gossips {
+	gossipAddrs := fleet.Addrs(ctrl.RoleGossip)
+	// gossips reads the pool's current incarnations: a restart swaps them.
+	gossips := func() []*gossip.Server { return core.Daemons[*gossip.Server](fleet, ctrl.RoleGossip) }
+	poolWhole := func() bool {
+		for _, g := range gossips() {
 			if len(g.PoolView().Members) != cfg.Gossips {
 				return false
 			}
 		}
 		return true
-	}) {
-		for i, g := range gossips {
+	}
+	if !waitFor(15*time.Second, poolWhole) {
+		for i, g := range gossips() {
 			cfg.Logf("gossip %d view=%+v", i+1, g.PoolView())
 		}
 		return nil, fmt.Errorf("faults: gossip pool never formed")
@@ -532,168 +420,72 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	// Self-healing control plane: every controller in the group ingests
 	// the broadcast beater heartbeats from every daemon; the elected,
-	// epoch-fenced leader restarts the dead through the fleet registry
-	// and promotes a standby when a roster replica dies. Beats ride a
-	// clean transport — attestation is an observer; the failure signal is
-	// the daemon itself going silent, not injected packet loss.
-	var ctrlSrvs []*ctrl.Server
-	var ctrlAddrs []string
-	var ctrlAlive []bool
+	// epoch-fenced leader restarts the dead through the member table and
+	// promotes a standby when a roster replica dies. Beats ride a clean
+	// transport — attestation is an observer; the failure signal is the
+	// daemon itself going silent, not injected packet loss.
+	ctrls := func() []*ctrl.Server { return core.Daemons[*ctrl.Server](fleet, ctrl.RoleCtrl) }
 	// ctrlLeader resolves the ACTING leader — elected and holding a
 	// fencing epoch, so its reconcile actions count — among the
-	// controllers the harness has not killed. Liveness is the harness's
-	// bookkeeping, not the corpse's: a closed server's last role stays
-	// frozen at leader. The epoch requirement also skips a transient
-	// singleton "leader" that won its own partition but cannot fence.
-	ctrlLeader := func() (int, *ctrl.Server) {
-		fleetMu.Lock()
-		defer fleetMu.Unlock()
-		for i, cs := range ctrlSrvs {
-			if ctrlAlive[i] && cs.Role() == ctrl.CtrlLeader && cs.Epoch() > 0 {
-				return i, cs
+	// controllers the harness has not killed. The epoch requirement skips
+	// a transient singleton "leader" that won its own partition but cannot
+	// fence.
+	ctrlLeader := func() (string, *ctrl.Server) {
+		for _, e := range fleet.Entries(ctrl.RoleCtrl) {
+			if cs := e.Daemon.(*ctrl.Server); e.Up && cs.Role() == ctrl.CtrlLeader && cs.Epoch() > 0 {
+				return e.ID, cs
 			}
 		}
-		return -1, nil
+		return "", nil
 	}
 	// sumCtrl totals a counter across every controller handle, dead or
 	// alive — a repair performed by a since-killed leader still counts.
 	sumCtrl := func(name string) int64 {
-		fleetMu.Lock()
-		srvs := append([]*ctrl.Server(nil), ctrlSrvs...)
-		fleetMu.Unlock()
 		var tot int64
-		for _, cs := range srvs {
+		for _, cs := range ctrls() {
 			tot += cs.Metrics().Snapshot(name).Value(name)
 		}
 		return tot
 	}
-	var beaters []*ctrl.Beater
 	if cfg.Ctrl {
-		nCtrl := cfg.Ctrls
-		ctrlSrvs = make([]*ctrl.Server, nCtrl)
-		ctrlAddrs = make([]string, nCtrl)
-		ctrlAlive = make([]bool, nCtrl)
-		newCtrl := func(i int, listen string, peers []string) (*ctrl.Server, error) {
-			return ctrl.NewServer(ctrl.ServerConfig{
-				ListenAddr:  listen,
-				Transport:   cfg.Transport,
-				ID:          fmt.Sprintf("ctrl%d", i+1),
-				Interval:    50 * time.Millisecond,
-				CallTimeout: 500 * time.Millisecond,
-				// The token timeout is 4x this. The compute workload starves
-				// goroutines for long stretches under -race, and a too-tight
-				// timeout makes the controller clique flap into singleton
-				// views that churn fencing epochs; 100ms keeps takeover
-				// sub-second while riding out scheduling hiccups.
-				ElectionInterval: 100 * time.Millisecond,
-				// Replicated controllers bind ephemeral ports first and
-				// learn the group via JoinGroup below; a restart passes the
-				// by-then-static peer list instead.
-				Grouped: nCtrl > 1 && peers == nil,
-				Peers:   peers,
-				// The compute components are CPU-hungry enough (Ramsey search
-				// on every core, worse under -race) to starve beater goroutines
-				// well past the tight statistical bound; a generous floor keeps
-				// scheduling hiccups from reading as mass death.
-				Detector: ctrl.DetectorConfig{Floor: 2 * time.Second},
-				Gossips:  append([]string(nil), gossipAddrs...),
-				PStates:  append([]string(nil), rosterAddrs...),
-				Logf:     cfg.Logf,
-				Restart: func(m ctrl.Member) error {
-					fleetMu.Lock()
-					dc := fleet[m.ID]
-					fleetMu.Unlock()
-					if dc == nil {
-						return fmt.Errorf("faults: no restartable daemon %q", m.ID)
-					}
-					return dc.restart()
-				},
-			})
-		}
-		for i := 0; i < nCtrl; i++ {
+		for i := 0; i < cfg.Ctrls; i++ {
 			label := fmt.Sprintf("ctrl%d", i+1)
-			cs, err := newCtrl(i, "127.0.0.1:0", nil)
-			if err != nil {
-				return nil, fmt.Errorf("faults: controller: %w", err)
-			}
-			addr, err := cs.Start()
-			if err != nil {
-				return nil, fmt.Errorf("faults: controller: %w", err)
-			}
-			i := i
-			defer func() {
-				fleetMu.Lock()
-				h := ctrlSrvs[i]
-				fleetMu.Unlock()
-				h.Close()
-			}()
-			in.RegisterName(addr, label)
-			ctrlSrvs[i] = cs
-			ctrlAddrs[i] = addr
-			ctrlAlive[i] = true
-			fleet[label] = &daemonCtl{
-				kill: func() {
-					fleetMu.Lock()
-					h := ctrlSrvs[i]
-					ctrlAlive[i] = false
-					fleetMu.Unlock()
-					h.Close()
-				},
-				restart: func() error {
-					peers := append([]string(nil), ctrlAddrs...)
-					if nCtrl == 1 {
-						peers = nil // solo mode, no clique to rejoin
-					}
-					nc, err := newCtrl(i, ctrlAddrs[i], peers)
-					if err != nil {
-						return err
-					}
-					if _, err := nc.Start(); err != nil {
-						return err
-					}
-					fleetMu.Lock()
-					ctrlSrvs[i] = nc
-					ctrlAlive[i] = true
-					fleetMu.Unlock()
-					return nil
-				},
-			}
-		}
-		if nCtrl > 1 {
-			for _, cs := range ctrlSrvs {
-				cs.JoinGroup(append([]string(nil), ctrlAddrs...))
-			}
-		}
-		beat := func(id, role, addr string) {
-			b := ctrl.NewBeater(ctrl.BeaterConfig{
-				Member:    ctrl.Member{ID: id, Role: role, Addr: addr},
-				Ctrls:     append([]string(nil), ctrlAddrs...),
-				Interval:  40 * time.Millisecond,
-				Transport: cfg.Transport,
+			err := add(label, ctrl.RoleCtrl, func(listen string) (core.Daemon, error) {
+				return core.StartDaemon(ctrl.NewServer(ctrl.ServerConfig{
+					ListenAddr:  listen,
+					Transport:   cfg.Transport,
+					ID:          label,
+					Interval:    50 * time.Millisecond,
+					CallTimeout: 500 * time.Millisecond,
+					// The token timeout is 4x this. The compute workload starves
+					// goroutines for long stretches under -race, and a too-tight
+					// timeout makes the controller clique flap into singleton
+					// views that churn fencing epochs; 100ms keeps takeover
+					// sub-second while riding out scheduling hiccups.
+					ElectionInterval: 100 * time.Millisecond,
+					Grouped:          cfg.Ctrls > 1,
+					// The compute components are CPU-hungry enough (Ramsey search
+					// on every core, worse under -race) to starve beater goroutines
+					// well past the tight statistical bound; a generous floor keeps
+					// scheduling hiccups from reading as mass death.
+					Detector: ctrl.DetectorConfig{Floor: 2 * time.Second},
+					Gossips:  gossipAddrs,
+					PStates:  rosterAddrs,
+					Logf:     cfg.Logf,
+					Restart:  func(m ctrl.Member) error { return fleet.Restart(m.ID) },
+				}))
 			})
-			b.Start()
-			beaters = append(beaters, b)
-		}
-		for i, a := range psAddrs {
-			beat(fmt.Sprintf("pstate%d", i+1), ctrl.RolePState, a)
-		}
-		for i, a := range schedAddrs {
-			beat(fmt.Sprintf("sched%d", i+1), ctrl.RoleSched, a)
-		}
-		for i, a := range gossipAddrs {
-			beat(fmt.Sprintf("g%d", i+1), ctrl.RoleGossip, a)
-		}
-		defer func() {
-			for _, b := range beaters {
-				b.Close()
+			if err != nil {
+				return nil, fmt.Errorf("faults: controller: %w", err)
 			}
-		}()
+		}
+		fleetSize := int64(len(fleet.Entries("")) - cfg.Ctrls)
+		fleet.Shadow(40*time.Millisecond, cfg.Transport)
 		// Hold the run until the group has a leader and every member has
 		// attested to it at least once: the controller cannot heal a
 		// daemon it never met, and the workload's CPU appetite throttles
 		// beaters hard enough that an early kill could otherwise outrun a
 		// member's first heartbeat.
-		fleetSize := int64(nPS + cfg.Schedulers + cfg.Gossips)
 		attested := waitFor(15*time.Second, func() bool {
 			_, cs := ctrlLeader()
 			if cs == nil {
@@ -705,7 +497,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if !attested {
 			return nil, fmt.Errorf("faults: fleet never fully attested to the controller")
 		}
-		cfg.Logf("fleet attested: %d members live across %d controllers", fleetSize, nCtrl)
+		cfg.Logf("fleet attested: %d members live across %d controllers", fleetSize, cfg.Ctrls)
 	}
 
 	// Compute components.
@@ -802,77 +594,60 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	in.SetEnabled(true)
 	res := &ScenarioResult{}
 
-	// Scheduled kills: each fires At after chaos-on. A positive Restart
-	// has the harness resurrect the daemon itself; zero leaves the corpse
-	// for the control plane (or permanently dead in a no-Ctrl run). The
-	// "ctrl-leader" target is dynamic — resolved when the kill fires, it
-	// takes down whichever controller is leading right then and times the
-	// group's recovery to a successor under a strictly higher epoch.
+	// Scheduled kills: each fires At after chaos-on and resolves its
+	// target through the member table. A positive Restart has the harness
+	// resurrect the daemon itself; zero leaves the corpse for the control
+	// plane (or permanently dead in a no-Ctrl run). The "ctrl-leader"
+	// target is dynamic — resolved when the kill fires, it takes down
+	// whichever controller is leading right then and times the group's
+	// recovery to a successor under a strictly higher epoch.
 	var killWG sync.WaitGroup
 	var failoverNanos atomic.Int64
 	for _, k := range cfg.Kills {
-		if k.Target == "ctrl-leader" {
-			if !cfg.Ctrl {
-				return nil, fmt.Errorf("faults: kill target %q requires the control plane", k.Target)
-			}
-			k := k
-			killWG.Add(1)
-			go func() {
-				defer killWG.Done()
-				time.Sleep(k.At)
-				var idx int
+		leaderKill := k.Target == "ctrl-leader"
+		if leaderKill && !cfg.Ctrl {
+			return nil, fmt.Errorf("faults: kill target %q requires the control plane", k.Target)
+		}
+		if _, ok := fleet.Get(k.Target); !ok && !leaderKill {
+			return nil, fmt.Errorf("faults: kill target %q is not a registered daemon", k.Target)
+		}
+		killWG.Add(1)
+		go func() {
+			defer killWG.Done()
+			time.Sleep(k.At)
+			target := k.Target
+			var epoch0 uint64
+			if leaderKill {
 				var victim *ctrl.Server
 				if !waitFor(10*time.Second, func() bool {
-					idx, victim = ctrlLeader()
+					target, victim = ctrlLeader()
 					return victim != nil
 				}) {
 					cfg.Logf("ctrl-leader kill: no acting leader to kill")
 					return
 				}
-				epoch0 := victim.Epoch()
-				start := time.Now()
-				fleetMu.Lock()
-				ctrlAlive[idx] = false
-				fleetMu.Unlock()
-				victim.Close()
-				cfg.Logf("killed ctrl-leader (ctrl%d, epoch %d)", idx+1, epoch0)
+				epoch0 = victim.Epoch()
+			}
+			start := time.Now()
+			fleet.Kill(target)
+			cfg.Logf("killed %s", target)
+			if leaderKill {
 				if waitFor(20*time.Second, func() bool {
-					j, nl := ctrlLeader()
-					return nl != nil && j != idx && nl.Epoch() > epoch0
+					_, nl := ctrlLeader()
+					return nl != nil && nl.Epoch() > epoch0
 				}) {
 					failoverNanos.Store(int64(time.Since(start)))
-					cfg.Logf("leader failover: successor fenced in %v", time.Since(start))
+					cfg.Logf("leader failover: successor fenced in %v (past epoch %d)", time.Since(start), epoch0)
 				} else {
 					cfg.Logf("leader failover: no successor fenced a higher epoch")
 				}
-				if k.Restart > 0 {
-					time.Sleep(k.Restart)
-					if err := fleet[fmt.Sprintf("ctrl%d", idx+1)].restart(); err != nil {
-						cfg.Logf("restart ctrl%d: %v", idx+1, err)
-					} else {
-						cfg.Logf("restarted ctrl%d", idx+1)
-					}
-				}
-			}()
-			continue
-		}
-		dc := fleet[k.Target]
-		if dc == nil {
-			return nil, fmt.Errorf("faults: kill target %q is not a registered daemon", k.Target)
-		}
-		k := k
-		killWG.Add(1)
-		go func() {
-			defer killWG.Done()
-			time.Sleep(k.At)
-			dc.kill()
-			cfg.Logf("killed %s", k.Target)
+			}
 			if k.Restart > 0 {
 				time.Sleep(k.Restart)
-				if err := dc.restart(); err != nil {
-					cfg.Logf("restart %s: %v", k.Target, err)
+				if err := fleet.Restart(target); err != nil {
+					cfg.Logf("restart %s: %v", target, err)
 				} else {
-					cfg.Logf("restarted %s", k.Target)
+					cfg.Logf("restarted %s", target)
 				}
 			}
 		}()
@@ -993,8 +768,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		in.Partition([]string{last}, rest)
 		cfg.Logf("partitioned %s from %v", last, rest)
 		res.PoolSplit = waitFor(10*time.Second, func() bool {
-			return len(gossips[cfg.Gossips-1].PoolView().Members) == 1 &&
-				len(gossips[0].PoolView().Members) == cfg.Gossips-1
+			gs := gossips()
+			return len(gs[cfg.Gossips-1].PoolView().Members) == 1 &&
+				len(gs[0].PoolView().Members) == cfg.Gossips-1
 		})
 		// The observatory must see the incident: the isolated Gossip's
 		// clique.members collapsed, a prediction-error burst against a
@@ -1016,14 +792,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		in.Heal()
 		cfg.Logf("healed partition")
-		res.PoolMerged = waitFor(15*time.Second, func() bool {
-			for _, g := range gossips {
-				if len(g.PoolView().Members) != cfg.Gossips {
-					return false
-				}
-			}
-			return true
-		})
+		res.PoolMerged = waitFor(15*time.Second, poolWhole)
 		// After the heal the membership gauge is back at pool size; the
 		// forecaster re-adapts (the heal jump itself may fire briefly)
 		// and the alert table must end quiet.
@@ -1050,30 +819,10 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if !waitFor(10*time.Second, func() bool { return crasher.Crashes() >= 1 }) {
 			cfg.Logf("pstate2 crash point never fired")
 		}
-		fleetMu.Lock()
-		h := psrvs[1]
-		fleetMu.Unlock()
-		h.Close()
-		cfg.Logf("killed pstate2 (%s) after torn-write crash", psAddrs[1])
-		restarted, err := pstate.NewServer(pstate.ServerConfig{
-			ListenAddr:   psAddrs[1],
-			Dir:          psDirs[1],
-			SyncInterval: psSync,
-			Transport:    cfg.Transport,
-			Dialer:       in.DialerOn(cfg.Transport, "pstate2"),
-			Retry:        retryPolicy(),
-			Peers:        psPeers(1),
-		})
-		if err != nil {
+		if err := fleet.Restart("pstate2"); err != nil {
 			return nil, fmt.Errorf("faults: pstate2 restart: %w", err)
 		}
-		if _, err := restarted.Start(); err != nil {
-			return nil, fmt.Errorf("faults: pstate2 restart: %w", err)
-		}
-		fleetMu.Lock()
-		psrvs[1] = restarted
-		fleetMu.Unlock()
-		cfg.Logf("restarted pstate2 from %s", psDirs[1])
+		cfg.Logf("killed pstate2 (%s) after torn-write crash and restarted it from its data directory", psAddrs[1])
 		if cfg.PStates >= 3 {
 			stale := fmt.Sprintf("pstate%d", cfg.PStates)
 			in.Isolate(stale)
@@ -1109,8 +858,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			if k.Restart > 0 || strings.HasPrefix(k.Target, "ctrl") {
 				continue
 			}
-			var idx int
-			if n, _ := fmt.Sscanf(k.Target, "pstate%d", &idx); n == 1 && idx <= cfg.PStates && cfg.StandbyPStates > 0 {
+			if e, _ := fleet.Get(k.Target); cfg.StandbyPStates > 0 && slices.Contains(rosterAddrs, e.Addr) {
 				wantPromotes++
 			} else {
 				wantRestarts++
@@ -1170,8 +918,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		// The verdict runs over the FINAL roster: the controller's view
 		// when a promotion may have fired, the initial quorum otherwise.
-		// Forced sync rounds ride the wire protocol so promoted standbys
-		// (whose local handles the harness never swapped) participate too.
+		// Forced sync rounds ride the wire protocol, addressed by roster
+		// entry, so a promoted standby participates like any replica.
 		finalAddrs := append([]string(nil), rosterAddrs...)
 		if cfg.Ctrl {
 			if _, cs := ctrlLeader(); cs != nil {
@@ -1222,27 +970,15 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			cfg.Logf("telemetry fetch %s (%s): %v", label, addr, err)
 		}
 	}
-	for i, addr := range psAddrs {
-		collect(fmt.Sprintf("pstate%d", i+1), addr)
-	}
-	for i, addr := range schedAddrs {
-		collect(fmt.Sprintf("sched%d", i+1), addr)
-	}
-	for i, addr := range gossipAddrs {
-		collect(fmt.Sprintf("g%d", i+1), addr)
+	for _, e := range fleet.Entries("") {
+		if e.Up { // a corpse the harness made has nothing to say
+			collect(e.ID, e.Addr)
+		}
 	}
 	for i, comp := range comps {
 		collect(fmt.Sprintf("c%d", i+1), comp.Addr())
 	}
 	if cfg.Ctrl {
-		for i, addr := range ctrlAddrs {
-			fleetMu.Lock()
-			alive := ctrlAlive[i]
-			fleetMu.Unlock()
-			if alive {
-				collect(fmt.Sprintf("ctrl%d", i+1), addr)
-			}
-		}
 		// Action counters sum across the whole group (a since-killed
 		// leader's repairs still happened); the MTTR histograms live on
 		// whichever controller performed the repair, so take the largest
@@ -1252,11 +988,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.Backoffs = sumCtrl("ctrl.backoffs")
 		res.LeaderFailoverMTTR = time.Duration(failoverNanos.Load())
 		meanAcross := func(name string) time.Duration {
-			fleetMu.Lock()
-			srvs := append([]*ctrl.Server(nil), ctrlSrvs...)
-			fleetMu.Unlock()
 			var best time.Duration
-			for _, cs := range srvs {
+			for _, cs := range ctrls() {
 				if sm, ok := cs.Metrics().Snapshot(name).Find(name); ok {
 					if m := sm.Hist.Mean(); m > best {
 						best = m
@@ -1279,9 +1012,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		collect("obs", obsAddr)
 	}
 	res.Retries = telemetry.SumCounter(res.Snapshots, "wire.client.retries")
-	for i, addr := range gossipAddrs {
-		if s, ok := res.Snapshots[fmt.Sprintf("g%d", i+1)]; ok {
-			res.PartitionsHealed += s.Value("clique.view.merge") - baselineMerges[addr]
+	for _, e := range fleet.Entries(ctrl.RoleGossip) {
+		if s, ok := res.Snapshots[e.ID]; ok {
+			res.PartitionsHealed += s.Value("clique.view.merge") - baselineMerges[e.Addr]
 		}
 	}
 	cfg.Logf("scenario done: ops=%d cycles=%d errs=%d stats=%+v",
