@@ -50,7 +50,7 @@ bench-grid:
 # RoundTripUntraced (and BenchmarkRoundTripMem in BENCH_wire.json): the
 # unsampled delta is the always-on cost of tracing and must stay <5%.
 trace:
-	$(GO) test -race -count=1 ./internal/dtrace/ ./internal/wire/ ./internal/logsvc/
+	$(GO) test -race -count=1 ./internal/outbox/ ./internal/dtrace/ ./internal/wire/ ./internal/logsvc/
 	$(GO) test -bench='RoundTrip|SpanRecord|EncodeSpans' -benchmem -run='^$$' ./internal/dtrace/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_dtrace.json
 
@@ -92,14 +92,14 @@ heal:
 	$(GO) test -bench='Detector|ReconcileTick|FailoverMTTR' -benchmem -run='^$$' ./internal/ctrl/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_ctrl.json
 
-# Web-scale suite: the scale plane (ring, router, admission, coalescing,
+# Web-scale suite: the scale plane (ring, router, admission, outbox,
 # hierarchy) and the sharded-scheduler integration under the race
 # detector, the shard-kill chaos test over real daemons, then the E14
 # virtual-client sweep recorded as JSON. CI caps the sweep at 100k
 # clients; run `EW_SWEEP_MAX_CLIENTS=1000000 make scale` for the full
 # curve (the overload point recirculates its backlog and takes ~1 min).
 scale:
-	$(GO) test -race -count=1 ./internal/scale/... ./internal/sched/
+	$(GO) test -race -count=1 ./internal/outbox/ ./internal/scale/... ./internal/sched/
 	$(GO) test -race -count=1 -run 'TestScaleShardKill' -v ./internal/faults/
 	EW_SWEEP_MAX_CLIENTS=$${EW_SWEEP_MAX_CLIENTS:-100000} \
 		$(GO) test -bench=Sweep -benchmem -benchtime=1x -run='^$$' -timeout 30m ./internal/scale/sweep/ \

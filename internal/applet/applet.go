@@ -183,18 +183,6 @@ type GatewayConfig struct {
 	// ring (scale.RingKey updates arrive via SetRing), failing over along
 	// ring successors before the static Schedulers list.
 	Router *scale.Router
-	// BatchReturns aggregates parcel-return reports per destination shard
-	// and delivers them as sched.MsgReportBatch calls, so the gateway's
-	// outbound scheduler traffic grows with shard count, not applet
-	// count. The applet's return is acknowledged once buffered — deferred
-	// delivery, the same degraded-success contract as pstate's spool.
-	// Fetches stay synchronous (the applet is waiting for a parcel).
-	BatchReturns bool
-	// BatchMax flushes a shard's buffer at this many pending reports
-	// (default 64).
-	BatchMax int
-	// BatchDelay bounds how long a buffered return waits (default 100ms).
-	BatchDelay time.Duration
 	// Region labels this gateway's region for hierarchy rollups.
 	Region int
 	// Metrics, if set, records gateway and aggregation telemetry.
@@ -207,18 +195,13 @@ type Gateway struct {
 	svc     *wire.Service
 	wc      *wire.Client
 	router  *scale.Router
-	coal    *scale.Coalescer[sched.Report]
 	metrics *telemetry.Registry
-	done    chan struct{}
-	wg      sync.WaitGroup
 
 	mu       sync.Mutex
 	assigned map[string]sched.WorkUnit // per applet
 	parcels  int64
 	returns  int64
 	founds   int64
-	shed     int64
-	batched  int64
 }
 
 // NewGateway constructs a gateway; call Start to serve.
@@ -228,12 +211,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 2 * time.Second
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
-	if cfg.BatchDelay <= 0 {
-		cfg.BatchDelay = 100 * time.Millisecond
 	}
 	svc := wire.NewService(wire.ServiceConfig{
 		Name:        "applet-gw",
@@ -253,18 +230,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		wc:       svc.Client(),
 		router:   router,
 		metrics:  svc.Metrics(),
-		done:     make(chan struct{}),
 		assigned: make(map[string]sched.WorkUnit),
 	}
-	if cfg.BatchReturns {
-		g.coal = scale.NewCoalescer[sched.Report](scale.CoalescerConfig{
-			MaxBatch: cfg.BatchMax,
-			MaxDelay: cfg.BatchDelay,
-			Metrics:  g.metrics,
-		})
-		// ew-top's region column keys off this gauge's presence.
-		g.metrics.Gauge("scale.region").Set(int64(cfg.Region))
-	}
+	// ew-top's region column keys off this gauge's presence.
+	g.metrics.Gauge("scale.region").Set(int64(cfg.Region))
 	svc.Handle(MsgFetchParcel, wire.HandlerFunc(g.handleFetch))
 	svc.Handle(MsgReturnParcel, wire.HandlerFunc(g.handleReturn))
 	svc.Handle(MsgGatewayStats, wire.HandlerFunc(g.handleStats))
@@ -272,34 +241,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 }
 
 // Start binds the listener and returns the bound address.
-func (g *Gateway) Start() (string, error) {
-	addr, err := g.svc.Start()
-	if err != nil {
-		return "", err
-	}
-	if g.coal != nil {
-		g.wg.Add(1)
-		go g.flushLoop()
-	}
-	return addr, nil
-}
+func (g *Gateway) Start() (string, error) { return g.svc.Start() }
 
 // Addr returns the bound address.
 func (g *Gateway) Addr() string { return g.svc.Addr() }
 
-// Close flushes any buffered reports and stops the gateway.
-func (g *Gateway) Close() {
-	select {
-	case <-g.done:
-	default:
-		close(g.done)
-	}
-	g.wg.Wait()
-	if g.coal != nil {
-		g.deliverBatches(g.coal.Flush())
-	}
-	g.svc.Close()
-}
+// Close stops the gateway.
+func (g *Gateway) Close() { g.svc.Close() }
 
 // SetRing installs a scheduler ring update (decoded from gossip
 // scale.RingKey state): subsequent reports route to the shard owning each
@@ -314,7 +262,7 @@ func (g *Gateway) Stats() (parcels, returns, founds int64) {
 }
 
 // Rollup summarizes this gateway for its region's hierarchy rollup: the
-// population it fronts and the report/shed totals since start.
+// population it fronts and the report total since start.
 func (g *Gateway) Rollup() scale.Rollup {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -323,7 +271,6 @@ func (g *Gateway) Rollup() scale.Rollup {
 		Members: 1,
 		Clients: g.parcels,
 		Reports: g.returns,
-		Shed:    g.shed,
 	}
 }
 
@@ -357,121 +304,6 @@ func (g *Gateway) reportToScheduler(r sched.Report) (sched.Directive, error) {
 		lastErr = fmt.Errorf("no scheduler configured")
 	}
 	return sched.Directive{}, fmt.Errorf("applet: no viable scheduler: %w", lastErr)
-}
-
-// flushLoop drains aged report buffers on the batch cadence.
-func (g *Gateway) flushLoop() {
-	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.BatchDelay)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.done:
-			return
-		case <-t.C:
-			for _, b := range g.coal.Tick() {
-				g.deliverBatch(b)
-			}
-		}
-	}
-}
-
-// enqueueReturn buffers a return report for batched delivery, flushing
-// inline when the destination's buffer fills.
-func (g *Gateway) enqueueReturn(r sched.Report) {
-	dest := g.targets(r.ClientID)[0]
-	g.mu.Lock()
-	g.batched++
-	g.mu.Unlock()
-	if b := g.coal.Add(dest, r.ClientID, r); b != nil {
-		g.deliverBatch(b)
-	}
-}
-
-// deliverBatch sends one coalesced batch to its shard, failing over to
-// the ring successors of the first report's key. Reports the shard shed
-// re-enter the buffer (deferred delivery); on total failure the whole
-// batch re-enters, so buffered reports survive shard deaths and land
-// after the ring re-forms.
-func (g *Gateway) deliverBatch(b *scale.Batch[sched.Report]) {
-	if len(b.Items) == 0 {
-		return
-	}
-	g.deliverTo(b, append([]string{b.Dest}, g.targets(b.Items[0].ClientID)[1:]...))
-}
-
-// deliverBatches ships one flush's batches concurrently: every shard's
-// call is issued first (pipelined on the shared connections), then the
-// replies are collected in order. A failed first-choice call falls back
-// to the synchronous ring-successor ladder for that batch alone.
-func (g *Gateway) deliverBatches(batches []*scale.Batch[sched.Report]) {
-	if len(batches) == 1 {
-		g.deliverBatch(batches[0])
-		return
-	}
-	calls := make([]*wire.PendingCall, len(batches))
-	for i, b := range batches {
-		if len(b.Items) == 0 {
-			continue
-		}
-		calls[i] = g.wc.Go(b.Dest, wire.NewRequest(sched.MsgReportBatch, sched.ReportBatch(b.Items)), g.cfg.CallTimeout)
-	}
-	for i, b := range batches {
-		if calls[i] == nil {
-			continue
-		}
-		resp, err := calls[i].Wait()
-		if err != nil {
-			// First-choice shard failed: try its ring successors.
-			g.deliverTo(b, g.targets(b.Items[0].ClientID)[1:])
-			continue
-		}
-		var entries sched.BatchReply
-		derr := resp.Decode(&entries)
-		resp.Release()
-		if derr != nil {
-			g.requeueBatch(b)
-			continue
-		}
-		g.processEntries(b.Dest, b, entries)
-	}
-}
-
-// deliverTo walks the fail-over ladder for one batch, requeueing it when
-// no shard answers.
-func (g *Gateway) deliverTo(b *scale.Batch[sched.Report], targets []string) {
-	for _, addr := range targets {
-		entries, err := sched.SendReportBatch(g.wc, addr, b.Items, g.cfg.CallTimeout)
-		if err != nil {
-			continue
-		}
-		g.processEntries(addr, b, entries)
-		return
-	}
-	g.requeueBatch(b)
-}
-
-// processEntries applies one delivered batch's per-report answers:
-// shed reports re-enter the buffer for a later flush.
-func (g *Gateway) processEntries(addr string, b *scale.Batch[sched.Report], entries []sched.BatchEntry) {
-	g.metrics.Counter("applet.gw.batch.delivered").Add(int64(len(entries)))
-	for i, en := range entries {
-		if en.Shed && i < len(b.Items) {
-			g.mu.Lock()
-			g.shed++
-			g.mu.Unlock()
-			g.metrics.Counter("applet.gw.batch.shed").Inc()
-			g.coal.Requeue(addr, b.Items[i].ClientID, b.Items[i])
-		}
-	}
-}
-
-// requeueBatch re-enters a whole undeliverable batch for the next flush.
-func (g *Gateway) requeueBatch(b *scale.Batch[sched.Report]) {
-	g.metrics.Counter("applet.gw.batch.requeued").Add(int64(len(b.Items)))
-	for _, r := range b.Items {
-		g.coal.Requeue(b.Dest, r.ClientID, r)
-	}
 }
 
 func (g *Gateway) handleFetch(_ string, req *wire.Packet) (*wire.Packet, error) {
@@ -533,12 +365,6 @@ func (g *Gateway) handleReturn(_ string, req *wire.Packet) (*wire.Packet, error)
 		Conflicts:  r.Conflicts,
 		Found:      r.Found,
 		State:      r.State,
-	}
-	if g.coal != nil {
-		// Aggregated path: buffer for the shard batch and acknowledge the
-		// applet now (deferred delivery).
-		g.enqueueReturn(rep)
-		return wire.Reply(MsgReturnParcel, nil), nil
 	}
 	if _, err = g.reportToScheduler(rep); err != nil {
 		return nil, err

@@ -2,8 +2,12 @@ package applet
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"everyware/internal/sched"
 	"everyware/internal/wire"
@@ -119,5 +123,61 @@ func TestReturnUnknownParcelRejected(t *testing.T) {
 		&wire.Packet{Type: MsgReturnParcel, Payload: EncodeParcelResult(res)}, a.Timeout)
 	if err == nil {
 		t.Fatal("unknown parcel must be rejected")
+	}
+}
+
+// TestGatewayCloseIsCleanAndRaceSafe: concurrent Close calls do not
+// panic, a closed gateway's client dials nothing, and no goroutine is
+// left.
+func TestGatewayCloseIsCleanAndRaceSafe(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sv := sched.NewServer(sched.ServerConfig{N: 5, K: 3, DefaultSteps: 100})
+	addr, err := sv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGateway(GatewayConfig{ListenAddr: "127.0.0.1:0", Schedulers: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	g.wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		dials.Add(1)
+		return wire.Dial(addr, timeout)
+	}
+	if _, err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	a := NewApplet("browser-1", g.Addr())
+	if _, err := a.RunParcels(2); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Close()
+		}()
+	}
+	wg.Wait()
+
+	dialed := dials.Load()
+	if dialed == 0 {
+		t.Fatal("test setup broken: the gateway never dialed its scheduler")
+	}
+	if _, err := g.reportToScheduler(sched.Report{ClientID: "applet-late", Infra: "java"}); err == nil {
+		t.Fatal("a closed gateway still reached its scheduler")
+	}
+	sv.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+	if got := dials.Load(); got != dialed {
+		t.Fatalf("closed gateway dialed %d more times", got-dialed)
 	}
 }

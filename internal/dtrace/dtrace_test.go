@@ -3,7 +3,10 @@
 package dtrace_test
 
 import (
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -287,7 +290,7 @@ func TestExporterCollectorRoundTrip(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	ex := dtrace.NewExporter(dtrace.ExporterConfig{
-		Client: wc, Addr: addr, BatchSize: 3, FlushInterval: 20 * time.Millisecond, Metrics: reg,
+		Client: wc, Addr: addr, Metrics: reg,
 	})
 	want := treeFixture()
 	for _, s := range want {
@@ -337,8 +340,7 @@ func TestExporterBestEffort(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	ex := dtrace.NewExporter(dtrace.ExporterConfig{
-		Client: wc, Addr: "mem:nowhere", BatchSize: 2, Buffer: 2,
-		FlushInterval: 10 * time.Millisecond, Timeout: 50 * time.Millisecond, Metrics: reg,
+		Client: wc, Addr: "mem:nowhere", Buffer: 2, Timeout: 50 * time.Millisecond, Metrics: reg,
 	})
 	for i := 0; i < 16; i++ {
 		ex.Emit(dtrace.Span{TraceID: 1, SpanID: uint64(i + 1), Name: "x", Outcome: "ok"})
@@ -353,5 +355,71 @@ func TestExporterBestEffort(t *testing.T) {
 	}
 	if snap.Value("dtrace.export.errors") == 0 {
 		t.Fatal("no export errors counted")
+	}
+}
+
+// TestExporterCloseIsCleanAndConserves: with emitters racing a raced
+// Close, every emitted span is either exported or counted dropped —
+// never both, never neither; after Close nothing is sent or dialed, and
+// no goroutine is left.
+func TestExporterCloseIsCleanAndConserves(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tp := wire.NewMemTransport()
+	ls, err := logsvc.NewServer(logsvc.ServerConfig{ListenAddr: "127.0.0.1:0", Transport: tp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := ls.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := wire.NewClient(time.Second)
+	var dials atomic.Int64
+	wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		dials.Add(1)
+		return wire.DialOn(tp, addr, timeout)
+	}
+	reg := telemetry.NewRegistry()
+	ex := dtrace.NewExporter(dtrace.ExporterConfig{Client: wc, Addr: addr, Metrics: reg})
+
+	const emitters, each = 4, 500
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ex.Emit(dtrace.Span{TraceID: uint64(e + 1), SpanID: uint64(i + 1), Name: "x", Outcome: "ok"})
+				if e < 2 && i == each/2 {
+					ex.Close() // mid-stream, racing the other emitters and each other
+				}
+			}
+		}(e)
+	}
+	wg.Wait()
+
+	dialed := dials.Load()
+	ex.Emit(dtrace.Span{TraceID: 9, SpanID: 1, Name: "late", Outcome: "ok"})
+	snap := reg.Snapshot("")
+	exported, dropped := snap.Value("dtrace.export.spans"), snap.Value("dtrace.export.dropped")
+	if exported+dropped != emitters*each+1 || exported == 0 || dropped == 0 {
+		t.Fatalf("exported %d + dropped %d, want %d in total and some of each", exported, dropped, emitters*each+1)
+	}
+	probe := wire.NewClient(time.Second)
+	probe.Transport = tp
+	got, err := dtrace.Fetch(probe, addr, 0, 0, time.Second)
+	probe.Close()
+	if err != nil || int64(len(got)) != exported {
+		t.Fatalf("collector holds %d spans (err %v), exporter counted %d", len(got), err, exported)
+	}
+	wc.Close()
+	ls.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+	if got := dials.Load(); got != dialed {
+		t.Fatalf("closed exporter dialed %d more times", got-dialed)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"everyware/internal/outbox"
 	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
@@ -15,11 +16,6 @@ type ExporterConfig struct {
 	Client *wire.Client
 	// Addr is the trace collector's address (a logsvc daemon). Required.
 	Addr string
-	// BatchSize flushes when this many spans are buffered (default 64).
-	BatchSize int
-	// FlushInterval flushes a partial batch at least this often
-	// (default 500ms).
-	FlushInterval time.Duration
 	// Timeout bounds each export call (default 2s).
 	Timeout time.Duration
 	// Buffer bounds the spans queued for export (default 4096). When the
@@ -31,110 +27,81 @@ type ExporterConfig struct {
 	Metrics *telemetry.Registry
 }
 
-// Exporter ships finished spans to the trace collector in batches,
-// best-effort: a full queue drops spans (counted, never blocking), and a
-// failed export drops the batch (counted, no retry — MsgTraceExport is
-// not idempotent and duplicated spans would corrupt trees). It
-// implements Sink.
+// Exporter ships finished spans to the trace collector in batches of up
+// to outbox.MaxBatch, best-effort: a full queue drops spans (counted,
+// never blocking), and a failed export drops the batch (counted, no
+// retry — MsgTraceExport is not idempotent and duplicated spans would
+// corrupt trees). Every emitted span is either exported or counted
+// dropped. It implements Sink.
 type Exporter struct {
-	cfg  ExporterConfig
-	ch   chan Span
-	wg   sync.WaitGroup
-	once sync.Once
-	stop chan struct{}
+	cfg ExporterConfig
+	out *outbox.Sender
+
+	mu     sync.Mutex
+	queue  []Span
+	closed bool
+
+	batch []Span // the round in flight, touched only by out's goroutine
 }
 
-// NewExporter starts the export loop.
+// NewExporter starts the exporter; Close stops it.
 func NewExporter(cfg ExporterConfig) *Exporter {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 500 * time.Millisecond
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 4096
 	}
-	ex := &Exporter{
-		cfg:  cfg,
-		ch:   make(chan Span, cfg.Buffer),
-		stop: make(chan struct{}),
-	}
-	ex.wg.Add(1)
-	go ex.loop()
+	ex := &Exporter{cfg: cfg}
+	ex.out = outbox.NewSender(ex.shipNext)
 	return ex
 }
 
 // Emit implements Sink: it enqueues s for export, dropping it (and
 // counting the drop) if the queue is full or the exporter is closed.
 func (ex *Exporter) Emit(s Span) {
-	select {
-	case ex.ch <- s:
-	default:
+	ex.mu.Lock()
+	ok := !ex.closed && len(ex.queue) < ex.cfg.Buffer
+	if ok {
+		ex.queue = append(ex.queue, s)
+	}
+	ex.mu.Unlock()
+	if !ok {
 		ex.cfg.Metrics.Counter("dtrace.export.dropped").Inc()
-	}
-}
-
-// loop batches queued spans and ships them.
-func (ex *Exporter) loop() {
-	defer ex.wg.Done()
-	tick := time.NewTicker(ex.cfg.FlushInterval)
-	defer tick.Stop()
-	batch := make([]Span, 0, ex.cfg.BatchSize)
-	for {
-		select {
-		case s := <-ex.ch:
-			batch = append(batch, s)
-			if len(batch) >= ex.cfg.BatchSize {
-				ex.ship(batch)
-				batch = batch[:0]
-			}
-		case <-tick.C:
-			if len(batch) > 0 {
-				ex.ship(batch)
-				batch = batch[:0]
-			}
-		case <-ex.stop:
-			// Drain what is already queued, then ship the final batch.
-			for {
-				select {
-				case s := <-ex.ch:
-					batch = append(batch, s)
-					if len(batch) >= ex.cfg.BatchSize {
-						ex.ship(batch)
-						batch = batch[:0]
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if len(batch) > 0 {
-				ex.ship(batch)
-			}
-			return
-		}
-	}
-}
-
-// ship sends one batch to the collector. The batch encodes into a pooled
-// request buffer; the bare-ack reply is released immediately.
-func (ex *Exporter) ship(batch []Span) {
-	if err := ex.cfg.Client.CallMsg(ex.cfg.Addr, MsgTraceExport, SpanList(batch), nil, ex.cfg.Timeout); err != nil {
-		ex.cfg.Metrics.Counter("dtrace.export.errors").Inc()
-		ex.cfg.Metrics.Counter("dtrace.export.dropped").Add(int64(len(batch)))
 		return
 	}
-	ex.cfg.Metrics.Counter("dtrace.export.spans").Add(int64(len(batch)))
+	ex.out.Kick()
 }
 
-// Close flushes queued spans and stops the export loop.
+// shipNext sends the oldest queued spans to the collector as one batch
+// and reports whether there were any. Only the sender goroutine calls it.
+// The batch encodes into a pooled request buffer; the bare-ack reply is
+// released immediately.
+func (ex *Exporter) shipNext() bool {
+	ex.mu.Lock()
+	n := min(len(ex.queue), outbox.MaxBatch)
+	ex.batch = append(ex.batch[:0], ex.queue[:n]...)
+	ex.queue = ex.queue[:copy(ex.queue, ex.queue[n:])]
+	ex.mu.Unlock()
+	if n == 0 {
+		return false
+	}
+	if err := ex.cfg.Client.CallMsg(ex.cfg.Addr, MsgTraceExport, SpanList(ex.batch), nil, ex.cfg.Timeout); err != nil {
+		ex.cfg.Metrics.Counter("dtrace.export.errors").Inc()
+		ex.cfg.Metrics.Counter("dtrace.export.dropped").Add(int64(n))
+		return true
+	}
+	ex.cfg.Metrics.Counter("dtrace.export.spans").Add(int64(n))
+	return true
+}
+
+// Close refuses further spans, ships the queued ones and stops the
+// exporter.
 func (ex *Exporter) Close() {
-	ex.once.Do(func() { close(ex.stop) })
-	ex.wg.Wait()
+	ex.mu.Lock()
+	ex.closed = true
+	ex.mu.Unlock()
+	ex.out.Close()
 }
 
 // Fetch retrieves up to max spans from the collector at addr, filtered

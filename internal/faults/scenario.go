@@ -275,9 +275,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		expClient.Transport = cfg.Transport
 		defer expClient.Close()
 		exporter = dtrace.NewExporter(dtrace.ExporterConfig{
-			Client:        expClient,
-			Addr:          collectorAddr,
-			FlushInterval: 50 * time.Millisecond,
+			Client: expClient,
+			Addr:   collectorAddr,
 		})
 		tracerFor = func(label string) wire.Tracer {
 			return dtrace.New(dtrace.Config{
@@ -739,11 +738,20 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// cuts never overlap.
 	if cfg.SchedOutage && cfg.Schedulers >= 2 {
 		time.Sleep(30 * time.Millisecond) // let some clean-path reports land first
+		failovers := func() (n int64) {
+			for _, comp := range comps {
+				n += comp.Metrics().Counter("sched.client.failover").Value()
+			}
+			return n
+		}
+		before := failovers()
 		in.Isolate("sched1")
 		cfg.Logf("isolated sched1")
-		time.Sleep(300 * time.Millisecond)
+		// Hold the cut until a report has actually failed over: a fixed
+		// outage sometimes falls between two reports and sees none.
+		forced := waitFor(5*time.Second, func() bool { return failovers() > before })
 		in.Heal()
-		cfg.Logf("healed sched1")
+		cfg.Logf("healed sched1 (fail-over forced=%v)", forced)
 	}
 
 	// Partition experiment: cut the last Gossip off from its pool peers

@@ -3,7 +3,9 @@ package gossip
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -417,26 +419,90 @@ func TestShareCoalescerMergesPerPeer(t *testing.T) {
 	s.enqueueShare(view, regB)
 	s.enqueueShare(view, regA2) // same (addr, key) as regA: supersedes it
 
-	ships := s.takeShares()
+	ships := s.shares.TakeAll()
 	if len(ships) != 2 {
 		t.Fatalf("shipments = %d, want 2 (one per non-self peer)", len(ships))
 	}
-	if ships[0].peer != "peer-a:1" || ships[1].peer != "peer-b:1" {
-		t.Fatalf("peers = %q, %q; want sorted peer-a:1, peer-b:1", ships[0].peer, ships[1].peer)
+	if ships[0].Dest != "peer-a:1" || ships[1].Dest != "peer-b:1" {
+		t.Fatalf("peers = %q, %q; want sorted peer-a:1, peer-b:1", ships[0].Dest, ships[1].Dest)
 	}
 	for _, sh := range ships {
-		if len(sh.table) != 2 {
-			t.Fatalf("table for %s has %d entries, want 2 (coalesced)", sh.peer, len(sh.table))
+		if len(sh.Items) != 2 {
+			t.Fatalf("table for %s has %d entries, want 2 (coalesced)", sh.Dest, len(sh.Items))
 		}
 		// Last write wins in the original slot: regA2 replaced regA.
-		if sh.table[0] != regA2 || sh.table[1] != regB {
-			t.Fatalf("table for %s = %+v, want [regA2 regB]", sh.peer, sh.table)
+		if sh.Items[0] != regA2 || sh.Items[1] != regB {
+			t.Fatalf("table for %s = %+v, want [regA2 regB]", sh.Dest, sh.Items)
 		}
 	}
 	if got := s.metrics.Counter("gossip.share.coalesced").Value(); got != 2 {
 		t.Fatalf("coalesced counter = %d, want 2 (one per peer)", got)
 	}
-	if again := s.takeShares(); len(again) != 0 {
+	if again := s.shares.TakeAll(); len(again) != 0 {
 		t.Fatalf("second take returned %d shipments, want 0", len(again))
+	}
+}
+
+// TestCloseIsCleanAndRaceSafe: concurrent Close calls do not panic; after
+// Close a share that is enqueued and kicked is never sent and nothing
+// dials; and once every daemon is closed no goroutine is left.
+func TestCloseIsCleanAndRaceSafe(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var dials atomic.Int64
+	start := func(dialer wire.DialFunc, wellKnown ...string) *Server {
+		g := NewServer(ServerConfig{
+			ListenAddr:   "127.0.0.1:0",
+			WellKnown:    wellKnown,
+			SyncInterval: 30 * time.Millisecond,
+			Heartbeat:    20 * time.Millisecond,
+			Dialer:       dialer,
+		})
+		if _, err := g.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	a := start(func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		dials.Add(1)
+		return wire.Dial(addr, timeout)
+	})
+	b := start(nil, a.Addr())
+	eventually(t, 5*time.Second, func() bool { return len(a.PoolView().Members) == 2 }, "pool of two")
+
+	// A registration at a reaches b through the share sender.
+	wc := wire.NewClient(time.Second)
+	reg := Registration{Addr: "comp:1", Key: "app/k", Comparator: CmpCounter}
+	if err := wc.CallMsg(a.Addr(), MsgRegister, reg, nil, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	wc.Close()
+	eventually(t, 5*time.Second, func() bool { return len(b.Registrations()) == 1 }, "share to reach the peer")
+
+	view := a.PoolView()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.Close()
+		}()
+	}
+	wg.Wait()
+
+	dialed := dials.Load()
+	late := Registration{Addr: "comp:2", Key: "app/k", Comparator: CmpCounter}
+	a.enqueueShare(view, late)
+	a.out.Kick()
+	b.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+	if got := dials.Load(); got != dialed {
+		t.Fatalf("closed gossip dialed %d more times", got-dialed)
+	}
+	if a.shares.Len() != 1 {
+		t.Fatalf("a share enqueued after Close was taken for sending (%d pending, want 1)", a.shares.Len())
 	}
 }

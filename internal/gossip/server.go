@@ -9,6 +9,7 @@ import (
 
 	"everyware/internal/clique"
 	"everyware/internal/forecast"
+	"everyware/internal/outbox"
 	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
@@ -87,31 +88,6 @@ type regKey struct {
 	key  string
 }
 
-// Share-coalescing tuning: registration shares bound for the same peer
-// merge into a single MsgShareReg table per flush window instead of one
-// call per registration. The idiom mirrors the scale-layer report
-// coalescer; it is reimplemented locally because scale imports gossip.
-const (
-	// shareMaxBatch flushes a peer's buffer immediately once it holds
-	// this many distinct registrations.
-	shareMaxBatch = 64
-	// shareMaxDelay bounds how long a buffered share waits for company.
-	shareMaxDelay = 25 * time.Millisecond
-)
-
-// shareBuf is one peer's pending registration shares, last-write-wins
-// per (addr, key) with insertion order preserved.
-type shareBuf struct {
-	order []regKey
-	byKey map[regKey]Registration
-}
-
-// shipment is one drained buffer: the merged table bound for one peer.
-type shipment struct {
-	peer  string
-	table RegTable
-}
-
 // Server is one Gossip process: a member of the distributed state exchange
 // pool. It polls its responsible components for fresh state, pushes
 // updates to stale ones, evicts dead components, and uses
@@ -134,11 +110,14 @@ type Server struct {
 	failures map[regKey]int
 	rounds   uint64
 
-	shareMu      sync.Mutex
-	sharePending map[string]*shareBuf
+	// shares holds the registration shares bound for each pool peer;
+	// out ships them (one merged MsgShareReg table per peer).
+	shares outbox.Pending[regKey, Registration]
+	out    *outbox.Sender
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // NewServer constructs a Gossip process; call Start to join the pool.
@@ -155,16 +134,15 @@ func NewServer(cfg ServerConfig) *Server {
 		Tracer:      cfg.Tracer,
 	})
 	s := &Server{
-		cfg:          cfg,
-		svc:          svc,
-		srv:          svc.Server(),
-		client:       svc.Client(),
-		metrics:      svc.Metrics(),
-		regs:         make(map[regKey]Registration),
-		failures:     make(map[regKey]int),
-		sharePending: make(map[string]*shareBuf),
-		timeout:      forecast.NewTimeoutPolicy(forecast.NewRegistry()),
-		done:         make(chan struct{}),
+		cfg:      cfg,
+		svc:      svc,
+		srv:      svc.Server(),
+		client:   svc.Client(),
+		metrics:  svc.Metrics(),
+		regs:     make(map[regKey]Registration),
+		failures: make(map[regKey]int),
+		timeout:  forecast.NewTimeoutPolicy(forecast.NewRegistry()),
+		done:     make(chan struct{}),
 	}
 	svc.Handle(MsgRegister, wire.HandlerFunc(s.handleRegister))
 	svc.Handle(MsgDeregister, wire.HandlerFunc(s.handleDeregister))
@@ -196,31 +174,32 @@ func (s *Server) Start() (string, error) {
 		Tracer:            s.cfg.Tracer,
 	}, s.tr)
 	s.member.Start()
-	s.wg.Add(2)
+	s.out = outbox.NewSender(s.flushShares)
+	s.wg.Add(1)
 	go s.syncLoop()
-	go s.shareLoop()
 	return s.addr, nil
 }
 
 // Addr returns the advertised address.
 func (s *Server) Addr() string { return s.addr }
 
-// Close leaves the pool and stops the daemon.
+// Close leaves the pool and stops the daemon. Shares buffered before
+// Close get one last best-effort flush; none is sent after it.
 func (s *Server) Close() {
-	select {
-	case <-s.done:
-		return
-	default:
-	}
-	close(s.done)
-	s.wg.Wait()
-	if s.member != nil {
-		s.member.Stop()
-	}
-	if s.tr != nil {
-		s.tr.Close()
-	}
-	s.svc.Close()
+	s.closeOnce.Do(func() {
+		close(s.done)
+		s.wg.Wait()
+		if s.out != nil {
+			s.out.Close()
+		}
+		if s.member != nil {
+			s.member.Stop()
+		}
+		if s.tr != nil {
+			s.tr.Close()
+		}
+		s.svc.Close()
+	})
 }
 
 // PoolView returns the current clique view of the Gossip pool.
@@ -253,10 +232,11 @@ func (s *Server) handleRegister(_ string, req *wire.Packet) (*wire.Packet, error
 	}
 	s.addRegistration(r)
 	// Replicate the registration across the pool (volatile-but-replicated
-	// state), coalesced per destination: a registration burst becomes one
-	// merged MsgShareReg table per peer per flush window instead of one
-	// call each. The handler only buffers; the share loop ships.
+	// state), merged per destination: registrations that arrive while a
+	// flush is in flight go out as one MsgShareReg table per peer, not one
+	// call each. The handler only buffers; the sender ships.
 	s.enqueueShare(s.member.View(), r)
+	s.out.Kick()
 	return wire.Reply(MsgRegister, nil), nil
 }
 
@@ -339,119 +319,49 @@ func (s *Server) syncLoop() {
 const antiEntropyEvery = 5
 
 // ShareRegistrations pushes the full registration table to every pool
-// peer (best effort). The table rides the share coalescer — it merges
-// with any buffered single-registration shares, and the flush ships one
-// pipelined MsgShareReg per peer. Exposed for tests.
+// peer (best effort). The table merges with any buffered
+// single-registration shares and the sender ships one pipelined
+// MsgShareReg per peer.
 func (s *Server) ShareRegistrations() {
-	regs := s.Registrations()
-	if len(regs) == 0 {
-		return
-	}
 	view := s.member.View()
-	for _, r := range regs {
+	for _, r := range s.Registrations() {
 		s.enqueueShare(view, r)
 	}
-	s.flushShares()
+	s.out.Kick()
 }
 
-// enqueueShare buffers r for every pool peer, coalescing
-// last-write-wins per (addr, key). A peer whose buffer reaches
-// shareMaxBatch flushes immediately in the background; the rest drain on
-// the share loop's ticker within shareMaxDelay.
+// enqueueShare buffers r for every pool peer, last write wins per
+// (addr, key).
 func (s *Server) enqueueShare(view clique.View, r Registration) {
 	k := regKey{addr: r.Addr, key: r.Key}
-	var full []string
-	s.shareMu.Lock()
 	for _, peer := range view.Members {
 		if peer == s.addr {
 			continue
 		}
-		b := s.sharePending[peer]
-		if b == nil {
-			b = &shareBuf{byKey: make(map[regKey]Registration)}
-			s.sharePending[peer] = b
-		}
-		if _, dup := b.byKey[k]; dup {
+		if _, coalesced := s.shares.Put(peer, k, r); coalesced {
 			s.metrics.Counter("gossip.share.coalesced").Inc()
-		} else {
-			b.order = append(b.order, k)
 		}
-		b.byKey[k] = r
-		if len(b.order) >= shareMaxBatch {
-			full = append(full, peer)
-		}
-	}
-	s.shareMu.Unlock()
-	if len(full) > 0 {
-		go s.flushShares(full...)
 	}
 }
 
-// takeShares drains the named peers' buffers (every peer when none are
-// named) and returns the merged table bound for each, in sorted peer
-// order so delivery is deterministic.
-func (s *Server) takeShares(peers ...string) []shipment {
-	s.shareMu.Lock()
-	defer s.shareMu.Unlock()
-	if len(peers) == 0 {
-		peers = make([]string, 0, len(s.sharePending))
-		for p := range s.sharePending {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-	}
-	out := make([]shipment, 0, len(peers))
-	for _, p := range peers {
-		b := s.sharePending[p]
-		if b == nil || len(b.order) == 0 {
-			continue
-		}
-		table := make(RegTable, 0, len(b.order))
-		for _, k := range b.order {
-			table = append(table, b.byKey[k])
-		}
-		delete(s.sharePending, p)
-		out = append(out, shipment{peer: p, table: table})
-	}
-	return out
-}
-
-// flushShares ships each drained buffer as one MsgShareReg, pipelined:
-// every request is issued before any reply is awaited, so a slow peer
-// does not serialize the fan-out. Best effort — a failed share is
-// dropped and the next anti-entropy round re-replicates the full table.
-func (s *Server) flushShares(peers ...string) {
-	ships := s.takeShares(peers...)
-	if len(ships) == 0 {
-		return
-	}
+// flushShares ships everything buffered as one MsgShareReg per peer,
+// pipelined: every request is issued before any reply is awaited, so a
+// slow peer does not serialize the fan-out. It reports whether there was
+// anything to ship. Best effort — a failed share is dropped and the next
+// anti-entropy round re-replicates the full table.
+func (s *Server) flushShares() bool {
+	ships := s.shares.TakeAll()
 	s.metrics.Counter("gossip.share.flushes").Add(int64(len(ships)))
 	calls := make([]*wire.PendingCall, len(ships))
 	for i, sh := range ships {
-		calls[i] = s.client.Go(sh.peer, wire.NewRequest(MsgShareReg, sh.table), s.cfg.CallTimeout)
+		calls[i] = s.client.Go(sh.Dest, wire.NewRequest(MsgShareReg, RegTable(sh.Items)), s.cfg.CallTimeout)
 	}
 	for _, call := range calls {
 		if resp, err := call.Wait(); err == nil {
 			resp.Release()
 		}
 	}
-}
-
-// shareLoop drains buffered registration shares every shareMaxDelay and
-// performs a final best-effort drain on shutdown.
-func (s *Server) shareLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(shareMaxDelay)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.done:
-			s.flushShares()
-			return
-		case <-tick.C:
-			s.flushShares()
-		}
-	}
+	return len(ships) > 0
 }
 
 // responsible reports whether this Gossip owns key under the current pool

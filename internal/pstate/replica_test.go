@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -233,6 +234,114 @@ func TestTombstoneConvergence(t *testing.T) {
 	if _, found, err := rs.Fetch("doomed"); err != nil || found {
 		t.Fatalf("quorum read after delete: found=%v err=%v", found, err)
 	}
+}
+
+// TestQuorumDeleteAndList drives the quorum client's Delete and List: the
+// delete writes a tombstone one version above the object, a replica that
+// missed it converges through anti-entropy, List omits tombstoned names
+// whichever replicas answer, and a delete that cannot reach a write
+// quorum is spooled and lands after FlushSpool.
+func TestQuorumDeleteAndList(t *testing.T) {
+	srvs := newPeeredServers(t, 3)
+	unreachable := make(map[string]bool)
+	conns := make(map[string]*wire.Conn)
+	wc := wire.NewClient(200 * time.Millisecond)
+	t.Cleanup(wc.Close)
+	wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		if unreachable[addr] {
+			return nil, fmt.Errorf("test: unreachable")
+		}
+		cc, err := wire.Dial(addr, timeout)
+		conns[addr] = cc
+		return cc, err
+	}
+	rs, err := NewReplicaSet(wc, ReplicaSetConfig{Addrs: addrsOf(srvs), Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(replicas ...*Server) {
+		clear(unreachable)
+		for _, s := range replicas {
+			unreachable[s.Addr()] = true
+			if cc := conns[s.Addr()]; cc != nil {
+				cc.Close() // the client finds it broken and re-dials
+			}
+		}
+	}
+	wantList := func(when string, want ...string) {
+		t.Helper()
+		got, err := rs.List()
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("list %s = %v (err %v), want %v", when, got, err, want)
+		}
+	}
+	entry := func(s *Server, name string) DigestEntry {
+		for _, ent := range s.Digest() {
+			if ent.Name == name {
+				return ent
+			}
+		}
+		return DigestEntry{}
+	}
+
+	for _, name := range []string{"doomed", "keep"} {
+		if ver, err := rs.Store(name, "", []byte(name)); err != nil || ver != 1 {
+			t.Fatalf("store %s: v=%d err=%v", name, ver, err)
+		}
+	}
+	if _, err := srvs[0].SyncNow(); err != nil { // every replica holds both at v1
+		t.Fatal(err)
+	}
+	wantList("before the delete", "doomed", "keep")
+
+	// Quorum delete with the third replica out of reach.
+	cut(srvs[2])
+	if err := rs.Delete("doomed"); err != nil {
+		t.Fatalf("delete with 2 of 3 replicas: %v", err)
+	}
+	for i, s := range srvs[:2] {
+		if ent := entry(s, "doomed"); !ent.Tombstone || ent.Version != 2 {
+			t.Fatalf("replica %d holds %+v, want a tombstone at version 2", i, ent)
+		}
+	}
+	if ent := entry(srvs[2], "doomed"); ent.Tombstone || ent.Version != 1 {
+		t.Fatalf("test setup broken: the cut replica holds %+v, want the live v1", ent)
+	}
+	wantList("from the two replicas that saw the delete", "keep")
+	cut()
+	wantList("with the stale replica answering too", "keep") // its live v1 loses to the tombstone
+	if _, err := srvs[2].SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if ent := entry(srvs[2], "doomed"); !ent.Tombstone || ent.Version != 2 {
+		t.Fatalf("stale replica did not converge on the tombstone: %+v", ent)
+	}
+	if !DigestsEqual(srvs[0].Digest(), srvs[2].Digest()) {
+		t.Fatal("digests diverged after the delete converged")
+	}
+
+	// No write quorum: the delete is parked, not lost.
+	cut(srvs[1], srvs[2])
+	if err := rs.Delete("keep"); !errors.Is(err, ErrSpooled) {
+		t.Fatalf("delete with 1 of 3 replicas: err = %v, want ErrSpooled", err)
+	}
+	if rs.SpoolDepth() != 1 {
+		t.Fatalf("spool depth = %d, want 1", rs.SpoolDepth())
+	}
+	cut()
+	if n := rs.FlushSpool(); n != 1 {
+		t.Fatalf("flushed %d, want 1", n)
+	}
+	holders := 0
+	for _, s := range srvs {
+		if entry(s, "keep").Tombstone {
+			holders++
+		}
+	}
+	if holders < 2 {
+		t.Fatalf("flushed delete on %d replicas, want >= 2", holders)
+	}
+	wantList("after both deletes")
 }
 
 // TestPersistCrashPoints kills the manager at every crash site inside

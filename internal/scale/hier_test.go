@@ -69,6 +69,52 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // peer's rollup spreads through the region pool to the leader, whose
 // bridge republishes it into the top pool, where a reader component
 // observes it — without the reader ever joining the region pool.
+func TestRegionsDeterministicAndCovering(t *testing.T) {
+	members := shardNames(40)
+	a := Regions(members, 8)
+	b := Regions(members, 8)
+	if len(a) != 5 || len(b) != 5 {
+		t.Fatalf("want 5 regions, got %d and %d", len(a), len(b))
+	}
+	total := 0
+	for i := range a {
+		total += len(a[i])
+		if len(a[i]) != len(b[i]) {
+			t.Fatal("partition not deterministic")
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				t.Fatal("partition not deterministic")
+			}
+		}
+		if lead := LeaderOf(a[i]); len(a[i]) > 0 && lead != a[i][0] {
+			t.Fatalf("leader %q is not the region's min ID %q", lead, a[i][0])
+		}
+	}
+	if total != 40 {
+		t.Fatalf("partition covers %d of 40 members", total)
+	}
+}
+
+func TestGossipTrafficSublinear(t *testing.T) {
+	for _, n := range []int{64, 256, 1024} {
+		flat, hier := GossipTraffic(n, 16)
+		if hier >= flat {
+			t.Errorf("n=%d: hierarchical traffic %d not below flat %d", n, hier, flat)
+		}
+	}
+	// Doubling the fleet must grow hierarchical traffic far slower than
+	// the flat O(n^2).
+	_, h1 := GossipTraffic(512, 16)
+	_, h2 := GossipTraffic(1024, 16)
+	f1, _ := GossipTraffic(512, 16)
+	f2, _ := GossipTraffic(1024, 16)
+	if float64(h2)/float64(h1) >= float64(f2)/float64(f1) {
+		t.Errorf("hierarchical growth %.2fx not below flat growth %.2fx",
+			float64(h2)/float64(h1), float64(f2)/float64(f1))
+	}
+}
+
 func TestBridgeRepublishesRollups(t *testing.T) {
 	regionPool := newPool(t)
 	topPool := newPool(t)

@@ -10,10 +10,12 @@
 //     ring is published through Gossip under RingKey; clients route
 //     reports by work-key through a Router and fail over along ring
 //     successors.
-//   - A report aggregation layer (Coalescer) batches and coalesces
-//     per-client status reports per destination shard, and region
-//     gateways roll summaries up (Rollup), so per-scheduler inbound
-//     message rate grows with shard count, not client count.
+//   - Report aggregation: a shard answers a whole batch of reports in
+//     one packet (sched.MsgReportBatch) and region gateways roll
+//     summaries up (Rollup), so per-scheduler inbound message rate can
+//     grow with shard count, not client count. The per-destination
+//     buffer a batching gateway needs is outbox.Pending; the sweep
+//     models such gateways.
 //   - Hierarchical cliques (Regions/Bridge): members split into region
 //     sub-pools whose leaders republish rollups into a top pool, keeping
 //     per-member gossip traffic O(region) and top-ring traffic

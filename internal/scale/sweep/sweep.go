@@ -4,8 +4,8 @@
 // sharded scheduler fleet, with per-shard token-bucket admission control.
 // Real testbeds top out far below this scale — GridSim-style simulation
 // is the methodology for validating grid schedulers beyond it — so the
-// sweep runs the production scale components (Ring, Router, Coalescer,
-// Admitter) under a virtual clock and measures what the ROADMAP's
+// sweep runs the production components (Ring, Router, Admitter,
+// outbox.Pending) under a virtual clock and measures what the ROADMAP's
 // millions-of-users north star actually requires: decision latency,
 // per-shard resident state, and shed rate that stay bounded as the
 // client population and the shard count grow together.
@@ -13,12 +13,14 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"strconv"
 	"time"
 
+	"everyware/internal/outbox"
 	"everyware/internal/scale"
 	"everyware/internal/simgrid"
 	"everyware/internal/telemetry"
@@ -154,13 +156,51 @@ type shard struct {
 	alive   bool
 }
 
-// gateway is one simulated region gateway.
+// gateway is one simulated region gateway: the real pending buffer, keyed
+// by client, plus the simulation's own flush-age model — a shard's buffer
+// is sent when it reaches outbox.MaxBatch or, at a tick, once its oldest
+// report has waited half a flush interval. (A real gateway has no such
+// timer; the model stands in for the send latency a kicked sender sees.)
 type gateway struct {
 	region  int
 	first   uint32 // first client index fronted
 	clients uint32
 	cursor  uint32
-	coal    *scale.Coalescer[report]
+	pending outbox.Pending[uint32, report]
+	oldest  map[string]time.Time // per shard: when its buffer was opened
+}
+
+// buffer holds r for shard dest and returns how many reports dest now
+// holds. It never sends: a fresh report's caller sends at MaxBatch, and a
+// report that came back shed or undeliverable just waits, so a requeue
+// loop cannot recurse into delivery (the buffer may pass MaxBatch until
+// the next fresh report or tick drains it).
+func (g *gateway) buffer(dest string, r report, now time.Time, coalesced *int64) int {
+	n, dup := g.pending.Put(dest, r.client, r)
+	if dup {
+		*coalesced++
+	} else if n == 1 {
+		g.oldest[dest] = now
+	}
+	return n
+}
+
+// aged takes every shard buffer at least maxDelay old, in sorted shard
+// order so replays are deterministic.
+func (g *gateway) aged(now time.Time, maxDelay time.Duration) []outbox.Batch[report] {
+	var dests []string
+	for d, t := range g.oldest {
+		if now.Sub(t) >= maxDelay {
+			dests = append(dests, d)
+		}
+	}
+	sort.Strings(dests)
+	out := make([]outbox.Batch[report], len(dests))
+	for i, d := range dests {
+		delete(g.oldest, d)
+		out[i] = outbox.Batch[report]{Dest: d, Items: g.pending.Take(d, math.MaxInt)}
+	}
+	return out
 }
 
 // Run executes one sweep point and returns its measurements.
@@ -210,12 +250,7 @@ func Run(cfg Config) Result {
 			first:   first,
 			clients: n,
 			cursor:  uint32(rng.Intn(int(n) + 1)),
-			coal: scale.NewCoalescer[report](scale.CoalescerConfig{
-				MaxBatch: 64,
-				MaxDelay: cfg.FlushInterval / 2,
-				Now:      eng.Now,
-				Metrics:  cfg.Metrics,
-			}),
+			oldest:  make(map[string]time.Time),
 		}
 	}
 
@@ -249,16 +284,18 @@ func Run(cfg Config) Result {
 		return uint32(n)
 	}
 
-	deliver := func(b *scale.Batch[report]) {
-		if b == nil || len(b.Items) == 0 {
+	deliver := func(dest string, items []report) {
+		if len(items) == 0 {
 			return
 		}
-		dst := byName[b.Dest]
+		now := eng.Now()
+		g := gws[int(items[0].client)/cfg.RegionSize]
+		dst := byName[dest]
 		if dst == nil || !dst.alive {
-			// Owner dead: fail over along the ring, exactly as the
-			// gateway's deliverBatch walks successors.
+			// Owner dead: fail over along the ring successors of the
+			// first report's key.
 			dst = nil
-			key := strconv.FormatUint(uint64(b.Items[0].client), 10)
+			key := strconv.FormatUint(uint64(items[0].client), 10)
 			for _, n := range router.Ring().Successors(key, cfg.Shards) {
 				if s := byName[n]; s != nil && s.alive {
 					dst = s
@@ -266,24 +303,20 @@ func Run(cfg Config) Result {
 				}
 			}
 			if dst == nil { // whole fleet dead: requeue everything
-				g := gws[int(b.Items[0].client)/cfg.RegionSize]
-				for _, it := range b.Items {
-					g.coal.Requeue(b.Dest, strconv.FormatUint(uint64(it.client), 10), it)
+				for _, it := range items {
+					g.buffer(dest, it, now, &res.Coalesced)
 				}
 				return
 			}
 			res.Failovers++
 		}
-		res.Coalesced += int64(b.Coalesced)
-		now := eng.Now()
-		for i, it := range b.Items {
+		for i, it := range items {
 			if dst.admit != nil {
 				if err := dst.admit.Admit(it.pri); err != nil {
 					// Shed: degraded success — requeue for a later tick,
 					// mirroring DirShed's keep-working contract.
 					res.Shed++
-					g := gws[int(it.client)/cfg.RegionSize]
-					g.coal.Requeue(b.Dest, strconv.FormatUint(uint64(it.client), 10), it)
+					g.buffer(dest, it, now, &res.Coalesced)
 					continue
 				}
 			}
@@ -317,11 +350,15 @@ func Run(cfg Config) Result {
 			// tick collapses the interval's arrivals into one event, but
 			// the clients did not all report at the tick instant.
 			enq := now.Add(-time.Duration(rng.Int63n(int64(cfg.FlushInterval))))
-			deliver(g.coal.Add(router.Ring().Lookup(key), key, report{client: c, pri: pri, enq: enq}))
+			dest := router.Ring().Lookup(key)
+			if n := g.buffer(dest, report{client: c, pri: pri, enq: enq}, now, &res.Coalesced); n >= outbox.MaxBatch {
+				delete(g.oldest, dest)
+				deliver(dest, g.pending.Take(dest, n))
+			}
 		}
 		g.cursor = (g.cursor + n) % g.clients
-		for _, b := range g.coal.Tick() {
-			deliver(b)
+		for _, b := range g.aged(now, cfg.FlushInterval/2) {
+			deliver(b.Dest, b.Items)
 		}
 		eng.After(cfg.FlushInterval, func() { tick(g) })
 	}
@@ -344,10 +381,7 @@ func Run(cfg Config) Result {
 	// Drain: what is still buffered is pending, not lost; what a newer
 	// report for the same client absorbed is coalesced, not lost.
 	for _, g := range gws {
-		for _, b := range g.coal.Flush() {
-			res.Pending += int64(len(b.Items))
-			res.Coalesced += int64(b.Coalesced)
-		}
+		res.Pending += int64(g.pending.Len())
 	}
 	res.Lost = res.Reports - res.Acked - res.Pending - res.Coalesced
 	// Shed rate is per delivery attempt: a requeued report that is shed

@@ -3,10 +3,13 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"everyware/internal/dtrace"
 	"everyware/internal/logsvc"
 	"everyware/internal/ramsey"
 	"everyware/internal/wire"
@@ -356,5 +359,67 @@ func TestRunnerObeysStopDirective(t *testing.T) {
 	}
 	if len(sv.Found()) == 0 {
 		t.Fatal("stop without a found counter-example")
+	}
+}
+
+// TestLogForwardKeepsTraceAndCloseIsClean: every handled report yields
+// exactly one logsvc append served as a child of that report's own trace
+// context, even when several reports ship in one round; and after Close
+// no append is sent, nothing dials, and no goroutine is left.
+func TestLogForwardKeepsTraceAndCloseIsClean(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var served dtrace.Capture
+	ls, err := logsvc.NewServer(logsvc.ServerConfig{
+		ListenAddr: "127.0.0.1:0",
+		Tracer:     dtrace.New(dtrace.Config{Service: "logd", Sink: &served}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(ServerConfig{N: 9, K: 3, LogAddr: ls.Addr()})
+	var dials atomic.Int64
+	s.wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		dials.Add(1)
+		return wire.Dial(addr, timeout)
+	}
+	const reports = 40
+	for i := uint64(1); i <= reports; i++ {
+		tc := wire.TraceContext{TraceID: i, SpanID: 1000 + i, Sampled: true}
+		s.HandleCtx(tc, Report{ClientID: fmt.Sprintf("c%d", i), Infra: "unix"})
+	}
+	s.Close() // ships what is queued before it stops
+	if appended, _ := ls.Stats(); appended != reports {
+		t.Fatalf("logsvc appended %d entries for %d reports", appended, reports)
+	}
+	seen := make(map[uint64]bool)
+	for _, sp := range served.Spans() {
+		if sp.Name != "wire.serve."+wire.MsgName(logsvc.MsgAppend) {
+			continue
+		}
+		if seen[sp.TraceID] || sp.ParentID != 1000+sp.TraceID {
+			t.Fatalf("append span %+v: logged twice, or not a child of its report's span", sp)
+		}
+		seen[sp.TraceID] = true
+	}
+	if len(seen) != reports {
+		t.Fatalf("%d appends carried a report's trace, want %d", len(seen), reports)
+	}
+
+	dialed := dials.Load()
+	s.Handle(Report{ClientID: "late", Infra: "unix"})
+	ls.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+	if got := dials.Load(); got != dialed {
+		t.Fatalf("closed scheduler dialed %d more times", got-dialed)
+	}
+	if appended, _ := ls.Stats(); appended != reports {
+		t.Fatalf("a report handled after Close was logged (%d entries)", appended)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"everyware/internal/forecast"
 	"everyware/internal/logsvc"
+	"everyware/internal/outbox"
 	"everyware/internal/ramsey"
 	"everyware/internal/scale"
 	"everyware/internal/telemetry"
@@ -134,6 +135,14 @@ type Server struct {
 	reports   int64
 	migration int64
 
+	// logs queues perf entries bound for the logging service, each with
+	// its report's trace context; out ships them off the report path.
+	// shipping is the round in flight, touched only by out's goroutine.
+	logMu    sync.Mutex
+	logs     []logForward
+	shipping []logForward
+	out      *outbox.Sender
+
 	// Median-rate cache: recomputing the pool median on every report is
 	// O(clients x forecast battery); the median moves slowly, so it is
 	// refreshed at most once per MedianRefresh.
@@ -172,6 +181,9 @@ func NewServer(cfg ServerConfig) *Server {
 			Metrics: s.metrics,
 		})
 	}
+	if cfg.LogAddr != "" {
+		s.out = outbox.NewSender(s.shipLogs)
+	}
 	svc.Handle(MsgReport, wire.HandlerFunc(s.handleReport))
 	svc.Handle(MsgReportBatch, wire.HandlerFunc(s.handleReportBatch))
 	svc.Handle(MsgStats, wire.HandlerFunc(s.handleStats))
@@ -181,16 +193,25 @@ func NewServer(cfg ServerConfig) *Server {
 // Metrics returns the daemon's telemetry registry.
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
-// Start binds the listener and returns the bound address.
+// Start binds the listener and returns the bound address. A server that
+// fails to bind is closed.
 func (s *Server) Start() (string, error) {
-	return s.svc.Start()
+	addr, err := s.svc.Start()
+	if err != nil {
+		s.Close()
+	}
+	return addr, err
 }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.svc.Addr() }
 
-// Close stops the daemon.
+// Close ships the perf entries already queued for the logging service,
+// then stops the daemon; an entry queued later is never sent.
 func (s *Server) Close() {
+	if s.out != nil {
+		s.out.Close()
+	}
 	s.svc.Close()
 }
 
@@ -465,7 +486,17 @@ func (s *Server) expireStaleLocked(now time.Time) {
 	}
 }
 
-// forwardPerf sends the report's performance information to the logging
+// logForward is one perf entry awaiting the log hop.
+type logForward struct {
+	en logsvc.Entry
+	tc wire.TraceContext
+}
+
+// maxLogBacklog bounds the perf entries queued while the logging service
+// is slow or away; beyond it new entries are dropped and counted.
+const maxLogBacklog = 1024
+
+// forwardPerf queues the report's performance information for the logging
 // service before it is discarded (section 3.1.3). The append carries the
 // decision's trace context, so the log hop appears in the report's trace
 // tree.
@@ -479,13 +510,40 @@ func (s *Server) forwardPerf(tc wire.TraceContext, r Report, rate float64) {
 		Level:  "perf",
 		Line:   perfLine(r, rate),
 	}
-	go func() {
-		req := wire.NewRequest(logsvc.MsgAppend, en)
-		req.Trace = tc
-		if resp, err := s.wc.Call(s.cfg.LogAddr, req, 2*time.Second); err == nil {
+	s.logMu.Lock()
+	full := len(s.logs) >= maxLogBacklog
+	if !full {
+		s.logs = append(s.logs, logForward{en: en, tc: tc})
+	}
+	s.logMu.Unlock()
+	if full {
+		s.metrics.Counter("sched.log.dropped").Inc()
+		return
+	}
+	s.out.Kick()
+}
+
+// shipLogs sends every queued perf entry as its own MsgAppend, pipelined
+// on the one connection to the logging service, and reports whether any
+// were queued. Best effort: a failed append is not retried.
+func (s *Server) shipLogs() bool {
+	s.logMu.Lock()
+	s.shipping = append(s.shipping[:0], s.logs...)
+	s.logs = s.logs[:0]
+	s.logMu.Unlock()
+	calls := make([]*wire.PendingCall, len(s.shipping))
+	for i := range s.shipping {
+		f := &s.shipping[i]
+		req := wire.NewRequest(logsvc.MsgAppend, &f.en)
+		req.Trace = f.tc
+		calls[i] = s.wc.Go(s.cfg.LogAddr, req, 2*time.Second)
+	}
+	for _, call := range calls {
+		if resp, err := call.Wait(); err == nil {
 			resp.Release()
 		}
-	}()
+	}
+	return len(calls) > 0
 }
 
 func perfLine(r Report, rate float64) string {

@@ -21,6 +21,7 @@ type DialFunc func(addr string, timeout time.Duration) (*Conn, error)
 type Client struct {
 	mu          sync.Mutex
 	conns       map[string]*Conn
+	closed      bool
 	DialTimeout time.Duration
 	// Transport selects the substrate connections are opened on. Nil
 	// means TCP. Ignored when Dialer is set.
@@ -61,9 +62,17 @@ func NewClient(dialTimeout time.Duration) *Client {
 	return &Client{conns: make(map[string]*Conn), DialTimeout: dialTimeout}
 }
 
+// ErrClientClosed is the cause of the *SendError every call on a closed
+// Client returns.
+var ErrClientClosed = errors.New("wire: client closed")
+
 func (c *Client) conn(addr string) (*Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		// Dialing here would cache a connection nobody will ever close.
+		return nil, &SendError{Err: ErrClientClosed}
+	}
 	if cc, ok := c.conns[addr]; ok {
 		return cc, nil
 	}
@@ -255,8 +264,9 @@ func (c *Client) call(addr string, req *Packet, timeout time.Duration, callSpan 
 func (c *Client) attempt(addr string, req *Packet, timeout time.Duration, pol *RetryPolicy) (resp *Packet, outcome telemetry.Outcome, done bool, err error) {
 	cc, err := c.conn(addr)
 	if err != nil {
-		// Dial failure: nothing was sent, retry freely.
-		return nil, "dial_error", false, err
+		// Dial failure: nothing was sent, retry freely — unless the client
+		// itself is closed, which no retry will change.
+		return nil, "dial_error", errors.Is(err, ErrClientClosed), err
 	}
 	resp, err = cc.Call(req, timeout)
 	if err == nil {
@@ -299,10 +309,12 @@ func (c *Client) Ping(addr string, timeout time.Duration) (time.Duration, error)
 	return time.Since(start), nil
 }
 
-// Close closes all cached connections.
+// Close closes all cached connections. Every later call fails with a
+// *SendError and dials nothing.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	for addr, cc := range c.conns {
 		cc.Close()
 		delete(c.conns, addr)

@@ -3,7 +3,9 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -294,5 +296,46 @@ func TestIdleTimeoutClosesQuietConnections(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Ping(addr, time.Second); err != nil {
 		t.Fatalf("client reconnect after idle close: %v", err)
+	}
+}
+
+// TestClientClosedStaysClosed: a Call or Go on a closed client fails with
+// a *SendError instead of re-dialing — a connection dialed after Close
+// would be cached where nobody will ever close it, and its demux
+// goroutine would outlive the daemon.
+func TestClientClosedStaysClosed(t *testing.T) {
+	s := silentServer(t)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	c := NewClient(time.Second)
+	c.Retry = &RetryPolicy{MaxAttempts: 4}
+	var dials atomic.Int64
+	c.Dialer = func(addr string, timeout time.Duration) (*Conn, error) {
+		dials.Add(1)
+		return Dial(addr, timeout)
+	}
+	if _, err := c.Ping(addr, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	dialed := dials.Load()
+
+	var sendErr *SendError
+	if _, err := c.Call(addr, &Packet{Type: MsgPing}, time.Second); !errors.As(err, &sendErr) || !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Call on a closed client: err = %v, want *SendError wrapping ErrClientClosed", err)
+	}
+	if _, err := c.Go(addr, &Packet{Type: MsgPing}, time.Second).Wait(); !errors.As(err, &sendErr) || !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Go on a closed client: err = %v, want *SendError wrapping ErrClientClosed", err)
+	}
+	if got := dials.Load(); got != dialed {
+		t.Fatalf("closed client dialed %d more times", got-dialed)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
 	}
 }
