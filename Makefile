@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-wire bench-grid trace figures examples chaos crash heal scale obs clean
+.PHONY: all build vet test test-race deadcode bench bench-wire bench-grid trace figures examples chaos crash heal scale obs clean
 
 all: build vet test
 
@@ -16,16 +16,48 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Benchmark the hot paths (wire codec, forecasters, trace series,
-# telemetry counters) and record the parsed results as JSON for
-# commit-over-commit comparison. The replication plane (quorum writes,
-# quorum reads, digest sync) is benchmarked separately into its own JSON.
+# Dead-code gate: one coverage pass over every test in the module,
+# instrumenting internal/ and cmd/, lists the functions under internal/
+# that nothing executed and fails above DEADCODE_MAX. What remains at the
+# ceiling is called only from a cmd/ main, a benchmark or a test-failure
+# message, satisfies net.Conn / net.Addr / wire.ActiveSpan / a default
+# hook, or is the control plane's untested actuation path (ROADMAP item
+# 4); a new entry needs a caller, a test, or deleting.
+DEADCODE_MAX = 19
+deadcode:
+	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=deadcode.cover ./...
+	$(GO) tool cover -func=deadcode.cover | awk -v max=$(DEADCODE_MAX) \
+		'$$1 ~ /\/internal\// && $$NF == "0.0%" { print; n++ } \
+		END { printf "%d zero-coverage functions under internal/ (ceiling %d)\n", n, max; exit n > max }'
+
+# Record the microbenchmark ledger: every BENCH_*.json except
+# BENCH_wire.json (see bench-wire) is written here and nowhere else, so
+# running a test suite never rewrites a tracked file. Hot paths (wire
+# codec, forecasters, trace series, telemetry counters); the replication
+# plane (quorum writes, quorum reads, digest sync); tracing's
+# propagation overhead — compare RoundTripUnsampled against
+# RoundTripUntraced (and BenchmarkRoundTripMem in BENCH_wire.json): the
+# unsampled delta is the always-on cost of tracing and must stay <5%;
+# member- and leader-failover MTTR; the E14 virtual-client sweep (capped
+# at 100k clients; `EW_SWEEP_MAX_CLIENTS=1000000 make bench` for the full
+# curve, whose overload point recirculates its backlog and takes ~1 min);
+# and the observatory — ingest, rule eval, scrape rounds, and the scraped
+# vs unscraped wire round trip (the scrape-overhead budget is <3%).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/wire/ ./internal/forecast/ ./internal/trace/ ./internal/telemetry/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_telemetry.json
 	$(GO) test -bench='Quorum|DigestSync' -benchmem -run='^$$' ./internal/pstate/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_pstate.json
+	$(GO) test -bench='RoundTrip|SpanRecord|EncodeSpans' -benchmem -run='^$$' ./internal/dtrace/ \
+		| $(GO) run ./cmd/ew-benchjson -o BENCH_dtrace.json
+	$(GO) test -bench='Detector|ReconcileTick|FailoverMTTR' -benchmem -run='^$$' ./internal/ctrl/ \
+		| $(GO) run ./cmd/ew-benchjson -o BENCH_ctrl.json
+	EW_SWEEP_MAX_CLIENTS=$${EW_SWEEP_MAX_CLIENTS:-100000} \
+		$(GO) test -bench=Sweep -benchmem -benchtime=1x -run='^$$' -timeout 30m ./internal/scale/sweep/ \
+		| $(GO) run ./cmd/ew-benchjson -o BENCH_scale.json
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/obs/ \
+		| $(GO) run ./cmd/ew-benchjson -o BENCH_obs.json
 
 # Transport comparison: the same lingua franca round trip,
 # concurrent-caller demux throughput, and pipelined-window cost over TCP
@@ -44,15 +76,9 @@ bench-grid:
 	bash bench/run.sh
 
 # Causal tracing suite: the trace plane (span records, wire envelope
-# compat, collector) under the race detector, then the propagation-
-# overhead benchmark — untraced vs unsampled vs fully-sampled round
-# trips — recorded as JSON. Compare RoundTripUnsampled against
-# RoundTripUntraced (and BenchmarkRoundTripMem in BENCH_wire.json): the
-# unsampled delta is the always-on cost of tracing and must stay <5%.
+# compat, collector) under the race detector.
 trace:
 	$(GO) test -race -count=1 ./internal/outbox/ ./internal/dtrace/ ./internal/wire/ ./internal/logsvc/
-	$(GO) test -bench='RoundTrip|SpanRecord|EncodeSpans' -benchmem -run='^$$' ./internal/dtrace/ \
-		| $(GO) run ./cmd/ew-benchjson -o BENCH_dtrace.json
 
 # Replay the SC98 window and emit every figure plus CSV exports.
 figures:
@@ -82,44 +108,29 @@ crash:
 # self-heal and controller-failover tests, and the chaos convergence
 # runs — kill a scheduler AND a roster replica mid-workload, then kill
 # the ACTING LEADER mid-heal; a follower must finish the repair with
-# zero acked checkpoints lost — all under the race detector. The
-# member-failover and leader-failover MTTR benchmarks are recorded as
-# JSON.
+# zero acked checkpoints lost — all under the race detector.
 heal:
 	$(GO) test -race -count=1 ./internal/ctrl/
 	$(GO) test -race -count=1 -run 'TestMember|TestRestartedReplicaResumesAntiEntropy|TestDeploymentSelfHeals|TestDeploymentControlPlaneFailover|TestDeploymentAddAndRetireScheduler|TestDeploymentClose' ./internal/core/
 	$(GO) test -race -count=1 -v -run 'TestCtrlHeal|TestCtrlLeaderFailoverHeal' -timeout 10m ./internal/faults/
-	$(GO) test -bench='Detector|ReconcileTick|FailoverMTTR' -benchmem -run='^$$' ./internal/ctrl/ \
-		| $(GO) run ./cmd/ew-benchjson -o BENCH_ctrl.json
 
 # Web-scale suite: the scale plane (ring, router, admission, outbox,
 # hierarchy) and the sharded-scheduler integration under the race
-# detector, the shard-kill chaos test over real daemons, then the E14
-# virtual-client sweep recorded as JSON. CI caps the sweep at 100k
-# clients; run `EW_SWEEP_MAX_CLIENTS=1000000 make scale` for the full
-# curve (the overload point recirculates its backlog and takes ~1 min).
+# detector, and the shard-kill chaos test over real daemons.
 scale:
 	$(GO) test -race -count=1 ./internal/outbox/ ./internal/scale/... ./internal/sched/
 	$(GO) test -race -count=1 -run 'TestScaleShardKill' -v ./internal/faults/
-	EW_SWEEP_MAX_CLIENTS=$${EW_SWEEP_MAX_CLIENTS:-100000} \
-		$(GO) test -bench=Sweep -benchmem -benchtime=1x -run='^$$' -timeout 30m ./internal/scale/sweep/ \
-		| $(GO) run ./cmd/ew-benchjson -o BENCH_scale.json
 
 # Grid Observatory suite: the series store, rule engine, alert codec,
 # scrape daemon, and snapshot-codec version-skew tests under the race
 # detector; the observatory-vs-autoscaler hook; the end-to-end
 # slowdown proof (anomaly alert + exemplar + tail-promoted trace) and
-# the chaos partition alert, also raced; then the observatory
-# benchmarks — ingest, rule eval, scrape rounds, and the scraped vs
-# unscraped wire round trip (the scrape-overhead budget is <3%) —
-# recorded as JSON for commit-over-commit comparison.
+# the chaos partition alert, also raced.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestAutoscalerObsAlertBoost' ./internal/ctrl/
 	$(GO) test -race -count=1 -run 'TestObservatorySlowdownE2E|TestChaosSoak' -v ./internal/faults/
 	$(GO) test -race -count=1 -run 'TestDeploymentObservatory' ./internal/core/
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/obs/ \
-		| $(GO) run ./cmd/ew-benchjson -o BENCH_obs.json
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -130,4 +141,4 @@ examples:
 
 # Untracked outputs only: the BENCH_*.json files are committed records.
 clean:
-	rm -rf figures/ test_output.txt bench_output.txt .bench_build/ bench/out/
+	rm -rf figures/ test_output.txt bench_output.txt deadcode.cover .bench_build/ bench/out/

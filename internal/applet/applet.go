@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"everyware/internal/ramsey"
-	"everyware/internal/scale"
 	"everyware/internal/sched"
 	"everyware/internal/telemetry"
 	"everyware/internal/wire"
@@ -29,8 +28,7 @@ const (
 	MsgFetchParcel wire.MsgType = 100
 	// MsgReturnParcel returns a computed parcel (payload: ParcelResult).
 	MsgReturnParcel wire.MsgType = 101
-	// MsgGatewayStats reports gateway counters.
-	MsgGatewayStats wire.MsgType = 102
+	// reserved, do not reuse: 102 (was MsgGatewayStats)
 )
 
 // Parcel is one unit of applet work: a bounded slice of heuristic search.
@@ -179,11 +177,7 @@ type GatewayConfig struct {
 	CallTimeout time.Duration
 	// Transport selects the wire substrate (nil = TCP).
 	Transport wire.Transport
-	// Router, if set, routes reports by applet key over the scheduler
-	// ring (scale.RingKey updates arrive via SetRing), failing over along
-	// ring successors before the static Schedulers list.
-	Router *scale.Router
-	// Region labels this gateway's region for hierarchy rollups.
+	// Region labels this gateway's region (ew-top's region column).
 	Region int
 	// Metrics, if set, records gateway and aggregation telemetry.
 	Metrics *telemetry.Registry
@@ -194,7 +188,6 @@ type Gateway struct {
 	cfg     GatewayConfig
 	svc     *wire.Service
 	wc      *wire.Client
-	router  *scale.Router
 	metrics *telemetry.Registry
 
 	mu       sync.Mutex
@@ -220,15 +213,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		Metrics:     cfg.Metrics,
 		Silent:      true,
 	})
-	router := cfg.Router
-	if router == nil {
-		router = scale.NewRouter(nil, svc.Metrics())
-	}
 	g := &Gateway{
 		cfg:      cfg,
 		svc:      svc,
 		wc:       svc.Client(),
-		router:   router,
 		metrics:  svc.Metrics(),
 		assigned: make(map[string]sched.WorkUnit),
 	}
@@ -236,7 +224,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g.metrics.Gauge("scale.region").Set(int64(cfg.Region))
 	svc.Handle(MsgFetchParcel, wire.HandlerFunc(g.handleFetch))
 	svc.Handle(MsgReturnParcel, wire.HandlerFunc(g.handleReturn))
-	svc.Handle(MsgGatewayStats, wire.HandlerFunc(g.handleStats))
 	return g, nil
 }
 
@@ -249,11 +236,6 @@ func (g *Gateway) Addr() string { return g.svc.Addr() }
 // Close stops the gateway.
 func (g *Gateway) Close() { g.svc.Close() }
 
-// SetRing installs a scheduler ring update (decoded from gossip
-// scale.RingKey state): subsequent reports route to the shard owning each
-// applet's key.
-func (g *Gateway) SetRing(ring *scale.Ring) { g.router.SetRing(ring) }
-
 // Stats returns (parcels handed out, results returned, counter-examples).
 func (g *Gateway) Stats() (parcels, returns, founds int64) {
 	g.mu.Lock()
@@ -261,33 +243,11 @@ func (g *Gateway) Stats() (parcels, returns, founds int64) {
 	return g.parcels, g.returns, g.founds
 }
 
-// Rollup summarizes this gateway for its region's hierarchy rollup: the
-// population it fronts and the report total since start.
-func (g *Gateway) Rollup() scale.Rollup {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return scale.Rollup{
-		Region:  g.cfg.Region,
-		Members: 1,
-		Clients: g.parcels,
-		Reports: g.returns,
-	}
-}
-
-// targets returns the failover-ordered scheduler addresses for a client
-// key: the ring route when a ring is installed, else the static list.
-func (g *Gateway) targets(clientID string) []string {
-	if order := g.router.Route(clientID, 3); len(order) > 0 {
-		return order
-	}
-	return g.cfg.Schedulers
-}
-
 // reportToScheduler forwards a report and returns the directive, failing
-// over along the ring successors (or the static list).
+// over along the scheduler list.
 func (g *Gateway) reportToScheduler(r sched.Report) (sched.Directive, error) {
 	var lastErr error
-	for _, addr := range g.targets(r.ClientID) {
+	for _, addr := range g.cfg.Schedulers {
 		// Call takes ownership of the request, so each fail-over attempt
 		// encodes afresh into a pooled buffer.
 		resp, err := g.wc.Call(addr, wire.NewRequest(sched.MsgReport, r), g.cfg.CallTimeout)
@@ -370,15 +330,6 @@ func (g *Gateway) handleReturn(_ string, req *wire.Packet) (*wire.Packet, error)
 		return nil, err
 	}
 	return wire.Reply(MsgReturnParcel, nil), nil
-}
-
-func (g *Gateway) handleStats(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	parcels, returns, founds := g.Stats()
-	return wire.Reply(MsgGatewayStats, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutInt64(parcels)
-		e.PutInt64(returns)
-		e.PutInt64(founds)
-	})), nil
 }
 
 // Applet is one browser session: it fetches parcels from a gateway,

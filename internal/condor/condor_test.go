@@ -197,3 +197,13 @@ func TestClaimDelayRespected(t *testing.T) {
 		t.Fatalf("queued = %d", st.Queued)
 	}
 }
+
+func TestWorkstationStateString(t *testing.T) {
+	for s, want := range map[WorkstationState]string{
+		OwnerActive: "owner-active", Idle: "idle", Claimed: "claimed", 0: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("WorkstationState(%d).String() = %q, want %q", s, got, want)
+		}
+	}
+}

@@ -223,10 +223,6 @@ func NewComponent(cfg ComponentConfig) *Component {
 	return c
 }
 
-// Replicas exposes the component's persistent-state quorum client (nil
-// when no managers are configured).
-func (c *Component) Replicas() *pstate.ReplicaSet { return c.replicas }
-
 // Metrics returns the component's telemetry registry.
 func (c *Component) Metrics() *telemetry.Registry { return c.metrics }
 
@@ -325,10 +321,6 @@ func (c *Component) Agent() *gossip.Agent { return c.agent }
 
 // Runner exposes the scheduling runner (nil for service-only components).
 func (c *Component) Runner() *sched.Runner { return c.runner }
-
-// Health exposes the component's service health tracker (Gossip and
-// persistent state fail-over state).
-func (c *Component) Health() *wire.HealthTracker { return c.health }
 
 // Close shuts the component down.
 func (c *Component) Close() { c.svc.Close() }

@@ -36,9 +36,6 @@ type DeploymentConfig struct {
 	// per directory — the paper stationed managers at multiple trusted
 	// sites and components checkpoint to all of them.
 	ExtraPStateDirs []string
-	// LogFile enables a logging server appending there ("" = memory
-	// only; a logging server runs regardless).
-	LogFile string
 	// SyncInterval tunes the Gossip pool (default 200ms for local runs).
 	SyncInterval time.Duration
 	// Transport selects the wire substrate every service binds on
@@ -85,8 +82,6 @@ type DeploymentConfig struct {
 	Observatory bool
 	// ObsInterval is the observatory scrape period (default 1s).
 	ObsInterval time.Duration
-	// ObsRules replaces the observatory's default alert rule set.
-	ObsRules []obs.Rule
 }
 
 // Deployment is a running local constellation.
@@ -254,7 +249,7 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 // and one restarted in place knows them all.
 
 func (d *Deployment) startLog(listen string) (Daemon, error) {
-	return StartDaemon(logsvc.NewServer(logsvc.ServerConfig{ListenAddr: listen, File: d.cfg.LogFile, Transport: d.transport}))
+	return StartDaemon(logsvc.NewServer(logsvc.ServerConfig{ListenAddr: listen, Transport: d.transport}))
 }
 
 func (d *Deployment) startGossip(listen string) (Daemon, error) {
@@ -327,10 +322,6 @@ func (d *Deployment) startObservatory() error {
 	if interval == 0 {
 		interval = time.Second
 	}
-	rules := d.cfg.ObsRules
-	if rules == nil {
-		rules = DefaultObsRules()
-	}
 	targets := append([]string(nil), d.GossipAddrs...)
 	targets = append(targets, d.PStateAddrs...)
 	targets = append(targets, d.StandbyPStateAddrs...)
@@ -343,7 +334,7 @@ func (d *Deployment) startObservatory() error {
 		Interval:  interval,
 		Targets:   targets,
 		Roster:    func() []string { return d.members.Addrs(ctrl.RoleSched) },
-		Rules:     rules,
+		Rules:     DefaultObsRules(),
 		PStates:   append([]string(nil), d.PStateAddrs...),
 	})
 	addr, err := s.Start()

@@ -27,12 +27,6 @@ type BeaterConfig struct {
 	Client    *wire.Client
 	Transport wire.Transport
 	Dialer    wire.DialFunc
-	// Probe, when the member has an address, pings it before attesting:
-	// a daemon that stops answering its own wire port stops being
-	// attested even though the beater process is healthy — silence is the
-	// failure signal, and a hung daemon cannot fake liveness.
-	// Default true when Member.Addr is set.
-	Probe *bool
 	// Logf receives beat diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -41,12 +35,14 @@ type BeaterConfig struct {
 // relays an attested heartbeat to the controller. It deliberately lives
 // outside the daemon it attests — the daemon's death must silence the
 // heartbeat stream, and a separate prober is the only arrangement where
-// a wedged daemon reliably goes silent.
+// a wedged daemon reliably goes silent. A member with an address is
+// pinged before each attestation, so a daemon that stops answering its
+// own wire port stops being attested even though the beater process is
+// healthy: a hung daemon cannot fake liveness.
 type Beater struct {
 	cfg       BeaterConfig
 	client    *wire.Client
 	ownClient bool
-	probe     bool
 	seq       atomic.Uint64
 	cfgVer    atomic.Uint64
 	version   atomic.Value // string
@@ -72,10 +68,6 @@ func NewBeater(cfg BeaterConfig) *Beater {
 		b.client.Transport = cfg.Transport
 		b.client.Dialer = cfg.Dialer
 		b.ownClient = true
-	}
-	b.probe = cfg.Member.Addr != ""
-	if cfg.Probe != nil {
-		b.probe = *cfg.Probe
 	}
 	b.cfgVer.Store(cfg.Member.ConfigVer)
 	b.version.Store(cfg.Member.Version)
@@ -108,14 +100,14 @@ func (b *Beater) Start() {
 	}()
 }
 
-// BeatOnce probes the member (when configured) and broadcasts one
+// BeatOnce probes the member (when it has an address) and broadcasts one
 // heartbeat to every controller — leader and followers alike maintain
 // independent detector state from the same stream. Success is at least
 // one delivery; the error (the first seen) surfaces only when no
 // controller accepted the beat, which is normal while the member or the
 // whole controller group is down.
 func (b *Beater) BeatOnce() error {
-	if b.probe {
+	if b.cfg.Member.Addr != "" {
 		resp, err := b.client.Call(b.cfg.Member.Addr, wire.NewRequest(wire.MsgPing, nil), b.cfg.Timeout)
 		if err != nil {
 			return err // member not answering: stay silent

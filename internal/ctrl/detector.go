@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -220,16 +219,4 @@ func (d *Detector) Beats(id string) uint64 {
 		return 0
 	}
 	return a.beats
-}
-
-// IDs returns the known member IDs, sorted.
-func (d *Detector) IDs() []string {
-	d.mu.Lock()
-	out := make([]string, 0, len(d.members))
-	for id := range d.members {
-		out = append(out, id)
-	}
-	d.mu.Unlock()
-	sort.Strings(out)
-	return out
 }

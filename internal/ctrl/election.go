@@ -145,13 +145,6 @@ func (s *Server) Epoch() uint64 {
 	return s.epoch
 }
 
-// LeaderID returns the controller-clique leader this controller follows.
-func (s *Server) LeaderID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.leaderID
-}
-
 // ensureFenced makes sure this leader's actions will be accepted: a
 // freshly elected leader claims a strictly higher epoch at quorum, an
 // established one re-validates its claim. Any failure stands the

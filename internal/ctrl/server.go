@@ -381,9 +381,6 @@ func (s *Server) Addr() string { return s.svc.Addr() }
 // Metrics returns the controller's telemetry registry.
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
-// Detector exposes the failure detector (tests and ew-ctrl).
-func (s *Server) Detector() *Detector { return s.det }
-
 // Roster returns the current active pstate roster.
 func (s *Server) Roster() []string {
 	s.mu.Lock()

@@ -423,3 +423,18 @@ func TestExporterCloseIsCleanAndConserves(t *testing.T) {
 		t.Fatalf("closed exporter dialed %d more times", got-dialed)
 	}
 }
+
+func TestSpanString(t *testing.T) {
+	for _, tc := range []struct {
+		sp   dtrace.Span
+		want string
+	}{
+		{dtrace.Span{TraceID: 0xa, SpanID: 0xb, ParentID: 0xc, Service: "sched@h:1", Name: "sched.decision", Outcome: "ok"},
+			"000000000000000a/000000000000000b<-000000000000000c sched@h:1 sched.decision ok"},
+		{dtrace.Span{}, "0000000000000000/0000000000000000<-0000000000000000   "},
+	} {
+		if got := tc.sp.String(); got != tc.want {
+			t.Errorf("Span.String() = %q, want %q", got, tc.want)
+		}
+	}
+}

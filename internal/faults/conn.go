@@ -60,32 +60,3 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	c.in.delivered.Add(1)
 	return c.Conn.Write(b)
 }
-
-// WrapListener decorates ln so every accepted connection injects the
-// label's inbound fault schedule into its outbound (response) frames.
-// All accepted connections share one stream, label+"#in": per-stream
-// determinism then holds for the sequence of verdicts, though which
-// connection consumes which verdict depends on request interleaving.
-func (in *Injector) WrapListener(ln net.Listener, label string) net.Listener {
-	return &faultListener{Listener: ln, in: in, label: label}
-}
-
-type faultListener struct {
-	net.Listener
-	in    *Injector
-	label string
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &faultConn{
-		Conn:   nc,
-		in:     l.in,
-		from:   l.label,
-		to:     l.label, // responses: partition checks are a no-op
-		stream: l.label + "#in",
-	}, nil
-}

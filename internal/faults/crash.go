@@ -25,10 +25,9 @@ type Crasher struct {
 	prob  float64
 	sites map[pstate.CrashSite]bool
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	armed   pstate.CrashSite // one-shot arm ("" = probabilistic mode)
-	enabled bool
+	mu    sync.Mutex
+	rng   *rand.Rand
+	armed pstate.CrashSite // one-shot arm ("" = probabilistic mode)
 
 	crashes atomic.Int64
 	max     int64
@@ -41,11 +40,10 @@ func NewCrasher(seed int64, label string, prob float64, max int, sites ...pstate
 	h := fnv.New64a()
 	fmt.Fprintf(h, "crash|%d|%s", seed, label)
 	c := &Crasher{
-		prob:    prob,
-		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
-		sites:   make(map[pstate.CrashSite]bool),
-		max:     int64(max),
-		enabled: true,
+		prob:  prob,
+		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
+		sites: make(map[pstate.CrashSite]bool),
+		max:   int64(max),
 	}
 	for _, s := range sites {
 		c.sites[s] = true
@@ -61,13 +59,6 @@ func (c *Crasher) ArmOnce(site pstate.CrashSite) {
 	c.mu.Unlock()
 }
 
-// SetEnabled turns crash injection off (pass-through) or back on.
-func (c *Crasher) SetEnabled(enabled bool) {
-	c.mu.Lock()
-	c.enabled = enabled
-	c.mu.Unlock()
-}
-
 // Crashes reports how many crashes have been injected.
 func (c *Crasher) Crashes() int64 { return c.crashes.Load() }
 
@@ -76,9 +67,6 @@ func (c *Crasher) Hook() func(pstate.CrashSite) error {
 	return func(site pstate.CrashSite) error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if !c.enabled {
-			return nil
-		}
 		if c.armed != "" {
 			if c.armed != site {
 				return nil

@@ -179,3 +179,14 @@ func TestDuplicateDeliveredTwice(t *testing.T) {
 		t.Fatal("duplicate never reached the server")
 	}
 }
+
+func TestActionString(t *testing.T) {
+	for a, want := range map[Action]string{
+		ActNone: "none", ActDrop: "drop", ActDelay: "delay", ActDup: "dup",
+		ActReset: "reset", ActTorn: "torn", Action(99): "Action(99)",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("Action(%d).String() = %q, want %q", int(a), got, want)
+		}
+	}
+}

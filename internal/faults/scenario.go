@@ -63,9 +63,6 @@ type ScenarioConfig struct {
 	// so chaos tests can assert that retries and fail-over hops appear as
 	// correctly-parented child spans.
 	Trace bool
-	// TraceSampleEvery is the head-based sampling rate for scenario
-	// tracers (default 1 = record every trace).
-	TraceSampleEvery int
 	// Obs, when true, starts a Grid Observatory daemon scraping every
 	// scenario daemon with a forecast-anomaly rule on the clique
 	// membership gauge. The partition experiment then additionally
@@ -280,9 +277,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		})
 		tracerFor = func(label string) wire.Tracer {
 			return dtrace.New(dtrace.Config{
-				Service:     label,
-				SampleEvery: cfg.TraceSampleEvery,
-				Sink:        exporter,
+				Service: label,
+				Sink:    exporter,
 			})
 		}
 	}

@@ -24,7 +24,6 @@ type Key struct {
 type Registry struct {
 	mu        sync.RWMutex
 	selectors map[Key]*Selector
-	battery   func() []Method
 	// Now returns the current time; injectable so the same registry code
 	// runs under the simulation's virtual clock.
 	Now func() time.Time
@@ -35,17 +34,8 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		selectors: make(map[Key]*Selector),
-		battery:   DefaultBattery,
 		Now:       time.Now,
 	}
-}
-
-// NewRegistryWith returns a Registry whose new keys use the battery
-// produced by mk.
-func NewRegistryWith(mk func() []Method) *Registry {
-	r := NewRegistry()
-	r.battery = mk
-	return r
 }
 
 // Selector returns the Selector for key, creating it on first use.
@@ -61,7 +51,7 @@ func (r *Registry) Selector(key Key) *Selector {
 	if s, ok = r.selectors[key]; ok {
 		return s
 	}
-	s = NewSelector(r.battery()...)
+	s = NewSelector(DefaultBattery()...)
 	r.selectors[key] = s
 	return s
 }

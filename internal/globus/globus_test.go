@@ -356,3 +356,14 @@ func TestGASSListOverWire(t *testing.T) {
 		t.Fatalf("paths = %v", seen)
 	}
 }
+
+func TestJobStatusString(t *testing.T) {
+	for s, want := range map[JobStatus]string{
+		JobPending: "pending", JobActive: "active", JobDone: "done",
+		JobFailed: "failed", JobCancelled: "cancelled", 0: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("JobStatus(%d).String() = %q, want %q", s, got, want)
+		}
+	}
+}

@@ -133,7 +133,6 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	svc.Handle(MsgGRAMSubmit, wire.HandlerFunc(g.handleSubmit))
 	svc.Handle(MsgGRAMStatus, wire.HandlerFunc(g.handleStatus))
 	svc.Handle(MsgGRAMCancel, wire.HandlerFunc(g.handleCancel))
-	svc.Handle(MsgGRAMList, wire.HandlerFunc(g.handleList))
 	return g
 }
 
@@ -261,17 +260,6 @@ func (g *Gatekeeper) Job(id uint64) (Job, bool) {
 	return *j, true
 }
 
-// Jobs returns all job records.
-func (g *Gatekeeper) Jobs() []Job {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Job, 0, len(g.jobs))
-	for _, j := range g.jobs {
-		out = append(out, *j)
-	}
-	return out
-}
-
 func (g *Gatekeeper) handleAuth(_ string, req *wire.Packet) (*wire.Packet, error) {
 	d := wire.NewDecoder(req.Payload)
 	cred, err := d.String()
@@ -347,18 +335,6 @@ func (g *Gatekeeper) handleCancel(_ string, req *wire.Packet) (*wire.Packet, err
 		return nil, err
 	}
 	return wire.Reply(MsgGRAMCancel, nil), nil
-}
-
-func (g *Gatekeeper) handleList(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	jobs := g.Jobs()
-	return wire.Reply(MsgGRAMList, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(jobs)))
-		for _, j := range jobs {
-			e.PutUint64(j.ID)
-			e.PutUint8(uint8(j.Status))
-			e.PutString(j.Req.User)
-		}
-	})), nil
 }
 
 // GRAMClient provides typed access to a remote gatekeeper.

@@ -42,8 +42,7 @@ const (
 	MsgGRAMStatus wire.MsgType = 67
 	// MsgGRAMCancel kills a job.
 	MsgGRAMCancel wire.MsgType = 68
-	// MsgGRAMList enumerates a gatekeeper's jobs.
-	MsgGRAMList wire.MsgType = 69
+	// reserved, do not reuse: 69 (was MsgGRAMList)
 )
 
 // Record is one MDS resource entry: where a gatekeeper runs, how to

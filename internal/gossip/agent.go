@@ -126,17 +126,6 @@ func (a *Agent) Tracked(prefix string) []Stamped {
 	return out
 }
 
-// Keys returns all locally held state keys.
-func (a *Agent) Keys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.store))
-	for k := range a.store {
-		out = append(out, k)
-	}
-	return out
-}
-
 func (a *Agent) handleGet(_ string, req *wire.Packet) (*wire.Packet, error) {
 	d := wire.NewDecoder(req.Payload)
 	key, err := d.String()

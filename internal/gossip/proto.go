@@ -19,9 +19,7 @@ const (
 	// MsgShareReg replicates registration tables between Gossips
 	// (payload: []Registration).
 	MsgShareReg wire.MsgType = 23
-	// MsgPoolInfo reports a Gossip's current pool view and registration
-	// count (diagnostics; payload: none).
-	MsgPoolInfo wire.MsgType = 24
+	// reserved, do not reuse: 24 (was MsgPoolInfo)
 	// MsgDeregister removes a component's registration cleanly
 	// (payload: Registration).
 	MsgDeregister wire.MsgType = 25
@@ -33,12 +31,11 @@ const (
 // therefore be retransmitted when a call's outcome is ambiguous.
 func init() {
 	wire.RegisterIdempotent(MsgRegister, MsgGetState, MsgPutState,
-		MsgShareReg, MsgPoolInfo, MsgDeregister)
+		MsgShareReg, MsgDeregister)
 	wire.RegisterMsgName(MsgRegister, "gossip.register")
 	wire.RegisterMsgName(MsgGetState, "gossip.get_state")
 	wire.RegisterMsgName(MsgPutState, "gossip.put_state")
 	wire.RegisterMsgName(MsgShareReg, "gossip.share_reg")
-	wire.RegisterMsgName(MsgPoolInfo, "gossip.pool_info")
 	wire.RegisterMsgName(MsgDeregister, "gossip.deregister")
 }
 
@@ -136,13 +133,6 @@ func (rs *RegTable) DecodeWire(d *wire.Decoder) error {
 	}
 	*rs = out
 	return nil
-}
-
-// EncodeRegistration serializes one Registration.
-func EncodeRegistration(r Registration) []byte {
-	var e wire.Encoder
-	r.EncodeWire(&e)
-	return e.Bytes()
 }
 
 // DecodeRegistration parses one Registration.

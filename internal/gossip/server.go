@@ -108,7 +108,6 @@ type Server struct {
 	mu       sync.Mutex
 	regs     map[regKey]Registration
 	failures map[regKey]int
-	rounds   uint64
 
 	// shares holds the registration shares bound for each pool peer;
 	// out ships them (one merged MsgShareReg table per peer).
@@ -147,7 +146,6 @@ func NewServer(cfg ServerConfig) *Server {
 	svc.Handle(MsgRegister, wire.HandlerFunc(s.handleRegister))
 	svc.Handle(MsgDeregister, wire.HandlerFunc(s.handleDeregister))
 	svc.Handle(MsgShareReg, wire.HandlerFunc(s.handleShareReg))
-	svc.Handle(MsgPoolInfo, wire.HandlerFunc(s.handlePoolInfo))
 	return s
 }
 
@@ -265,24 +263,6 @@ func (s *Server) handleShareReg(_ string, req *wire.Packet) (*wire.Packet, error
 	return wire.Reply(MsgShareReg, nil), nil
 }
 
-func (s *Server) handlePoolInfo(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	view := s.member.View()
-	s.mu.Lock()
-	n := len(s.regs)
-	rounds := s.rounds
-	s.mu.Unlock()
-	return wire.Reply(MsgPoolInfo, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint64(view.Seq)
-		e.PutString(view.Leader)
-		e.PutUint32(uint32(len(view.Members)))
-		for _, m := range view.Members {
-			e.PutString(m)
-		}
-		e.PutUint32(uint32(n))
-		e.PutUint64(rounds)
-	})), nil
-}
-
 func (s *Server) addRegistration(r Registration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,7 +371,6 @@ func (s *Server) SyncRound() {
 	for _, r := range s.regs {
 		byKey[r.Key] = append(byKey[r.Key], r)
 	}
-	s.rounds++
 	s.mu.Unlock()
 	s.metrics.Counter("gossip.sync.rounds").Inc()
 

@@ -248,7 +248,7 @@ func RunSC98(cfg ScenarioConfig) *Result {
 			BucketWidth: cfg.BucketWidth,
 			Perf:        trace.NewCollection(cfg.Start, cfg.BucketWidth),
 			Hosts:       trace.NewCollection(cfg.Start, cfg.BucketWidth),
-			Total:       trace.NewSeries("total", cfg.Start, cfg.BucketWidth),
+			Total:       trace.NewSeries(cfg.Start, cfg.BucketWidth),
 		},
 		end:     cfg.Start.Add(cfg.Duration),
 		testLo:  cfg.Start.Add(TestWindowAt),

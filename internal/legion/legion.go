@@ -28,8 +28,7 @@ import (
 const (
 	// MsgInvoke invokes object.method(args) through the translator.
 	MsgInvoke wire.MsgType = 80
-	// MsgStats reports per-method invocation counts.
-	MsgStats wire.MsgType = 81
+	// reserved, do not reuse: 81 (was MsgStats)
 )
 
 // Method is one invocable object method. Args and results are opaque
@@ -47,9 +46,6 @@ type Object struct {
 func NewObject(name string) *Object {
 	return &Object{name: name, methods: make(map[string]Method)}
 }
-
-// Name returns the object name.
-func (o *Object) Name() string { return o.name }
 
 // Define installs a method, replacing any previous definition.
 func (o *Object) Define(method string, fn Method) *Object {
@@ -97,7 +93,6 @@ func NewTranslatorOn(tr wire.Transport) *Translator {
 		stats:   make(map[[2]string]*InvokeStat),
 	}
 	t.svc.Handle(MsgInvoke, wire.HandlerFunc(t.handleInvoke))
-	t.svc.Handle(MsgStats, wire.HandlerFunc(t.handleStats))
 	return t
 }
 
@@ -208,19 +203,6 @@ func (t *Translator) handleInvoke(_ string, req *wire.Packet) (*wire.Packet, err
 		e.PutUint32(uint32(len(results)))
 		for _, r := range results {
 			e.PutBytes(r)
-		}
-	})), nil
-}
-
-func (t *Translator) handleStats(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	stats := t.Stats()
-	return wire.Reply(MsgStats, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(stats)))
-		for _, st := range stats {
-			e.PutString(st.Object)
-			e.PutString(st.Method)
-			e.PutInt64(st.Calls)
-			e.PutInt64(st.Errors)
 		}
 	})), nil
 }

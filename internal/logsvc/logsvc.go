@@ -30,17 +30,15 @@ const (
 	MsgAppend wire.MsgType = 40
 	// MsgTail returns the most recent n entries (payload: n uint32).
 	MsgTail wire.MsgType = 41
-	// MsgStats reports entry/drop counts.
-	MsgStats wire.MsgType = 42
+	// reserved, do not reuse: 42 (was MsgStats)
 )
 
-// Tail and stats are reads. MsgAppend is not registered: a retransmit
-// would duplicate the log entry (appends are best-effort anyway).
+// Tail is a read. MsgAppend is not registered: a retransmit would
+// duplicate the log entry (appends are best-effort anyway).
 func init() {
-	wire.RegisterIdempotent(MsgTail, MsgStats)
+	wire.RegisterIdempotent(MsgTail)
 	wire.RegisterMsgName(MsgAppend, "log.append")
 	wire.RegisterMsgName(MsgTail, "log.tail")
-	wire.RegisterMsgName(MsgStats, "log.stats")
 }
 
 // Entry is one log record.
@@ -178,7 +176,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	svc.Handle(MsgAppend, wire.HandlerFunc(s.handleAppend))
 	svc.Handle(MsgTail, wire.HandlerFunc(s.handleTail))
-	svc.Handle(MsgStats, wire.HandlerFunc(s.handleStats))
 	svc.Handle(dtrace.MsgTraceExport, wire.HandlerFunc(s.handleTraceExport))
 	svc.Handle(dtrace.MsgTraceFetch, wire.HandlerFunc(s.handleTraceFetch))
 	return s, nil
@@ -204,7 +201,7 @@ func (s *Server) Close() {
 // Append records one entry directly (in-process use). The ring is
 // bounded: once full, each new entry evicts the oldest one and the
 // eviction is counted ("logsvc.dropped"), so log loss under pressure is
-// visible in MsgStats and ew-top rather than silent.
+// visible in ew-top rather than silent.
 func (s *Server) Append(en Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -260,7 +257,7 @@ func (s *Server) Stats() (appended, dropped int64) {
 	return s.appended, s.dropped
 }
 
-// StatsDetail is the full accounting MsgStats reports. RingDropped and
+// StatsDetail is the server's full accounting. RingDropped and
 // SpanDropped surface data loss that used to be silent: entries (and
 // spans) evicted from a full ring to make room for new ones.
 type StatsDetail struct {
@@ -365,19 +362,6 @@ func (s *Server) handleTail(_ string, req *wire.Packet) (*wire.Packet, error) {
 	})), nil
 }
 
-func (s *Server) handleStats(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	st := s.StatsDetail()
-	// Field order extends the original two-value reply; old clients read
-	// the first two Int64s and ignore the rest.
-	return wire.Reply(MsgStats, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutInt64(st.Appended)
-		e.PutInt64(st.FileDropped)
-		e.PutInt64(st.RingDropped)
-		e.PutInt64(st.Spans)
-		e.PutInt64(st.SpanDropped)
-	})), nil
-}
-
 func (s *Server) handleTraceExport(_ string, req *wire.Packet) (*wire.Packet, error) {
 	spans, err := dtrace.DecodeSpans(req.Payload)
 	if err != nil {
@@ -425,36 +409,6 @@ func (c *Client) Log(level, format string, args ...any) error {
 		Line:   fmt.Sprintf(format, args...),
 	}
 	return c.wc.CallMsg(c.addr, MsgAppend, en, nil, c.timeout)
-}
-
-// Stats fetches the server's full accounting. Works against old servers
-// too: missing trailing fields decode as zero.
-func (c *Client) Stats() (StatsDetail, error) {
-	var st StatsDetail
-	resp, err := c.wc.Call(c.addr, wire.NewRequest(MsgStats, nil), c.timeout)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Release()
-	d := wire.NewDecoder(resp.Payload)
-	if st.Appended, err = d.Int64(); err != nil {
-		return st, err
-	}
-	if st.FileDropped, err = d.Int64(); err != nil {
-		return st, err
-	}
-	// Pre-tracing servers end here; treat the extended fields as zero.
-	if d.Remaining() == 0 {
-		return st, nil
-	}
-	if st.RingDropped, err = d.Int64(); err != nil {
-		return st, err
-	}
-	if st.Spans, err = d.Int64(); err != nil {
-		return st, err
-	}
-	st.SpanDropped, err = d.Int64()
-	return st, err
 }
 
 // Tail fetches the most recent n entries from the server.

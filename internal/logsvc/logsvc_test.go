@@ -147,7 +147,7 @@ func TestFilePersistsAcrossRestart(t *testing.T) {
 
 // TestRingEvictionCounted: a full entry ring evicts oldest-first and the
 // loss is counted — in StatsDetail and in the "logsvc.dropped" counter
-// that MsgStats and ew-top surface.
+// that ew-top surfaces.
 func TestRingEvictionCounted(t *testing.T) {
 	s := newTestServer(t, ServerConfig{MaxEntries: 4})
 	for i := 0; i < 10; i++ {

@@ -126,3 +126,13 @@ func TestUnknownJobState(t *testing.T) {
 		t.Fatal("unknown job must report !ok")
 	}
 }
+
+func TestJobStateString(t *testing.T) {
+	for s, want := range map[JobState]string{
+		Queued: "queued", Running: "running", Reclaimed: "reclaimed", Finished: "finished", 0: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("JobState(%d).String() = %q, want %q", s, got, want)
+		}
+	}
+}

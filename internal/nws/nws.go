@@ -31,18 +31,16 @@ const (
 	MsgForecast wire.MsgType = 91
 	// MsgSeries returns the most recent raw measurements of a series.
 	MsgSeries wire.MsgType = 92
-	// MsgKeys enumerates tracked series.
-	MsgKeys wire.MsgType = 93
+	// reserved, do not reuse: 93 (was MsgKeys)
 )
 
-// Forecast/series/keys are reads. MsgReport appends a measurement to a
+// Forecast and series are reads. MsgReport appends a measurement to a
 // series, so a retransmit would skew the forecasters — not registered.
 func init() {
-	wire.RegisterIdempotent(MsgForecast, MsgSeries, MsgKeys)
+	wire.RegisterIdempotent(MsgForecast, MsgSeries)
 	wire.RegisterMsgName(MsgReport, "nws.report")
 	wire.RegisterMsgName(MsgForecast, "nws.forecast")
 	wire.RegisterMsgName(MsgSeries, "nws.series")
-	wire.RegisterMsgName(MsgKeys, "nws.keys")
 }
 
 // Memory is the NWS measurement memory and forecaster daemon. It keeps a
@@ -74,7 +72,6 @@ func NewMemoryOn(tr wire.Transport) *Memory {
 	m.svc.Handle(MsgReport, wire.HandlerFunc(m.handleReport))
 	m.svc.Handle(MsgForecast, wire.HandlerFunc(m.handleForecast))
 	m.svc.Handle(MsgSeries, wire.HandlerFunc(m.handleSeries))
-	m.svc.Handle(MsgKeys, wire.HandlerFunc(m.handleKeys))
 	return m
 }
 
@@ -85,16 +82,6 @@ func (m *Memory) Start(addr string) (string, error) {
 		m.metrics.SetID("nws@" + bound)
 	}
 	return bound, err
-}
-
-// Metrics returns the daemon's telemetry registry.
-func (m *Memory) Metrics() *telemetry.Registry { return m.metrics }
-
-// SetMetrics replaces the daemon's telemetry registry (shared-registry
-// deployments); call before Start.
-func (m *Memory) SetMetrics(reg *telemetry.Registry) {
-	m.metrics = reg
-	m.svc.Server().SetMetrics(reg)
 }
 
 // Addr returns the bound address.
@@ -200,17 +187,6 @@ func (m *Memory) handleSeries(_ string, req *wire.Packet) (*wire.Packet, error) 
 		e.PutUint32(uint32(len(vs)))
 		for _, v := range vs {
 			e.PutFloat64(v)
-		}
-	})), nil
-}
-
-func (m *Memory) handleKeys(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	keys := m.Keys()
-	return wire.Reply(MsgKeys, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(keys)))
-		for _, k := range keys {
-			e.PutString(k.Resource)
-			e.PutString(k.Event)
 		}
 	})), nil
 }

@@ -276,3 +276,13 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 		t.Fatalf("query request round trip: %+v, %v", q, err)
 	}
 }
+
+func TestRuleKindString(t *testing.T) {
+	for k, want := range map[RuleKind]string{
+		RuleThreshold: "threshold", RuleBurnRate: "burn-rate", RuleAnomaly: "anomaly", 0: "unknown",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("RuleKind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
+}

@@ -78,9 +78,6 @@ func (s *Series) Last() (Point, bool) {
 	return s.pts[(s.head+s.n-1)%len(s.pts)], true
 }
 
-// Len reports how many points the window holds.
-func (s *Series) Len() int { return s.n }
-
 // appendRate folds one raw cumulative counter observation into the
 // series as a per-second rate. The first observation (and the first
 // after a reset) only seeds the baseline.
@@ -200,17 +197,6 @@ func (ss *SeriesSet) Keys() []SeriesKey {
 		}
 		return out[i].Metric < out[j].Metric
 	})
-	return out
-}
-
-// Exemplars returns the latest exemplars scraped for the daemon's named
-// histogram (base name, without the derived .p99/.rate suffix).
-func (ss *SeriesSet) Exemplars(daemon, hist string) []telemetry.Exemplar {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ex := ss.exemplars[SeriesKey{daemon, hist}]
-	out := make([]telemetry.Exemplar, len(ex))
-	copy(out, ex)
 	return out
 }
 

@@ -40,8 +40,6 @@ type Config struct {
 	Timeout time.Duration
 	// Points is the ring capacity per series (default 128).
 	Points int
-	// Prefix filters the scraped snapshots server-side (""= everything).
-	Prefix string
 
 	// Rules is the alert rule set evaluated after every scrape round.
 	Rules []Rule
@@ -205,7 +203,7 @@ func (s *Server) scrape() {
 	ch := make(chan res, len(targets))
 	for _, addr := range targets {
 		go func(addr string) {
-			snap, err := wire.FetchSnapshot(s.svc.Client(), addr, s.cfg.Prefix, s.cfg.Timeout)
+			snap, err := wire.FetchSnapshot(s.svc.Client(), addr, "", s.cfg.Timeout)
 			ch <- res{addr, snap, err}
 		}(addr)
 	}

@@ -117,26 +117,6 @@ func (s *Server) handleEpochGet(_ string, req *wire.Packet) (*wire.Packet, error
 	})), nil
 }
 
-// EpochAdvanceAt proposes holder owning epoch on one remote replica.
-func EpochAdvanceAt(wc *wire.Client, addr, name string, epoch uint64, holder string, timeout time.Duration) (bool, EpochState, error) {
-	resp, err := wc.Call(addr, newEpochAdvanceReq(name, epoch, holder), timeout)
-	if err != nil {
-		return false, EpochState{}, err
-	}
-	defer resp.Release()
-	return decodeEpochAdvance(resp)
-}
-
-// EpochGetAt reads one remote replica's register.
-func EpochGetAt(wc *wire.Client, addr, name string, timeout time.Duration) (EpochState, error) {
-	resp, err := wc.Call(addr, newEpochGetReq(name), timeout)
-	if err != nil {
-		return EpochState{}, err
-	}
-	defer resp.Release()
-	return decodeEpochState(wire.NewDecoder(resp.Payload))
-}
-
 // newEpochAdvanceReq builds a pooled MsgEpochAdvance request.
 func newEpochAdvanceReq(name string, epoch uint64, holder string) *wire.Packet {
 	return wire.NewRequest(MsgEpochAdvance, wire.MessageFunc(func(e *wire.Encoder) {

@@ -159,6 +159,9 @@ type Server struct {
 	srv     *wire.Server
 	metrics *telemetry.Registry
 
+	// Timers for the three object operations ("pstate.<op>.<outcome>").
+	storeSpans, storeAtSpans, fetchSpans *telemetry.SpanFamily
+
 	mu      sync.Mutex
 	objects map[string]*Object
 	used    int64
@@ -206,6 +209,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		peers:    append([]string(nil), cfg.Peers...),
 		syncStop: make(chan struct{}),
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
+
+		storeSpans:   svc.Metrics().SpanFamily("pstate.store"),
+		storeAtSpans: svc.Metrics().SpanFamily("pstate.store_at"),
+		fetchSpans:   svc.Metrics().SpanFamily("pstate.fetch"),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -490,7 +497,7 @@ func (s *Server) persist(o *Object) error {
 // Store validates and stores data under name/class, returning the new
 // version. Exposed for in-process use by the simulation.
 func (s *Server) Store(name, class string, data []byte) (ver uint64, err error) {
-	sp := s.metrics.StartSpan("pstate.store")
+	sp := s.storeSpans.Start()
 	defer func() {
 		if err != nil {
 			sp.End(telemetry.OutcomeError)
@@ -536,7 +543,7 @@ func (s *Server) Store(name, class string, data []byte) (ver uint64, err error) 
 // copy under the replication total order. It returns whether the write was
 // applied and the version now current at this replica.
 func (s *Server) StoreAt(o *Object) (applied bool, cur uint64, err error) {
-	sp := s.metrics.StartSpan("pstate.store_at")
+	sp := s.storeAtSpans.Start()
 	defer func() {
 		if err != nil {
 			sp.End(telemetry.OutcomeError)
@@ -590,7 +597,7 @@ func (s *Server) StoreAt(o *Object) (applied bool, cur uint64, err error) {
 
 // Fetch returns the stored object, or nil if absent or deleted.
 func (s *Server) Fetch(name string) *Object {
-	sp := s.metrics.StartSpan("pstate.fetch")
+	sp := s.fetchSpans.Start()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[name]

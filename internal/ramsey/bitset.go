@@ -43,17 +43,6 @@ func (b bitset) intersect(x, y bitset) {
 	}
 }
 
-// forEach calls f for every set bit index in ascending order.
-func (b bitset) forEach(f func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			f(wi<<6 + tz)
-			w &= w - 1
-		}
-	}
-}
-
 // firstFrom returns the smallest set bit index >= start, or -1.
 func (b bitset) firstFrom(start int) int {
 	if start >= len(b)<<6 {

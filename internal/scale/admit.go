@@ -160,15 +160,6 @@ func (a *Admitter) refillLocked() {
 	a.last = now
 }
 
-// Tokens returns the current token level (refilled to now) — diagnostics
-// and tests.
-func (a *Admitter) Tokens() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.refillLocked()
-	return a.tokens
-}
-
 // PriorityFor maps a client infrastructure name to its report priority:
 // transient java applets shed first, everything else carries migratable
 // computational state.

@@ -94,3 +94,11 @@ func TestPriorityFor(t *testing.T) {
 		t.Error("unknown infrastructure must be PriNorm")
 	}
 }
+
+func TestPriorityString(t *testing.T) {
+	for p, want := range map[Priority]string{PriLow: "low", PriNorm: "norm", PriHigh: "high"} {
+		if got := p.String(); got != want {
+			t.Errorf("Priority(%d).String() = %q, want %q", p, got, want)
+		}
+	}
+}

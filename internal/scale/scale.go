@@ -2,20 +2,19 @@
 // the EveryWare toolkit's flat, O(n) SC98 design survive hundreds of
 // thousands of clients.
 //
-// Four mechanisms, each usable on its own and composed by the sched and
-// applet layers:
+// Four mechanisms, each usable on its own and composed by the sched
+// layer and the sweep:
 //
 //   - A consistent-hash ring (Ring) shards scheduler state across N sched
 //     servers with bounded key movement on membership change. The current
 //     ring is published through Gossip under RingKey; clients route
 //     reports by work-key through a Router and fail over along ring
 //     successors.
-//   - Report aggregation: a shard answers a whole batch of reports in
-//     one packet (sched.MsgReportBatch) and region gateways roll
-//     summaries up (Rollup), so per-scheduler inbound message rate can
-//     grow with shard count, not client count. The per-destination
-//     buffer a batching gateway needs is outbox.Pending; the sweep
-//     models such gateways.
+//   - Report aggregation: region members roll summaries up (Rollup),
+//     and the sweep models gateways that coalesce their applets' reports
+//     per shard, so per-scheduler inbound message rate can grow with
+//     shard count, not client count. The per-destination buffer a
+//     batching gateway needs is outbox.Pending.
 //   - Hierarchical cliques (Regions/Bridge): members split into region
 //     sub-pools whose leaders republish rollups into a top pool, keeping
 //     per-member gossip traffic O(region) and top-ring traffic

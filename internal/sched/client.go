@@ -46,14 +46,9 @@ type RunnerConfig struct {
 	// (default 10s). A roster update via SetSchedulers clears the marks —
 	// the rejoin path when scheduler birth/death circulates over Gossip.
 	SchedulerCooldown time.Duration
-	// Router, if set, routes reports over the scheduler ring: the report
-	// goes to the shard owning this client's key, failing over along
-	// RingFailover ring successors, and only then to the static list.
-	// Rings arrive through gossip via SetRing. A shared Router lets many
-	// runners in one process track one ring.
-	Router *scale.Router
-	// RingFailover is how many distinct shards (owner included) a ring-
-	// routed report tries before falling back (default 3).
+	// RingFailover is how many distinct shards (owner included) a report
+	// routed over the scheduler ring (see SetRing) tries before falling
+	// back to the static list (default 3).
 	RingFailover int
 	// Metrics, if set, records report outcomes, scheduler fail-overs, and
 	// health-tracker transitions. Nil discards.
@@ -146,16 +141,12 @@ func NewRunner(cfg RunnerConfig, wc *wire.Client) (*Runner, error) {
 	}
 	health := wire.NewHealthTracker(cfg.MaxSchedulerFailures, cfg.SchedulerCooldown)
 	health.Metrics = cfg.Metrics
-	router := cfg.Router
-	if router == nil {
-		router = scale.NewRouter(nil, cfg.Metrics)
-	}
 	return &Runner{
 		cfg:    cfg,
 		wc:     wc,
 		ops:    &ramsey.OpCounter{},
 		health: health,
-		router: router,
+		router: scale.NewRouter(nil, cfg.Metrics),
 	}, nil
 }
 

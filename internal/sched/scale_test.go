@@ -23,43 +23,7 @@ func startShard(t *testing.T, tr wire.Transport, cfg ServerConfig) *Server {
 	return s
 }
 
-func TestReportBatchRoundTrip(t *testing.T) {
-	tr := wire.NewMemTransport()
-	s := startShard(t, tr, ServerConfig{})
-	wc := wire.NewClient(time.Second)
-	wc.Transport = tr
-	defer wc.Close()
-
-	reports := []Report{
-		{ClientID: "c1", Infra: "unix"},
-		{ClientID: "c2", Infra: "java"},
-		{ClientID: "c3", Infra: "condor"},
-	}
-	entries, err := SendReportBatch(wc, s.Addr(), reports, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("want 3 entries, got %d", len(entries))
-	}
-	for i, en := range entries {
-		if en.Shed {
-			t.Fatalf("entry %d shed with no admission control", i)
-		}
-		if en.Dir.Kind != DirNewWork || en.Dir.Work.ID == 0 {
-			t.Fatalf("entry %d: want DirNewWork with a unit, got %+v", i, en.Dir)
-		}
-	}
-	// Distinct clients must receive distinct units.
-	if entries[0].Dir.Work.ID == entries[1].Dir.Work.ID {
-		t.Fatal("batch handed the same unit to two clients")
-	}
-	if n, _, clients := s.Stats(); n != 3 || clients != 3 {
-		t.Fatalf("server stats after batch: reports=%d clients=%d", n, clients)
-	}
-}
-
-func TestBatchAdmissionShedsAppletsFirst(t *testing.T) {
+func TestAdmissionShedsAppletsFirst(t *testing.T) {
 	tr := wire.NewMemTransport()
 	// Burst of 10 with the default 20% low-priority reserve: PriLow sheds
 	// once the bucket drops under 2 tokens while PriHigh drains to zero.
@@ -79,22 +43,26 @@ func TestBatchAdmissionShedsAppletsFirst(t *testing.T) {
 		Report{ClientID: "java-0", Infra: "java"},
 		Report{ClientID: "unix-9", Infra: "unix"},
 		Report{ClientID: "unix-10", Infra: "unix"})
-	entries, err := SendReportBatch(wc, s.Addr(), reports, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	shed := make([]bool, len(reports))
+	for i, r := range reports {
+		var dr Directive
+		if err := wc.CallMsg(s.Addr(), MsgReport, r, &dr, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		shed[i] = dr.Kind == DirShed
 	}
 	for i := 0; i < 9; i++ {
-		if entries[i].Shed {
+		if shed[i] {
 			t.Fatalf("unix report %d shed under burst", i)
 		}
 	}
-	if !entries[9].Shed || entries[9].Dir.Kind != DirShed {
-		t.Fatalf("java report under the reserve floor not shed: %+v", entries[9])
+	if !shed[9] {
+		t.Fatal("java report under the reserve floor not shed")
 	}
-	if entries[10].Shed {
-		t.Fatal("unix report admitted after java shed — reserve must favor high priority")
+	if shed[10] {
+		t.Fatal("unix report shed after java shed — reserve must favor high priority")
 	}
-	if !entries[11].Shed {
+	if !shed[11] {
 		t.Fatal("unix report on an empty bucket not shed")
 	}
 	snap := s.Metrics().Snapshot("scale.")

@@ -123,6 +123,7 @@ type Server struct {
 	wc        *wire.Client
 	forecasts *forecast.Registry
 	metrics   *telemetry.Registry
+	decision  *telemetry.SpanFamily
 	admit     *scale.Admitter
 
 	mu        sync.Mutex
@@ -167,6 +168,7 @@ func NewServer(cfg ServerConfig) *Server {
 		srv:       svc.Server(),
 		wc:        svc.Client(),
 		metrics:   svc.Metrics(),
+		decision:  svc.Metrics().SpanFamily("sched.decision"),
 		forecasts: forecast.NewRegistry(),
 		clients:   make(map[string]*clientRecord),
 	}
@@ -185,8 +187,6 @@ func NewServer(cfg ServerConfig) *Server {
 		s.out = outbox.NewSender(s.shipLogs)
 	}
 	svc.Handle(MsgReport, wire.HandlerFunc(s.handleReport))
-	svc.Handle(MsgReportBatch, wire.HandlerFunc(s.handleReportBatch))
-	svc.Handle(MsgStats, wire.HandlerFunc(s.handleStats))
 	return s
 }
 
@@ -263,7 +263,7 @@ func (s *Server) Handle(r Report) Directive {
 
 // TryHandle runs admission control before the scheduling policy: a shed
 // report returns (DirShed, true) without touching any scheduler state —
-// the degraded-success path. The simulation and both wire handlers route
+// the degraded-success path. The simulation and the wire handler route
 // through it so admission behaves identically everywhere.
 func (s *Server) TryHandle(tc wire.TraceContext, r Report) (Directive, bool) {
 	if err := s.admit.Admit(scale.PriorityFor(r.Infra)); err != nil {
@@ -277,7 +277,7 @@ func (s *Server) TryHandle(tc wire.TraceContext, r Report) (Directive, bool) {
 // over the wire with a trace envelope, or from the simulation's own
 // roots), with the forecast read nested inside it.
 func (s *Server) HandleCtx(tc wire.TraceContext, r Report) Directive {
-	sp := s.metrics.StartSpan("sched.decision")
+	sp := s.decision.Start()
 	dsp := wire.StartSpan(s.cfg.Tracer, "sched.decision", tc)
 	dsp.Annotate("client", r.ClientID)
 	d := s.handle(dsp.Context(), r)
@@ -557,34 +557,4 @@ func (s *Server) handleReport(_ string, req *wire.Packet) (*wire.Packet, error) 
 	}
 	dr, _ := s.TryHandle(req.Trace, r)
 	return wire.Reply(MsgReport, dr), nil
-}
-
-// handleReportBatch answers a gateway's coalesced report batch: every
-// report passes admission individually (priority-aware, so a batch of
-// mixed infrastructures sheds its applet entries first), then the normal
-// per-report policy. The reply carries one entry per report in order.
-func (s *Server) handleReportBatch(_ string, req *wire.Packet) (*wire.Packet, error) {
-	reports, err := DecodeReportBatch(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.Counter("sched.batch.calls").Inc()
-	s.metrics.Counter("sched.batch.reports").Add(int64(len(reports)))
-	entries := make([]BatchEntry, 0, len(reports))
-	for _, r := range reports {
-		dr, shed := s.TryHandle(req.Trace, r)
-		entries = append(entries, BatchEntry{Shed: shed, Dir: dr})
-	}
-	return wire.Reply(MsgReportBatch, BatchReply(entries)), nil
-}
-
-func (s *Server) handleStats(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	reports, migrations, clients := s.Stats()
-	found := len(s.Found())
-	return wire.Reply(MsgStats, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutInt64(reports)
-		e.PutInt64(migrations)
-		e.PutUint32(uint32(clients))
-		e.PutUint32(uint32(found))
-	})), nil
 }

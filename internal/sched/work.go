@@ -23,17 +23,15 @@ const (
 	// MsgReport carries a client progress report; the response is a
 	// Directive.
 	MsgReport wire.MsgType = 50
-	// MsgStats reports scheduler-wide statistics (diagnostics).
-	MsgStats wire.MsgType = 51
+	// reserved, do not reuse: 51 (was MsgStats), 52 (was MsgReportBatch)
 )
 
 // Reports are last-write-wins per client (the scheduler keeps only the
-// latest record and re-issues a directive), and stats are read-only, so
-// both survive duplicate delivery and may be retransmitted on ambiguity.
+// latest record and re-issues a directive), so they survive duplicate
+// delivery and may be retransmitted on ambiguity.
 func init() {
-	wire.RegisterIdempotent(MsgReport, MsgStats)
+	wire.RegisterIdempotent(MsgReport)
 	wire.RegisterMsgName(MsgReport, "sched.report")
-	wire.RegisterMsgName(MsgStats, "sched.stats")
 }
 
 // WorkUnit describes one unit of Ramsey search work.

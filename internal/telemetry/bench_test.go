@@ -44,10 +44,10 @@ func BenchmarkRegistryLookup(b *testing.B) {
 }
 
 func BenchmarkSpan(b *testing.B) {
-	r := NewRegistry()
+	f := NewRegistry().SpanFamily("bench.span")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("bench.span").End(OutcomeOK)
+		f.Start().End(OutcomeOK)
 	}
 }
 

@@ -153,9 +153,6 @@ func bucketFor(d time.Duration) int {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // metric is the registry's uniform value holder; exactly one field is
 // non-nil.
 type metric struct {
@@ -327,36 +324,10 @@ const (
 	OutcomeError      Outcome = "error"
 )
 
-// Span is one in-flight timed operation. End records the elapsed time
-// (per the registry clock) into the histogram "<name>.<outcome>".
-type Span struct {
-	r     *Registry
-	name  string
-	start time.Time
-}
-
-// StartSpan begins timing an operation. On a nil registry the span is a
-// no-op.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, name: name, start: r.Now()}
-}
-
-// End finishes the span under the given outcome.
-func (s Span) End(o Outcome) {
-	if s.r == nil {
-		return
-	}
-	s.r.Histogram(s.name + "." + string(o)).Observe(s.r.Now().Sub(s.start))
-}
-
-// SpanFamily pre-resolves the per-outcome histograms for one span name.
-// Span.End pays a name+outcome string concatenation per call, which is
-// fine everywhere except the wire hot path; a family caches the
-// "<name>.<outcome>" histogram per outcome (copy-on-write, lock-free
-// reads) so recording a span is just two clock reads and an Observe.
+// SpanFamily times operations under one span name, recording each into
+// the histogram "<name>.<outcome>". The family caches that histogram per
+// outcome (copy-on-write, lock-free reads), so recording a span is just
+// two clock reads and an Observe.
 type SpanFamily struct {
 	r     *Registry
 	name  string
@@ -375,23 +346,24 @@ func (r *Registry) SpanFamily(name string) *SpanFamily {
 }
 
 // Start begins timing an operation against the family's histograms. The
-// zero FamilySpan (and any span from a nil-registry family) is a no-op.
-func (f *SpanFamily) Start() FamilySpan {
+// zero Span (and any span from a nil-registry family) is a no-op.
+func (f *SpanFamily) Start() Span {
 	if f == nil || f.r == nil {
-		return FamilySpan{}
+		return Span{}
 	}
-	return FamilySpan{f: f, start: f.r.Now()}
+	return Span{f: f, start: f.r.Now()}
 }
 
-// FamilySpan is one in-flight timed operation from a SpanFamily. Unlike
-// Span, End allocates nothing once the family has seen the outcome.
-type FamilySpan struct {
+// Span is one in-flight timed operation from a SpanFamily. End records
+// the elapsed time (per the registry clock) and allocates nothing once
+// the family has seen the outcome.
+type Span struct {
 	f     *SpanFamily
 	start time.Time
 }
 
 // End finishes the span under the given outcome.
-func (s FamilySpan) End(o Outcome) {
+func (s Span) End(o Outcome) {
 	s.EndTraced(o, 0)
 }
 
@@ -399,7 +371,7 @@ func (s FamilySpan) End(o Outcome) {
 // non-zero traceID as the exemplar for the histogram bucket the
 // observation lands in. The wire server and client use this so hot-path
 // histograms carry trace jump-off points.
-func (s FamilySpan) EndTraced(o Outcome, traceID uint64) {
+func (s Span) EndTraced(o Outcome, traceID uint64) {
 	if s.f == nil {
 		return
 	}

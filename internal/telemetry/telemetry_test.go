@@ -54,7 +54,7 @@ func TestNilRegistryDiscards(t *testing.T) {
 	r.Gauge("b").Set(1)
 	r.FloatGauge("c").Set(1)
 	r.Histogram("d").Observe(time.Second)
-	sp := r.StartSpan("e")
+	sp := r.SpanFamily("e").Start()
 	sp.End(OutcomeOK)
 	if snap := r.Snapshot(""); len(snap.Samples) != 0 {
 		t.Fatalf("nil registry snapshot has %d samples", len(snap.Samples))
@@ -119,7 +119,7 @@ func TestSpanVirtualClock(t *testing.T) {
 	r := NewRegistry()
 	vt := time.Date(1998, 11, 11, 23, 36, 56, 0, time.UTC)
 	r.SetNow(func() time.Time { return vt })
-	sp := r.StartSpan("rpc")
+	sp := r.SpanFamily("rpc").Start()
 	vt = vt.Add(3 * time.Second) // virtual time advances; no real sleep
 	sp.End(OutcomeTimeout)
 	snap := r.Snapshot("")

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkSeriesAdd(b *testing.B) {
-	s := NewSeries("ops", t0, 5*time.Minute)
+	s := NewSeries(t0, 5*time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,12 +22,11 @@ import (
 // evaluation: five minutes.
 const BucketWidth = 5 * time.Minute
 
-// Series is one named time series accumulated into fixed-width buckets.
+// Series is one time series accumulated into fixed-width buckets.
 // Values added within a bucket are summed; Rate() divides by the bucket
 // width to produce per-second averages, Mean() divides by the sample
 // count.
 type Series struct {
-	name   string
 	start  time.Time
 	width  time.Duration
 	sums   []float64
@@ -36,21 +35,12 @@ type Series struct {
 
 // NewSeries creates a series starting at start with the given bucket
 // width (BucketWidth if zero).
-func NewSeries(name string, start time.Time, width time.Duration) *Series {
+func NewSeries(start time.Time, width time.Duration) *Series {
 	if width <= 0 {
 		width = BucketWidth
 	}
-	return &Series{name: name, start: start, width: width}
+	return &Series{start: start, width: width}
 }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Width returns the bucket width.
-func (s *Series) Width() time.Duration { return s.width }
-
-// Start returns the series origin.
-func (s *Series) Start() time.Time { return s.start }
 
 // bucketFor grows the storage to include the bucket for t and returns its
 // index (-1 if t precedes the start).
@@ -145,7 +135,7 @@ func NewCollection(start time.Time, width time.Duration) *Collection {
 func (c *Collection) Series(key string) *Series {
 	s, ok := c.series[key]
 	if !ok {
-		s = NewSeries(key, c.start, c.width)
+		s = NewSeries(c.start, c.width)
 		c.series[key] = s
 	}
 	return s

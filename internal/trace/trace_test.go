@@ -11,7 +11,7 @@ import (
 var t0 = time.Date(1998, 11, 11, 23, 36, 56, 0, time.UTC)
 
 func TestSeriesBucketing(t *testing.T) {
-	s := NewSeries("ops", t0, 5*time.Minute)
+	s := NewSeries(t0, 5*time.Minute)
 	s.Add(t0, 100)
 	s.Add(t0.Add(time.Minute), 200)
 	s.Add(t0.Add(6*time.Minute), 50)
@@ -30,7 +30,7 @@ func TestSeriesBucketing(t *testing.T) {
 }
 
 func TestSeriesIgnoresPreStart(t *testing.T) {
-	s := NewSeries("x", t0, time.Minute)
+	s := NewSeries(t0, time.Minute)
 	s.Add(t0.Add(-time.Hour), 99)
 	if s.Buckets() != 0 {
 		t.Fatal("pre-start sample must be dropped")
@@ -38,7 +38,7 @@ func TestSeriesIgnoresPreStart(t *testing.T) {
 }
 
 func TestSeriesSparseBucketsAreZero(t *testing.T) {
-	s := NewSeries("x", t0, time.Minute)
+	s := NewSeries(t0, time.Minute)
 	s.Add(t0.Add(10*time.Minute), 5)
 	if s.Buckets() != 11 {
 		t.Fatalf("buckets = %d", s.Buckets())
@@ -54,7 +54,7 @@ func TestSeriesSparseBucketsAreZero(t *testing.T) {
 }
 
 func TestSeriesOutOfRangeAccessors(t *testing.T) {
-	s := NewSeries("x", t0, time.Minute)
+	s := NewSeries(t0, time.Minute)
 	if s.Sum(-1) != 0 || s.Sum(5) != 0 || s.Mean(-1) != 0 || s.Rate(99) != 0 {
 		t.Fatal("out-of-range access must read zero")
 	}
@@ -85,7 +85,7 @@ func TestCollectionCSV(t *testing.T) {
 func TestQuickSeriesTotalPreserved(t *testing.T) {
 	// Property: the sum over all buckets equals the sum of added values.
 	f := func(raw []uint16) bool {
-		s := NewSeries("x", t0, time.Minute)
+		s := NewSeries(t0, time.Minute)
 		want := 0.0
 		for i, v := range raw {
 			s.Add(t0.Add(time.Duration(i%120)*time.Second*30), float64(v))

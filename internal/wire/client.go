@@ -97,11 +97,11 @@ func (c *Client) conn(addr string) (*Conn, error) {
 
 // callSpan starts a span from the cached "wire.client.call" family,
 // creating the family on first use once Metrics is set.
-func (c *Client) callSpan() telemetry.FamilySpan {
+func (c *Client) callSpan() telemetry.Span {
 	f := c.callFam.Load()
 	if f == nil {
 		if c.Metrics == nil {
-			return telemetry.FamilySpan{}
+			return telemetry.Span{}
 		}
 		f = c.Metrics.SpanFamily("wire.client.call")
 		c.callFam.Store(f)

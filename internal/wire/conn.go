@@ -140,9 +140,6 @@ func (c *Conn) Close() error {
 // RemoteAddr reports the remote endpoint.
 func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 
-// LocalAddr reports the local endpoint.
-func (c *Conn) LocalAddr() string { return c.nc.LocalAddr().String() }
-
 // NextTag returns a fresh correlation tag, unique within this Conn.
 func (c *Conn) NextTag() uint64 { return c.tagSeq.Add(1) }
 

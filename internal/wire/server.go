@@ -64,16 +64,6 @@ type Server struct {
 	// IdleTimeout closes connections with no traffic for this long.
 	// Zero means no idle limit.
 	IdleTimeout time.Duration
-	// Observe, if set, receives the service time of every handled request
-	// keyed by message type — the paper's dynamic benchmarking hook: "we
-	// identified each place in the server code where a request-response
-	// pair occurred, and tagged each of these events". Typically wired to
-	// a forecast.Registry. Must be safe for concurrent use.
-	Observe func(t MsgType, d time.Duration)
-	// WrapListener, if set before Listen, decorates the bound listener —
-	// the hook the fault-injection harness uses to perturb inbound
-	// connections. The wrapper must preserve Addr.
-	WrapListener func(net.Listener) net.Listener
 	// Tracer, when set before Listen, records a continuation span for
 	// every request that arrives carrying a trace context: the span is a
 	// child of the sender's (attempt) span and becomes the parent seen by
@@ -185,9 +175,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if s.WrapListener != nil {
-		ln = s.WrapListener(ln)
-	}
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
@@ -277,10 +264,6 @@ func (s *Server) serveConn(nc net.Conn) {
 				// they issue downstream nest under this hop.
 				req.Trace = serve.Context()
 			}
-			var handleStart time.Time
-			if s.Observe != nil {
-				handleStart = time.Now()
-			}
 			// In-place echo handlers mutate req.Type (and may release or
 			// reuse the packet); capture the arrival type and trace ID
 			// first. The trace ID becomes the handle histogram's exemplar,
@@ -301,9 +284,6 @@ func (s *Server) serveConn(nc net.Conn) {
 				} else {
 					serve.End(string(telemetry.OutcomeOK))
 				}
-			}
-			if s.Observe != nil {
-				s.Observe(reqType, time.Since(handleStart))
 			}
 			switch {
 			case herr != nil:

@@ -231,46 +231,6 @@ func TestIsTimeout(t *testing.T) {
 	}
 }
 
-func TestServerObserveRecordsServiceTimes(t *testing.T) {
-	s := silentServer(t)
-	type obs struct {
-		t MsgType
-		d time.Duration
-	}
-	var mu sync.Mutex
-	var seen []obs
-	s.Observe = func(mt MsgType, d time.Duration) {
-		mu.Lock()
-		seen = append(seen, obs{mt, d})
-		mu.Unlock()
-	}
-	const msgSlow MsgType = 105
-	s.Register(msgSlow, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {
-		time.Sleep(20 * time.Millisecond)
-		return &Packet{Type: msgSlow}, nil
-	}))
-	addr, _ := s.Listen("127.0.0.1:0")
-	c := NewClient(time.Second)
-	defer c.Close()
-	if _, err := c.Call(addr, &Packet{Type: msgSlow}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Ping(addr, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("observed %d events, want 2", len(seen))
-	}
-	if seen[0].t != msgSlow || seen[0].d < 15*time.Millisecond {
-		t.Fatalf("slow handler observation = %+v", seen[0])
-	}
-	if seen[1].t != MsgPing {
-		t.Fatalf("ping observation = %+v", seen[1])
-	}
-}
-
 func TestIdleTimeoutClosesQuietConnections(t *testing.T) {
 	s := silentServer(t)
 	s.IdleTimeout = 100 * time.Millisecond

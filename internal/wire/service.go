@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"net"
 	"time"
 
 	"everyware/internal/telemetry"
@@ -36,14 +35,9 @@ type ServiceConfig struct {
 	// Silent discards server diagnostics unconditionally — the option
 	// daemons use instead of assigning an empty Logf by hand.
 	Silent bool
-	// Observe, if set, receives per-request service times (the dynamic
-	// benchmarking hook).
-	Observe func(t MsgType, d time.Duration)
 	// IdleTimeout closes server connections idle for this long (0 = no
 	// limit).
 	IdleTimeout time.Duration
-	// WrapListener decorates the bound listener (fault injection).
-	WrapListener func(net.Listener) net.Listener
 	// Tracer, when set, enables causal distributed tracing for this
 	// daemon: the server records a continuation span for every inbound
 	// request carrying a trace context, and the client records call and
@@ -70,7 +64,6 @@ type Service struct {
 	srv        *Server
 	client     *Client
 	metrics    *telemetry.Registry
-	tracer     Tracer
 }
 
 // NewService assembles a Service. Handlers are registered with Handle
@@ -86,9 +79,7 @@ func NewService(cfg ServiceConfig) *Service {
 	srv := NewServer()
 	srv.SetMetrics(reg)
 	srv.Transport = cfg.Transport
-	srv.Observe = cfg.Observe
 	srv.IdleTimeout = cfg.IdleTimeout
-	srv.WrapListener = cfg.WrapListener
 	switch {
 	case cfg.Silent:
 		srv.Logf = func(string, ...any) {}
@@ -109,7 +100,6 @@ func NewService(cfg ServiceConfig) *Service {
 		srv:        srv,
 		client:     client,
 		metrics:    reg,
-		tracer:     cfg.Tracer,
 	}
 }
 
@@ -149,9 +139,6 @@ func (s *Service) Client() *Client { return s.client }
 
 // Metrics returns the shared telemetry registry.
 func (s *Service) Metrics() *telemetry.Registry { return s.metrics }
-
-// Tracer returns the configured tracer (nil when tracing is disabled).
-func (s *Service) Tracer() Tracer { return s.tracer }
 
 // Close shuts down the client's cached connections, then the server
 // (stopping the accept loop and draining connection goroutines).
