@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race deadcode bench bench-wire bench-grid trace figures examples chaos crash heal scale obs clean
+.PHONY: all build vet test test-race deadcode msgtable bench bench-wire bench-grid trace figures examples chaos crash heal scale obs clean
 
 all: build vet test
 
@@ -22,13 +22,19 @@ test-race:
 # ceiling is called only from a cmd/ main, a benchmark or a test-failure
 # message, satisfies net.Conn / net.Addr / wire.ActiveSpan / a default
 # hook, or is the control plane's untested actuation path (ROADMAP item
-# 4); a new entry needs a caller, a test, or deleting.
+# 6); a new entry needs a caller, a test, or deleting.
 DEADCODE_MAX = 19
 deadcode:
 	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=deadcode.cover ./...
 	$(GO) tool cover -func=deadcode.cover | awk -v max=$(DEADCODE_MAX) \
 		'$$1 ~ /\/internal\// && $$NF == "0.0%" { print; n++ } \
 		END { printf "%d zero-coverage functions under internal/ (ceiling %d)\n", n, max; exit n > max }'
+
+# Print the message table — every wire message and every retired number,
+# from wire.Messages() — in the form DESIGN.md's "The message table"
+# lists it. Regenerate that listing from here; do not edit it by hand.
+msgtable:
+	$(GO) test -count=1 -run TestMessageTable -v ./internal/wire/
 
 # Record the microbenchmark ledger: every BENCH_*.json except
 # BENCH_wire.json (see bench-wire) is written here and nowhere else, so

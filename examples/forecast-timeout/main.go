@@ -27,12 +27,17 @@ import (
 	"everyware/internal/wire"
 )
 
+// msgEcho is this example's one message; like every type a server
+// handles, it is declared in the message table first.
+const msgEcho wire.MsgType = 100
+
+func init() { wire.Define(msgEcho, "example.echo", false) }
+
 func main() {
 	// A server whose response delay is controlled by an atomic knob.
 	var delayMs atomic.Int64
 	delayMs.Store(30)
 	svc := wire.NewService(wire.ServiceConfig{ListenAddr: "127.0.0.1:0", DialTimeout: time.Second, Silent: true})
-	const msgEcho wire.MsgType = 100
 	svc.Handle(msgEcho, wire.HandlerFunc(func(_ string, req *wire.Packet) (*wire.Packet, error) {
 		time.Sleep(time.Duration(delayMs.Load()) * time.Millisecond)
 		return wire.Reply(msgEcho, nil), nil

@@ -28,8 +28,15 @@ const (
 	MsgFetchParcel wire.MsgType = 100
 	// MsgReturnParcel returns a computed parcel (payload: ParcelResult).
 	MsgReturnParcel wire.MsgType = 101
-	// reserved, do not reuse: 102 (was MsgGatewayStats)
 )
+
+// Neither is idempotent: a resent fetch draws a second parcel from the
+// scheduler, and a resent return is refused as an unknown parcel.
+func init() {
+	wire.Define(MsgFetchParcel, "applet.fetch_parcel", false)
+	wire.Define(MsgReturnParcel, "applet.return_parcel", false)
+	wire.Reserve(102, "applet.gateway_stats")
+}
 
 // Parcel is one unit of applet work: a bounded slice of heuristic search.
 type Parcel struct {

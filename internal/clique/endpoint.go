@@ -16,8 +16,7 @@ const MsgClique wire.MsgType = 10
 // (sequence numbers discard stale deliveries), so its messages are safe to
 // retransmit when a connection dies mid-call.
 func init() {
-	wire.RegisterIdempotent(MsgClique)
-	wire.RegisterMsgName(MsgClique, "clique")
+	wire.Define(MsgClique, "clique.token", true)
 }
 
 // encodeStrings appends a length-prefixed string list.

@@ -47,36 +47,9 @@ const BestStateKey = "ramsey/best"
 // SchedulerRosterKey is the Gossip key under which scheduler birth and
 // death information circulates (section 5.4 of the paper): clients learn
 // the currently viable scheduling servers from the Gossip service instead
-// of a static list.
+// of a static list. Its value is a ctrl.EncodeRoster address list, the
+// codec the pstate roster also rides.
 const SchedulerRosterKey = "everyware/schedulers"
-
-// EncodeRoster serializes a scheduler address list for Gossip transport.
-func EncodeRoster(addrs []string) []byte {
-	var e wire.Encoder
-	e.PutUint32(uint32(len(addrs)))
-	for _, a := range addrs {
-		e.PutString(a)
-	}
-	return e.Bytes()
-}
-
-// DecodeRoster parses an encoded scheduler address list.
-func DecodeRoster(p []byte) ([]string, error) {
-	d := wire.NewDecoder(p)
-	n, err := d.Count(4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		a, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
 
 func init() {
 	err := pstate.RegisterValidator(CounterExampleClass, func(name string, data []byte) error {
@@ -251,7 +224,7 @@ func (c *Component) Start() (string, error) {
 		// the active membership without a restart, the same way scheduler
 		// birth/death circulates below.
 		err := c.OnReplicated(ctrl.PStateRosterKey, gossip.CmpCounter, func(s gossip.Stamped) {
-			if roster, err := DecodeRoster(s.Data); err == nil && len(roster) > 0 {
+			if roster, err := ctrl.DecodeRoster(s.Data); err == nil && len(roster) > 0 {
 				c.replicas.SetAddrs(roster)
 			}
 		})
@@ -278,7 +251,7 @@ func (c *Component) Start() (string, error) {
 		// Subscribe to scheduler birth/death circulated via Gossip: a
 		// fresher roster replaces the static list.
 		err = c.OnReplicated(SchedulerRosterKey, gossip.CmpCounter, func(s gossip.Stamped) {
-			if roster, err := DecodeRoster(s.Data); err == nil && len(roster) > 0 {
+			if roster, err := ctrl.DecodeRoster(s.Data); err == nil && len(roster) > 0 {
 				runner.SetSchedulers(roster)
 			}
 		})

@@ -238,21 +238,6 @@ func TestSchedulerRosterCirculatesViaGossip(t *testing.T) {
 	t.Fatal("client never learned the live scheduler roster via Gossip")
 }
 
-func TestRosterEncodeDecode(t *testing.T) {
-	addrs := []string{"a:1", "b:2", "c:3"}
-	got, err := DecodeRoster(EncodeRoster(addrs))
-	if err != nil || len(got) != 3 || got[0] != "a:1" || got[2] != "c:3" {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	if _, err := DecodeRoster([]byte{1}); err == nil {
-		t.Fatal("garbage must fail")
-	}
-	empty, err := DecodeRoster(EncodeRoster(nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty roster: %v, %v", empty, err)
-	}
-}
-
 func TestComponentRecoveryAfterTotalLoss(t *testing.T) {
 	// The "dependable" criterion: persistent state outlives every process.
 	dir := t.TempDir()

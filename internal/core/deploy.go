@@ -547,7 +547,7 @@ func (d *Deployment) PublishRoster() {
 	if d.rosterAgent == nil {
 		return
 	}
-	d.rosterAgent.Set(SchedulerRosterKey, EncodeRoster(d.SchedAddrs))
+	d.rosterAgent.Set(SchedulerRosterKey, ctrl.EncodeRoster(d.SchedAddrs))
 	if d.ring == nil {
 		d.ring = scale.NewRing(d.SchedAddrs, 0)
 	} else {

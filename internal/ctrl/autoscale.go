@@ -139,7 +139,7 @@ func (s *Server) reconcileCounts() {
 	if spec == nil {
 		return
 	}
-	now := s.now()
+	now := s.metrics.Now()
 	for _, svc := range spec.Services {
 		if svc.Max <= 0 {
 			continue

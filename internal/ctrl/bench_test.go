@@ -46,7 +46,7 @@ func BenchmarkReconcileTick(b *testing.B) {
 		ListenAddr: "mem-ctrl:0",
 		Transport:  wire.NewMemTransport(),
 		Interval:   -1,
-		Now:        clock.now,
+		Metrics:    clock.registry(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -116,7 +116,7 @@ func BenchmarkFailoverMTTR(b *testing.B) {
 		ListenAddr:  "mem-ctrl:0",
 		Transport:   tr,
 		Interval:    -1,
-		Now:         clock.now,
+		Metrics:     clock.registry(),
 		CallTimeout: time.Second,
 		PStates:     addrs[:3],
 		Detector:    DetectorConfig{MinStdDev: 5 * time.Millisecond},

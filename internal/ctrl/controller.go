@@ -75,7 +75,7 @@ func (s *Server) refreshSpec() {
 // (and the recovery-time histogram ctrl.mttr), and forgives the restart
 // history of members that have stayed up past CrashLoopReset.
 func (s *Server) sweep() {
-	now := s.now()
+	now := s.metrics.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var live, dead int64
@@ -179,7 +179,7 @@ func (s *Server) promoteDeadReplicas() {
 		s.installRoster(roster, standby)
 		s.metrics.Counter("ctrl.promotions").Inc()
 		if hadDeath {
-			s.metrics.Histogram("ctrl.mttr.promote").Observe(s.now().Sub(deadAt))
+			s.metrics.Histogram("ctrl.mttr.promote").Observe(s.metrics.Now().Sub(deadAt))
 		}
 		changed = true
 	}
@@ -250,7 +250,7 @@ func (s *Server) restartDead() {
 	if s.cfg.Restart == nil {
 		return
 	}
-	now := s.now()
+	now := s.metrics.Now()
 	for _, m := range s.deadMembers() {
 		s.mu.Lock()
 		next, deferred := s.restartNext[m.ID]

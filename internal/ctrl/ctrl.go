@@ -44,10 +44,9 @@ const (
 // Heartbeats are idempotent (a replayed beat only refreshes liveness)
 // and the other two are reads, so all three ride the retry ladder.
 func init() {
-	wire.RegisterIdempotent(MsgHeartbeat, MsgMembers, MsgStatus)
-	wire.RegisterMsgName(MsgHeartbeat, "ctrl.heartbeat")
-	wire.RegisterMsgName(MsgMembers, "ctrl.members")
-	wire.RegisterMsgName(MsgStatus, "ctrl.status")
+	wire.Define(MsgHeartbeat, "ctrl.heartbeat", true)
+	wire.Define(MsgMembers, "ctrl.members", true)
+	wire.Define(MsgStatus, "ctrl.status", true)
 }
 
 // Gossip keys the controller publishes under.
@@ -55,9 +54,8 @@ const (
 	// MembershipKey carries the encoded membership table (EncodeMembership).
 	MembershipKey = "everyware/membership"
 	// PStateRosterKey carries the active persistent state manager roster
-	// (EncodeRoster — wire-compatible with core.EncodeRoster, so Component
-	// clients decode it with the codec they already use for the scheduler
-	// roster). Republished on every promotion.
+	// (EncodeRoster, the codec the scheduler roster also rides).
+	// Republished on every promotion.
 	PStateRosterKey = "everyware/pstates"
 )
 
@@ -240,9 +238,9 @@ func DecodeMembership(p []byte) ([]MemberStatus, error) {
 	return out, nil
 }
 
-// EncodeRoster lays out an address list: count then addresses. The layout
-// matches core.EncodeRoster so existing roster subscribers decode
-// controller-published rosters unchanged.
+// EncodeRoster lays out an address list: count then addresses. Both
+// rosters that circulate over Gossip — pstate managers and schedulers —
+// use it.
 func EncodeRoster(addrs []string) []byte {
 	var e wire.Encoder
 	e.PutUint32(uint32(len(addrs)))
@@ -252,10 +250,11 @@ func EncodeRoster(addrs []string) []byte {
 	return e.Bytes()
 }
 
-// DecodeRoster parses an address list.
+// DecodeRoster parses an address list. Every address costs at least its
+// 4-byte length prefix, which bounds what a hostile count can allocate.
 func DecodeRoster(p []byte) ([]string, error) {
 	d := wire.NewDecoder(p)
-	n, err := d.Count(1)
+	n, err := d.Count(4)
 	if err != nil {
 		return nil, err
 	}

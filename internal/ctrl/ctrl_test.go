@@ -3,6 +3,7 @@ package ctrl
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,6 +60,28 @@ func TestHeartbeatAndMembershipCodecs(t *testing.T) {
 		gotSt.Live != 5 || gotSt.Dead != 1 || gotSt.Restarts != 2 || gotSt.Promotions != 1 ||
 		gotSt.Rollouts != 4 || gotSt.Backoffs != 3 {
 		t.Fatalf("status round trip: %+v err=%v", gotSt, err)
+	}
+}
+
+func TestRosterEncodeDecode(t *testing.T) {
+	addrs := []string{"a:1", "b:2", "c:3"}
+	got, err := DecodeRoster(EncodeRoster(addrs))
+	if err != nil || len(got) != 3 || got[0] != "a:1" || got[2] != "c:3" {
+		t.Fatalf("got %v, %v", got, err)
+	}
+	if _, err := DecodeRoster([]byte{1}); err == nil {
+		t.Fatal("garbage must fail")
+	}
+	empty, err := DecodeRoster(EncodeRoster(nil))
+	if err != nil || len(empty) != 0 {
+		t.Fatalf("empty roster: %v, %v", empty, err)
+	}
+	// A count the payload cannot back — three addresses need at least
+	// twelve bytes, eight follow — is refused before anything is
+	// allocated for it, not discovered one address at a time.
+	hostile := append([]byte{0, 0, 0, 3}, make([]byte, 8)...)
+	if _, err := DecodeRoster(hostile); err == nil || !strings.Contains(err.Error(), "count 3 exceeds") {
+		t.Fatalf("count larger than len(payload)/4 must be rejected by the count check, got %v", err)
 	}
 }
 
@@ -142,7 +165,7 @@ func newCtrlFixture(t *testing.T, cfg ServerConfig) *ctrlFixture {
 	cfg.ListenAddr = "mem-ctrl:0"
 	cfg.Transport = f.tr
 	cfg.Interval = -1 // no background loop: tests call Tick
-	cfg.Now = f.clock.now
+	cfg.Metrics = f.clock.registry()
 	cfg.CallTimeout = time.Second
 	if cfg.Detector.MinStdDev == 0 {
 		cfg.Detector.MinStdDev = 5 * time.Millisecond
@@ -279,7 +302,7 @@ func TestStandbyPromotionBackfillsAndRepoints(t *testing.T) {
 		ListenAddr:  "mem-ctrl:0",
 		Transport:   tr,
 		Interval:    -1,
-		Now:         clock.now,
+		Metrics:     clock.registry(),
 		CallTimeout: time.Second,
 		PStates:     roster,
 		Detector:    DetectorConfig{MinStdDev: 5 * time.Millisecond},
@@ -476,7 +499,7 @@ func TestControllerPublishesMembershipAndRosterOverGossip(t *testing.T) {
 		ListenAddr:  "mem-ctrl:0",
 		Transport:   tr,
 		Interval:    -1,
-		Now:         clock.now,
+		Metrics:     clock.registry(),
 		CallTimeout: time.Second,
 		Gossips:     []string{gAddr},
 		PStates:     addrs,

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"everyware/internal/telemetry"
 )
 
 // vclock is a frozen, manually advanced clock — the detector's whole
@@ -15,6 +17,15 @@ func newVClock() *vclock                  { return &vclock{t: time.Unix(1000, 0)
 func (c *vclock) now() time.Time          { return c.t }
 func (c *vclock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func (c *vclock) set(t time.Time)         { c.t = t }
+
+// registry returns a fresh metrics registry on this clock — how a
+// controller under test is put on virtual time.
+func (c *vclock) registry() *telemetry.Registry {
+	r := telemetry.NewRegistry()
+	r.SetNow(c.now)
+	return r
+}
+
 func beatRegularly(d *Detector, c *vclock, id string, interval time.Duration, n int) {
 	for i := 0; i < n; i++ {
 		d.Observe(id)

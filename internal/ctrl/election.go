@@ -224,7 +224,7 @@ func (s *Server) depose() {
 	s.mu.Lock()
 	s.fencedOut = true
 	s.epoch = 0
-	s.deposedAt = s.now()
+	s.deposedAt = s.metrics.Now()
 	s.mu.Unlock()
 	s.metrics.Counter("ctrl.fence.rejected").Inc()
 	s.metrics.Gauge("ctrl.epoch").Set(0)
@@ -247,7 +247,7 @@ func (s *Server) maybeRearm() {
 	if s.clq == nil || !s.isLeader || !s.fencedOut {
 		return
 	}
-	if s.now().Sub(s.deposedAt) < 4*s.cfg.ElectionInterval {
+	if s.metrics.Now().Sub(s.deposedAt) < 4*s.cfg.ElectionInterval {
 		return
 	}
 	s.fencedOut = false

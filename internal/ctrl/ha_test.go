@@ -18,7 +18,7 @@ func newHACtrl(t *testing.T, tr wire.Transport, clock *vclock, id string, pstate
 	cfg.ListenAddr = "mem-" + id
 	cfg.Transport = tr
 	cfg.Interval = -1
-	cfg.Now = clock.now
+	cfg.Metrics = clock.registry()
 	cfg.CallTimeout = time.Second
 	cfg.ID = id
 	cfg.PStates = pstates

@@ -24,22 +24,22 @@ type ServerConfig struct {
 	Dialer wire.DialFunc
 	// Retry is the outbound retry policy.
 	Retry *wire.RetryPolicy
-	// Metrics is the daemon registry (nil creates one).
+	// Metrics is the daemon registry (nil creates one). Its clock is the
+	// controller's clock: hand in a registry on virtual time (SetNow) to
+	// run the controller, its detector and its forecaster on it.
 	Metrics *telemetry.Registry
 	// Logf receives controller diagnostics.
 	Logf func(format string, args ...any)
 	// Tracer enables causal tracing for controller RPCs.
 	Tracer wire.Tracer
-	// Now is the controller clock (default time.Now; injectable for
-	// virtual time).
-	Now func() time.Time
 
 	// Interval is the reconcile/publish period (default 500ms). Negative
 	// disables the background loop — tests drive Tick directly.
 	Interval time.Duration
 	// CallTimeout bounds controller RPCs (default 2s).
 	CallTimeout time.Duration
-	// Detector tunes the failure detector (Now is inherited if unset).
+	// Detector tunes the failure detector (its Now defaults to the
+	// registry's clock).
 	Detector DetectorConfig
 
 	// ID names this controller in the replicated group — the epoch
@@ -141,7 +141,6 @@ type Server struct {
 	agent   *gossip.Agent
 	rs      *pstate.ReplicaSet
 	fc      *forecast.Registry
-	now     func() time.Time
 	logf    func(string, ...any)
 	id      string
 
@@ -216,12 +215,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.ScaleCooldown <= 0 {
 		cfg.ScaleCooldown = 5 * time.Second
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	if cfg.Detector.Now == nil {
-		cfg.Detector.Now = cfg.Now
-	}
 	svc := wire.NewService(wire.ServiceConfig{
 		Name:       "ctrl",
 		ListenAddr: cfg.ListenAddr,
@@ -232,6 +225,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Logf:       cfg.Logf,
 		Tracer:     cfg.Tracer,
 	})
+	if cfg.Detector.Now == nil {
+		cfg.Detector.Now = svc.Metrics().Now
+	}
 	s := &Server{
 		cfg:         cfg,
 		svc:         svc,
@@ -239,7 +235,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		metrics:     svc.Metrics(),
 		det:         NewDetector(cfg.Detector),
 		fc:          forecast.NewRegistry(),
-		now:         cfg.Now,
 		members:     make(map[string]Member),
 		alive:       make(map[string]bool),
 		deadSince:   make(map[string]time.Time),
@@ -256,13 +251,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	s.fc.Now = cfg.Now
+	s.fc.Now = s.metrics.Now
 	s.logf = func(format string, args ...any) {
 		if cfg.Logf != nil {
 			cfg.Logf("ctrl: "+format, args...)
 		}
 	}
-	s.metrics.SetNow(cfg.Now)
 	svc.Handle(MsgHeartbeat, wire.HandlerFunc(s.handleHeartbeat))
 	svc.Handle(MsgMembers, wire.HandlerFunc(s.handleMembers))
 	svc.Handle(MsgStatus, wire.HandlerFunc(s.handleStatus))

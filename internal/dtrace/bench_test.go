@@ -15,12 +15,15 @@ type discardSink struct{ n atomic.Int64 }
 
 func (d *discardSink) Emit(dtrace.Span) { d.n.Add(1) }
 
+const msgEcho wire.MsgType = 200
+
+func init() { wire.Define(msgEcho, "test.echo", false) }
+
 // benchEchoService stands up an echo service on the in-memory transport
 // (protocol cost only, kernel out of the picture) with the given tracer
 // on both the service and its client.
 func benchEchoService(b *testing.B, tr *dtrace.Tracer) (string, *wire.Client) {
 	b.Helper()
-	const msgEcho wire.MsgType = 200
 	tp := wire.NewMemTransport()
 	svc := wire.NewService(wire.ServiceConfig{ListenAddr: "127.0.0.1:0", Transport: tp, Silent: true, Tracer: tr})
 	svc.Handle(msgEcho, wire.HandlerFunc(func(_ string, req *wire.Packet) (*wire.Packet, error) {

@@ -43,12 +43,11 @@ const (
 )
 
 // Fetch is a read and safe to retransmit. MsgTraceExport is not
-// registered: a retransmit would duplicate span records, and export is
+// idempotent: a retransmit would duplicate span records, and export is
 // best-effort by design.
 func init() {
-	wire.RegisterIdempotent(MsgTraceFetch)
-	wire.RegisterMsgName(MsgTraceExport, "trace.export")
-	wire.RegisterMsgName(MsgTraceFetch, "trace.fetch")
+	wire.Define(MsgTraceExport, "trace.export", false)
+	wire.Define(MsgTraceFetch, "trace.fetch", true)
 }
 
 // Annotation is one key=value note attached to a span.

@@ -10,7 +10,7 @@ import (
 
 const msgEcho wire.MsgType = 230
 
-func init() { wire.RegisterIdempotent(msgEcho) }
+func init() { wire.Define(msgEcho, "test.echo", true) }
 
 // TestInjectorDeterminism: the fault schedule of a stream is a pure
 // function of (seed, stream name) — bit-for-bit identical across

@@ -12,6 +12,12 @@ import (
 	"everyware/internal/wire"
 )
 
+// msgVictimEcho is the victim daemon's one message; the anomaly rule
+// below watches its handle histogram by number (t99).
+const msgVictimEcho wire.MsgType = 99
+
+func init() { wire.Define(msgVictimEcho, "test.victim_echo", false) }
+
 // TestObservatorySlowdownE2E is the observability plane's end-to-end
 // proof, run under -race: a victim daemon with 1-in-64 head-sampled
 // tail tracing serves a driver's echo calls while a Grid Observatory
@@ -26,10 +32,10 @@ import (
 //	    collector, tail-promoted past the 1-in-64 head policy.
 func TestObservatorySlowdownE2E(t *testing.T) {
 	const (
-		msgEcho     wire.MsgType = 99
-		sampleEvery              = 64
-		slowFor                  = 50 * time.Millisecond
-		slowAt                   = 25 * time.Millisecond
+		msgEcho     = msgVictimEcho
+		sampleEvery = 64
+		slowFor     = 50 * time.Millisecond
+		slowAt      = 25 * time.Millisecond
 	)
 
 	// Trace collector.

@@ -37,7 +37,6 @@ func NewGASSOn(quota int64, tr wire.Transport) *GASS {
 	}
 	g.svc.Handle(MsgGASSPut, wire.HandlerFunc(g.handlePut))
 	g.svc.Handle(MsgGASSGet, wire.HandlerFunc(g.handleGet))
-	g.svc.Handle(MsgGASSList, wire.HandlerFunc(g.handleList))
 	return g
 }
 
@@ -77,17 +76,6 @@ func (g *GASS) Get(path string) ([]byte, bool) {
 	return append([]byte(nil), data...), true
 }
 
-// Paths returns all stored paths.
-func (g *GASS) Paths() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.files))
-	for p := range g.files {
-		out = append(out, p)
-	}
-	return out
-}
-
 func (g *GASS) handlePut(_ string, req *wire.Packet) (*wire.Packet, error) {
 	d := wire.NewDecoder(req.Payload)
 	path, err := d.String()
@@ -115,16 +103,6 @@ func (g *GASS) handleGet(_ string, req *wire.Packet) (*wire.Packet, error) {
 		e.Grow(5 + len(data))
 		e.PutBool(ok)
 		e.PutBytes(data)
-	})), nil
-}
-
-func (g *GASS) handleList(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	paths := g.Paths()
-	return wire.Reply(MsgGASSList, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(paths)))
-		for _, p := range paths {
-			e.PutString(p)
-		}
 	})), nil
 }
 

@@ -74,7 +74,7 @@ func TestMDSRegisterQueryOverWire(t *testing.T) {
 func TestMDSExpiresStaleRecords(t *testing.T) {
 	m := NewMDS()
 	now := time.Unix(1000, 0)
-	m.Now = func() time.Time { return now }
+	m.svc.Metrics().SetNow(func() time.Time { return now })
 	m.TTL = time.Minute
 	m.Register(Record{Name: "old", Arch: "x", Gatekeeper: "a:1"})
 	now = now.Add(2 * time.Minute)
@@ -172,9 +172,8 @@ func TestGatekeeperSubmitStagesAndLaunches(t *testing.T) {
 	if launched.Load() != 1 {
 		t.Fatal("launcher never ran")
 	}
-	st, msg, err := c.Status(id)
-	if err != nil || st != JobActive || msg != "" {
-		t.Fatalf("status = %v %q %v", st, msg, err)
+	if job, ok := gk.Job(id); !ok || job.Status != JobActive || job.Err != "" {
+		t.Fatalf("job = %+v found=%v", job, ok)
 	}
 }
 
@@ -323,37 +322,6 @@ func TestLightSwitchMaxPerSite(t *testing.T) {
 	launched, err := sw.On()
 	if err != nil || len(launched) != 2 {
 		t.Fatalf("launched = %v, %v", launched, err)
-	}
-}
-
-func TestGASSListOverWire(t *testing.T) {
-	g := startGASS(t, 0)
-	if err := g.Put("b/two", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Put("a/one", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	wc := testClient(t)
-	resp, err := wc.Call(g.Addr(), &wire.Packet{Type: MsgGASSList}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := wire.NewDecoder(resp.Payload)
-	n, err := d.Count(4)
-	if err != nil || n != 2 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < n; i++ {
-		p, err := d.String()
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[p] = true
-	}
-	if !seen["a/one"] || !seen["b/two"] {
-		t.Fatalf("paths = %v", seen)
 	}
 }
 

@@ -131,7 +131,6 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	}
 	svc.Handle(MsgGRAMAuth, wire.HandlerFunc(g.handleAuth))
 	svc.Handle(MsgGRAMSubmit, wire.HandlerFunc(g.handleSubmit))
-	svc.Handle(MsgGRAMStatus, wire.HandlerFunc(g.handleStatus))
 	svc.Handle(MsgGRAMCancel, wire.HandlerFunc(g.handleCancel))
 	return g
 }
@@ -311,20 +310,6 @@ func (g *Gatekeeper) handleSubmit(_ string, req *wire.Packet) (*wire.Packet, err
 	})), nil
 }
 
-func (g *Gatekeeper) handleStatus(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	id, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	job, ok := g.Job(id)
-	return wire.Reply(MsgGRAMStatus, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutBool(ok)
-		e.PutUint8(uint8(job.Status))
-		e.PutString(job.Err)
-	})), nil
-}
-
 func (g *Gatekeeper) handleCancel(_ string, req *wire.Packet) (*wire.Packet, error) {
 	d := wire.NewDecoder(req.Payload)
 	id, err := d.Uint64()
@@ -395,32 +380,6 @@ func (c *GRAMClient) Submit(jr JobRequest) (uint64, JobStatus, error) {
 	}
 	st, err := d.Uint8()
 	return id, JobStatus(st), err
-}
-
-// Status reports a job's state.
-func (c *GRAMClient) Status(id uint64) (JobStatus, string, error) {
-	req := wire.NewRequest(MsgGRAMStatus, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint64(id)
-	}))
-	resp, err := c.wc.Call(c.addr, req, c.timeout)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Release()
-	d := wire.NewDecoder(resp.Payload)
-	ok, err := d.Bool()
-	if err != nil {
-		return 0, "", err
-	}
-	if !ok {
-		return 0, "", fmt.Errorf("globus: no such job %d", id)
-	}
-	st, err := d.Uint8()
-	if err != nil {
-		return 0, "", err
-	}
-	msg, err := d.String()
-	return JobStatus(st), msg, err
 }
 
 // Cancel kills a job.

@@ -32,18 +32,29 @@ const (
 	MsgGASSPut wire.MsgType = 62
 	// MsgGASSGet fetches a file.
 	MsgGASSGet wire.MsgType = 63
-	// MsgGASSList enumerates stored paths.
-	MsgGASSList wire.MsgType = 64
 	// MsgGRAMAuth is the lightweight authenticate-only operation.
 	MsgGRAMAuth wire.MsgType = 65
 	// MsgGRAMSubmit submits a job to a gatekeeper.
 	MsgGRAMSubmit wire.MsgType = 66
-	// MsgGRAMStatus reports a job's status.
-	MsgGRAMStatus wire.MsgType = 67
 	// MsgGRAMCancel kills a job.
 	MsgGRAMCancel wire.MsgType = 68
-	// reserved, do not reuse: 69 (was MsgGRAMList)
 )
+
+// A resent submit would launch a second job. The others are reads and
+// keyed writes that would survive a resend, but the light switch runs no
+// retry policy, so none is marked.
+func init() {
+	wire.Define(MsgMDSRegister, "globus.mds_register", false)
+	wire.Define(MsgMDSQuery, "globus.mds_query", false)
+	wire.Define(MsgGASSPut, "globus.gass_put", false)
+	wire.Define(MsgGASSGet, "globus.gass_get", false)
+	wire.Reserve(64, "globus.gass_list")
+	wire.Define(MsgGRAMAuth, "globus.gram_auth", false)
+	wire.Define(MsgGRAMSubmit, "globus.gram_submit", false)
+	wire.Reserve(67, "globus.gram_status")
+	wire.Define(MsgGRAMCancel, "globus.gram_cancel", false)
+	wire.Reserve(69, "globus.gram_list")
+}
 
 // Record is one MDS resource entry: where a gatekeeper runs, how to
 // contact it, and how many nodes are free on the resource it manages —
@@ -97,10 +108,9 @@ type MDS struct {
 
 	mu      sync.Mutex
 	records map[string]Record
-	// TTL expires stale records on query (default 10 minutes).
+	// TTL expires stale records on query (default 10 minutes), measured
+	// on the clock of the service's metrics registry.
 	TTL time.Duration
-	// Now is injectable for tests.
-	Now func() time.Time
 }
 
 // NewMDS constructs an MDS daemon on TCP; call Start to serve.
@@ -113,7 +123,6 @@ func NewMDSOn(tr wire.Transport) *MDS {
 		svc:     wire.NewService(wire.ServiceConfig{Name: "mds", Transport: tr, Silent: true}),
 		records: make(map[string]Record),
 		TTL:     10 * time.Minute,
-		Now:     time.Now,
 	}
 	m.svc.Handle(MsgMDSRegister, wire.HandlerFunc(m.handleRegister))
 	m.svc.Handle(MsgMDSQuery, wire.HandlerFunc(m.handleQuery))
@@ -132,7 +141,7 @@ func (m *MDS) Close() { m.svc.Close() }
 // Register upserts a record directly (in-process use).
 func (m *MDS) Register(r Record) {
 	if r.UpdatedUnix == 0 {
-		r.UpdatedUnix = m.Now().UnixNano()
+		r.UpdatedUnix = m.svc.Metrics().Now().UnixNano()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -142,7 +151,7 @@ func (m *MDS) Register(r Record) {
 // Query returns live records matching arch ("" matches all), sorted by
 // name.
 func (m *MDS) Query(arch string) []Record {
-	cutoff := m.Now().Add(-m.TTL).UnixNano()
+	cutoff := m.svc.Metrics().Now().Add(-m.TTL).UnixNano()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Record, 0, len(m.records))

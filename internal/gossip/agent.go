@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -18,15 +19,15 @@ import (
 // each message type" requirement of section 2.3.
 type Agent struct {
 	addr string
+	// metrics is the answering server's registry: the clock state
+	// versions are stamped on.
+	metrics *telemetry.Registry
 
 	mu       sync.Mutex
 	store    map[string]Stamped
 	cmp      map[string]Comparator
 	onUpdate map[string]func(Stamped)
 	counter  uint64
-
-	// Now is injectable for simulation and tests.
-	Now func() time.Time
 }
 
 // NewAgent creates an Agent answering on srv; addr is the component's
@@ -34,10 +35,10 @@ type Agent struct {
 func NewAgent(srv *wire.Server, addr string) *Agent {
 	a := &Agent{
 		addr:     addr,
+		metrics:  srv.Metrics(),
 		store:    make(map[string]Stamped),
 		cmp:      make(map[string]Comparator),
 		onUpdate: make(map[string]func(Stamped)),
-		Now:      time.Now,
 	}
 	srv.Register(MsgGetState, wire.HandlerFunc(a.handleGet))
 	srv.Register(MsgPutState, wire.HandlerFunc(a.handlePut))
@@ -71,7 +72,7 @@ func (a *Agent) Set(key string, data []byte) Stamped {
 	s := Stamped{
 		Key:     key,
 		Counter: a.counter,
-		Unix:    a.Now().UnixNano(),
+		Unix:    a.metrics.Now().UnixNano(),
 		Origin:  a.addr,
 		Data:    append([]byte(nil), data...),
 	}
@@ -167,13 +168,4 @@ func (a *Agent) Register(client *wire.Client, gossipAddr, key, comparator string
 	}
 	reg := Registration{Addr: a.addr, Key: key, Comparator: comparator}
 	return client.CallMsg(gossipAddr, MsgRegister, reg, nil, timeout)
-}
-
-// Deregister withdraws this component's registration for key at a single
-// Gossip. Pool-wide removal follows from failure eviction on other
-// members (a deregistered component stops answering polls), but a clean
-// exit avoids the needless retries in the meantime.
-func (a *Agent) Deregister(client *wire.Client, gossipAddr, key string, timeout time.Duration) error {
-	reg := Registration{Addr: a.addr, Key: key}
-	return client.CallMsg(gossipAddr, MsgDeregister, reg, nil, timeout)
 }

@@ -381,27 +381,6 @@ func TestPoolSurvivesGossipDeath(t *testing.T) {
 	}, "state should still synchronize after the responsible Gossip dies")
 }
 
-func TestDeregisterRemovesRegistration(t *testing.T) {
-	g := newTestGossip(t)
-	client := wire.NewClient(time.Second)
-	defer client.Close()
-	c := newTestComponent(t)
-	if err := c.agent.Register(client, g.Addr(), "app/leave", CmpCounter, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, 2*time.Second, func() bool { return len(g.Registrations()) == 1 }, "registered")
-	if err := c.agent.Deregister(client, g.Addr(), "app/leave", time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Registrations()) != 0 {
-		t.Fatalf("registrations after deregister: %v", g.Registrations())
-	}
-	// Deregistering again is a harmless no-op.
-	if err := c.agent.Deregister(client, g.Addr(), "app/leave", time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShareCoalescerMergesPerPeer drives the registration-share
 // coalescer directly (no network): shares buffer per destination peer,
 // merge last-write-wins per (addr, key) preserving arrival order, drain

@@ -19,24 +19,19 @@ const (
 	// MsgShareReg replicates registration tables between Gossips
 	// (payload: []Registration).
 	MsgShareReg wire.MsgType = 23
-	// reserved, do not reuse: 24 (was MsgPoolInfo)
-	// MsgDeregister removes a component's registration cleanly
-	// (payload: Registration).
-	MsgDeregister wire.MsgType = 25
 )
 
-// Every Gossip message is safe under duplicate delivery: registrations and
-// deregistrations are keyed set operations, state pushes carry version
-// counters (stale copies are discarded), and the rest are reads. All may
-// therefore be retransmitted when a call's outcome is ambiguous.
+// Every Gossip message is safe under duplicate delivery: registrations
+// are keyed set operations, state pushes carry version counters (stale
+// copies are discarded), and the rest are reads. All may therefore be
+// retransmitted when a call's outcome is ambiguous.
 func init() {
-	wire.RegisterIdempotent(MsgRegister, MsgGetState, MsgPutState,
-		MsgShareReg, MsgDeregister)
-	wire.RegisterMsgName(MsgRegister, "gossip.register")
-	wire.RegisterMsgName(MsgGetState, "gossip.get_state")
-	wire.RegisterMsgName(MsgPutState, "gossip.put_state")
-	wire.RegisterMsgName(MsgShareReg, "gossip.share_reg")
-	wire.RegisterMsgName(MsgDeregister, "gossip.deregister")
+	wire.Define(MsgRegister, "gossip.register", true)
+	wire.Define(MsgGetState, "gossip.get_state", true)
+	wire.Define(MsgPutState, "gossip.put_state", true)
+	wire.Define(MsgShareReg, "gossip.share_reg", true)
+	wire.Reserve(24, "gossip.pool_info")
+	wire.Reserve(25, "gossip.deregister")
 }
 
 // EncodeWire implements wire.Message: the Stamped encodes in place into a

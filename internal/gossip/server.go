@@ -144,7 +144,6 @@ func NewServer(cfg ServerConfig) *Server {
 		done:     make(chan struct{}),
 	}
 	svc.Handle(MsgRegister, wire.HandlerFunc(s.handleRegister))
-	svc.Handle(MsgDeregister, wire.HandlerFunc(s.handleDeregister))
 	svc.Handle(MsgShareReg, wire.HandlerFunc(s.handleShareReg))
 	return s
 }
@@ -236,20 +235,6 @@ func (s *Server) handleRegister(_ string, req *wire.Packet) (*wire.Packet, error
 	s.enqueueShare(s.member.View(), r)
 	s.out.Kick()
 	return wire.Reply(MsgRegister, nil), nil
-}
-
-func (s *Server) handleDeregister(_ string, req *wire.Packet) (*wire.Packet, error) {
-	r, err := DecodeRegistration(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	k := regKey{addr: r.Addr, key: r.Key}
-	delete(s.regs, k)
-	delete(s.failures, k)
-	s.metrics.Gauge("gossip.registrations").Set(int64(len(s.regs)))
-	s.mu.Unlock()
-	return wire.Reply(MsgDeregister, nil), nil
 }
 
 func (s *Server) handleShareReg(_ string, req *wire.Packet) (*wire.Packet, error) {

@@ -266,12 +266,15 @@ func RunSC98(cfg ScenarioConfig) *Result {
 		JudgingAt: judgingOffset,
 	}, rootRNG)
 
-	// The real scheduling policy object, run on virtual time.
+	// The real scheduling policy object, run on virtual time: its
+	// registry's clock is the scheduler's clock.
+	reg := telemetry.NewRegistry()
+	reg.SetNow(s.eng.Now)
 	s.sch = sched.NewServer(sched.ServerConfig{
 		N: 17, K: 4,
 		StaleAfter:    20 * time.Minute,
 		MedianRefresh: time.Minute,
-		Now:           s.eng.Now,
+		Metrics:       reg,
 		Tracer:        cfg.Tracer,
 	})
 	s.state = ramsey.NewColoring(17).Encode()

@@ -28,8 +28,13 @@ import (
 const (
 	// MsgInvoke invokes object.method(args) through the translator.
 	MsgInvoke wire.MsgType = 80
-	// reserved, do not reuse: 81 (was MsgStats)
 )
+
+// An invocation runs an arbitrary object method, so it is not idempotent.
+func init() {
+	wire.Define(MsgInvoke, "legion.invoke", false)
+	wire.Reserve(81, "legion.stats")
+}
 
 // Method is one invocable object method. Args and results are opaque
 // byte strings; encoding is method-specific (typically the lingua franca

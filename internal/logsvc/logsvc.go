@@ -28,17 +28,14 @@ import (
 const (
 	// MsgAppend appends one entry (payload: Entry).
 	MsgAppend wire.MsgType = 40
-	// MsgTail returns the most recent n entries (payload: n uint32).
-	MsgTail wire.MsgType = 41
-	// reserved, do not reuse: 42 (was MsgStats)
 )
 
-// Tail is a read. MsgAppend is not registered: a retransmit would
-// duplicate the log entry (appends are best-effort anyway).
+// MsgAppend is not idempotent: a retransmit would duplicate the log
+// entry (appends are best-effort anyway).
 func init() {
-	wire.RegisterIdempotent(MsgTail)
-	wire.RegisterMsgName(MsgAppend, "log.append")
-	wire.RegisterMsgName(MsgTail, "log.tail")
+	wire.Define(MsgAppend, "log.append", false)
+	wire.Reserve(41, "log.tail")
+	wire.Reserve(42, "log.stats")
 }
 
 // Entry is one log record.
@@ -72,10 +69,7 @@ func EncodeEntry(en Entry) []byte {
 
 // DecodeEntry parses one entry.
 func DecodeEntry(p []byte) (Entry, error) {
-	return decodeEntryFrom(wire.NewDecoder(p))
-}
-
-func decodeEntryFrom(d *wire.Decoder) (Entry, error) {
+	d := wire.NewDecoder(p)
 	var en Entry
 	var err error
 	if en.Unix, err = d.Int64(); err != nil {
@@ -175,7 +169,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.fileBytes = st.Size()
 	}
 	svc.Handle(MsgAppend, wire.HandlerFunc(s.handleAppend))
-	svc.Handle(MsgTail, wire.HandlerFunc(s.handleTail))
 	svc.Handle(dtrace.MsgTraceExport, wire.HandlerFunc(s.handleTraceExport))
 	svc.Handle(dtrace.MsgTraceFetch, wire.HandlerFunc(s.handleTraceFetch))
 	return s, nil
@@ -347,21 +340,6 @@ func (s *Server) handleAppend(_ string, req *wire.Packet) (*wire.Packet, error) 
 	return wire.Reply(MsgAppend, nil), nil
 }
 
-func (s *Server) handleTail(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	entries := s.Tail(int(n))
-	return wire.Reply(MsgTail, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(entries)))
-		for _, en := range entries {
-			en.EncodeWire(e)
-		}
-	})), nil
-}
-
 func (s *Server) handleTraceExport(_ string, req *wire.Packet) (*wire.Packet, error) {
 	spans, err := dtrace.DecodeSpans(req.Payload)
 	if err != nil {
@@ -385,54 +363,27 @@ func (s *Server) handleTraceFetch(_ string, req *wire.Packet) (*wire.Packet, err
 	return wire.Reply(dtrace.MsgTraceFetch, dtrace.SpanList(spans)), nil
 }
 
-// Client reports log entries to a logging server.
+// Client reports log entries to a logging server, stamping them on the
+// clock of wc's metrics registry.
 type Client struct {
 	wc      *wire.Client
 	addr    string
 	source  string
 	timeout time.Duration
-	// Now is injectable for simulation.
-	Now func() time.Time
 }
 
 // NewClient returns a logging client reporting as source.
 func NewClient(wc *wire.Client, addr, source string, timeout time.Duration) *Client {
-	return &Client{wc: wc, addr: addr, source: source, timeout: timeout, Now: time.Now}
+	return &Client{wc: wc, addr: addr, source: source, timeout: timeout}
 }
 
 // Log appends one entry.
 func (c *Client) Log(level, format string, args ...any) error {
 	en := Entry{
-		Unix:   c.Now().UnixNano(),
+		Unix:   c.wc.Metrics.Now().UnixNano(),
 		Source: c.source,
 		Level:  level,
 		Line:   fmt.Sprintf(format, args...),
 	}
 	return c.wc.CallMsg(c.addr, MsgAppend, en, nil, c.timeout)
-}
-
-// Tail fetches the most recent n entries from the server.
-func (c *Client) Tail(n int) ([]Entry, error) {
-	req := wire.NewRequest(MsgTail, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(n))
-	}))
-	resp, err := c.wc.Call(c.addr, req, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Release()
-	d := wire.NewDecoder(resp.Payload)
-	cnt, err := d.Count(20)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Entry, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		en, err := decodeEntryFrom(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, en)
-	}
-	return out, nil
 }

@@ -29,18 +29,15 @@ const (
 	MsgReport wire.MsgType = 90
 	// MsgForecast returns the best current forecast for a series.
 	MsgForecast wire.MsgType = 91
-	// MsgSeries returns the most recent raw measurements of a series.
-	MsgSeries wire.MsgType = 92
-	// reserved, do not reuse: 93 (was MsgKeys)
 )
 
-// Forecast and series are reads. MsgReport appends a measurement to a
-// series, so a retransmit would skew the forecasters — not registered.
+// Forecast is a read. MsgReport appends a measurement to a series, so a
+// retransmit would skew the forecasters — not idempotent.
 func init() {
-	wire.RegisterIdempotent(MsgForecast, MsgSeries)
-	wire.RegisterMsgName(MsgReport, "nws.report")
-	wire.RegisterMsgName(MsgForecast, "nws.forecast")
-	wire.RegisterMsgName(MsgSeries, "nws.series")
+	wire.Define(MsgReport, "nws.report", false)
+	wire.Define(MsgForecast, "nws.forecast", true)
+	wire.Reserve(92, "nws.series")
+	wire.Reserve(93, "nws.keys")
 }
 
 // Memory is the NWS measurement memory and forecaster daemon. It keeps a
@@ -71,7 +68,6 @@ func NewMemoryOn(tr wire.Transport) *Memory {
 	m.metrics = m.svc.Metrics()
 	m.svc.Handle(MsgReport, wire.HandlerFunc(m.handleReport))
 	m.svc.Handle(MsgForecast, wire.HandlerFunc(m.handleForecast))
-	m.svc.Handle(MsgSeries, wire.HandlerFunc(m.handleSeries))
 	return m
 }
 
@@ -171,26 +167,6 @@ func (m *Memory) handleForecast(_ string, req *wire.Packet) (*wire.Packet, error
 	})), nil
 }
 
-func (m *Memory) handleSeries(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	key, err := decodeKey(d)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	vs := m.Series(key, int(n))
-	return wire.Reply(MsgSeries, wire.MessageFunc(func(e *wire.Encoder) {
-		e.Grow(4 + 8*len(vs))
-		e.PutUint32(uint32(len(vs)))
-		for _, v := range vs {
-			e.PutFloat64(v)
-		}
-	})), nil
-}
-
 // Client provides typed access to a remote Memory.
 type Client struct {
 	wc      *wire.Client
@@ -257,31 +233,4 @@ func (c *Client) Forecast(key forecast.Key) (forecast.Forecast, bool, error) {
 	}
 	f.Samples = int(n)
 	return f, ok, nil
-}
-
-// Series fetches up to n recent raw measurements for key.
-func (c *Client) Series(key forecast.Key, n int) ([]float64, error) {
-	req := wire.NewRequest(MsgSeries, wire.MessageFunc(func(e *wire.Encoder) {
-		encodeKey(e, key)
-		e.PutUint32(uint32(n))
-	}))
-	resp, err := c.wc.Call(c.addr, req, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Release()
-	d := wire.NewDecoder(resp.Payload)
-	cnt, err := d.Count(8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		v, err := d.Float64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -60,20 +60,14 @@ func TestSeriesRetrievalAndBounding(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Report(key, float64(i))
 	}
-	wc := wire.NewClient(time.Second)
-	defer wc.Close()
-	c := NewClient(wc, m.Addr(), time.Second)
-	vs, err := c.Series(key, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vs := m.Series(key, 100)
 	if len(vs) != 8 {
 		t.Fatalf("raw series = %d values, want 8 (KeepRaw)", len(vs))
 	}
 	if vs[0] != 12 || vs[7] != 19 {
 		t.Fatalf("series = %v", vs)
 	}
-	vs, _ = c.Series(key, 3)
+	vs = m.Series(key, 3)
 	if len(vs) != 3 || vs[2] != 19 {
 		t.Fatalf("tail = %v", vs)
 	}

@@ -19,9 +19,8 @@ const (
 )
 
 func init() {
-	wire.RegisterMsgName(MsgObsAlerts, "obs.alerts")
-	wire.RegisterMsgName(MsgObsQuery, "obs.query")
-	wire.RegisterIdempotent(MsgObsAlerts, MsgObsQuery)
+	wire.Define(MsgObsAlerts, "obs.alerts", true)
+	wire.Define(MsgObsQuery, "obs.query", true)
 }
 
 const alertsVersion = 1

@@ -20,7 +20,8 @@ type Config struct {
 	Name string
 	// ListenAddr binds the introspection endpoint (default ":0").
 	ListenAddr string
-	// Transport, Dialer, Metrics, Silent follow wire.ServiceConfig.
+	// Transport, Dialer, Metrics, Silent follow wire.ServiceConfig. The
+	// registry's clock is the observatory's: alert timestamps come from it.
 	Transport wire.Transport
 	Dialer    wire.DialFunc
 	Metrics   *telemetry.Registry
@@ -47,10 +48,6 @@ type Config struct {
 	// PStates, when set, persists the alert table to this replica set on
 	// every transition, and restores it at Start.
 	PStates []string
-
-	// Now is the observatory's clock (default time.Now); alert
-	// timestamps come from it.
-	Now func() time.Time
 }
 
 // Server is the observatory daemon: scrape loop, series store, rule
@@ -88,9 +85,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	s := &Server{
 		cfg:  cfg,
@@ -180,7 +174,7 @@ func (s *Server) Tick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scrape()
-	fired, cleared := s.eng.Eval(s.set, s.cfg.Now().UnixNano())
+	fired, cleared := s.eng.Eval(s.set, s.svc.Metrics().Now().UnixNano())
 	s.raised.Add(int64(fired))
 	s.clearedC.Add(int64(cleared))
 	s.firing.Set(int64(s.eng.Firing("")))

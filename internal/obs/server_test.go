@@ -217,13 +217,16 @@ func BenchmarkScrapeRound(b *testing.B) {
 	}
 }
 
+const msgEcho wire.MsgType = 99
+
+func init() { wire.Define(msgEcho, "test.echo", false) }
+
 // benchRoundTrips measures echo round trips against a busy daemon,
 // optionally with an observatory scraping it at an aggressive 2ms
 // period — the scrape-overhead experiment (E17). The reported delta is
 // the acceptance criterion: concurrent scraping must cost round-trip
 // latency low single digits percent.
 func benchRoundTrips(b *testing.B, scraped bool) {
-	const msgEcho wire.MsgType = 99
 	svc := wire.NewService(wire.ServiceConfig{Name: "victim", ListenAddr: "127.0.0.1:0", Silent: true})
 	svc.Handle(msgEcho, wire.HandlerFunc(func(_ string, req *wire.Packet) (*wire.Packet, error) {
 		return wire.Reply(msgEcho, wire.RawMessage(req.Payload)), nil

@@ -19,7 +19,10 @@ func BenchmarkStoreFetchOverWire(b *testing.B) {
 	defer s.Close()
 	wc := wire.NewClient(time.Second)
 	defer wc.Close()
-	c := NewClient(wc, s.Addr(), time.Second)
+	c, err := NewReplicaSet(wc, ReplicaSetConfig{Addrs: []string{s.Addr()}, Timeout: time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
 	data := make([]byte, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,9 +38,8 @@ const EpochClass = "pstate/epoch"
 // An advance carries its epoch, so retransmitting it is a no-op on a
 // replica that already applied it; get is a read.
 func init() {
-	wire.RegisterIdempotent(MsgEpochAdvance, MsgEpochGet)
-	wire.RegisterMsgName(MsgEpochAdvance, "pstate.epoch_advance")
-	wire.RegisterMsgName(MsgEpochGet, "pstate.epoch_get")
+	wire.Define(MsgEpochAdvance, "pstate.epoch_advance", true)
+	wire.Define(MsgEpochGet, "pstate.epoch_get", true)
 }
 
 // EpochState is one replica's view of a named epoch register.

@@ -28,11 +28,16 @@ func newTestServer(t *testing.T, maxBytes int64) *Server {
 	return s
 }
 
-func newTestClient(t *testing.T, addr string) *Client {
+// newTestClient is the smallest client there is: a replica set of one.
+func newTestClient(t *testing.T, addr string) *ReplicaSet {
 	t.Helper()
 	wc := wire.NewClient(time.Second)
 	t.Cleanup(wc.Close)
-	return NewClient(wc, addr, time.Second)
+	rs, err := NewReplicaSet(wc, ReplicaSetConfig{Addrs: []string{addr}, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
 }
 
 func TestStoreFetchRoundTrip(t *testing.T) {
@@ -93,6 +98,10 @@ func TestListAndDelete(t *testing.T) {
 	if strings.Join(names, ",") != "a,c" {
 		t.Fatalf("names after delete = %v", names)
 	}
+	// The replica's own view agrees: sorted, the tombstone filtered out.
+	if got := strings.Join(s.Names(), ","); got != "a,c" {
+		t.Fatalf("server names after delete = %s", got)
+	}
 	if err := c.Delete("nonexistent"); err != nil {
 		t.Fatal("deleting a missing object must be a no-op")
 	}
@@ -113,9 +122,8 @@ func TestQuotaEnforced(t *testing.T) {
 	if _, err := c.Store("small", "", []byte("1234567890")); err != nil {
 		t.Fatalf("replace within quota failed: %v", err)
 	}
-	used, quota, err := c.Usage()
-	if err != nil || used != 10 || quota != 10 {
-		t.Fatalf("usage = %d/%d err=%v", used, quota, err)
+	if used, quota := s.Usage(); used != 10 || quota != 10 {
+		t.Fatalf("usage = %d/%d", used, quota)
 	}
 }
 

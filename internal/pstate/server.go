@@ -19,20 +19,9 @@ import (
 )
 
 // Lingua franca message types for the persistent state service
-// (range 30-39).
+// (range 30-39). Every client speaks the replication plane: ReplicaSet
+// assigns versions and fans out, over one replica or many.
 const (
-	// MsgStore stores an object (payload: name, class, data; response:
-	// new version).
-	MsgStore wire.MsgType = 30
-	// MsgFetch retrieves an object by name (payload: name; response:
-	// found, Object).
-	MsgFetch wire.MsgType = 31
-	// MsgList enumerates object names (response: sorted names).
-	MsgList wire.MsgType = 32
-	// MsgDelete removes an object by name.
-	MsgDelete wire.MsgType = 33
-	// MsgUsage reports bytes stored and the quota.
-	MsgUsage wire.MsgType = 34
 	// MsgStoreAt is the replication-plane write: an object with an explicit
 	// version (and possibly a tombstone), applied only if it supersedes the
 	// replica's current copy. Quorum writes, read-repair, and anti-entropy
@@ -42,9 +31,9 @@ const (
 	// MsgDigest returns the replica's per-key digest — name, version,
 	// payload CRC, tombstone flag — the currency of anti-entropy rounds.
 	MsgDigest wire.MsgType = 36
-	// MsgPull is the replication-plane read: unlike MsgFetch it returns
-	// tombstones too, so a repairing peer can learn about deletions
-	// (payload: name; response: found, Object).
+	// MsgPull is the replication-plane read: it returns tombstones too, so
+	// a repairing peer can learn about deletions (payload: name; response:
+	// found, Object).
 	MsgPull wire.MsgType = 37
 	// MsgSyncNow forces one anti-entropy round — the control plane's
 	// backfill trigger when a promoted standby joins the quorum
@@ -56,27 +45,22 @@ const (
 	MsgSetPeers wire.MsgType = 39
 )
 
-// Fetch/list/usage are reads and delete is a keyed removal — all safe to
-// retransmit. The replication plane is idempotent by construction: a
-// MsgStoreAt carries its version, so re-applying it is a no-op, and
-// digest/pull are reads. MsgStore is deliberately NOT registered: every
-// store bumps the object version, so a blind resend after an ambiguous
-// outcome would double-apply; callers must decide (see Client.Store).
-// MsgSyncNow is a repair trigger (running it twice just converges twice)
-// and MsgSetPeers installs an absolute list, so both retransmit safely.
+// The replication plane is idempotent by construction: a MsgStoreAt
+// carries its version, so re-applying it is a no-op, and digest/pull are
+// reads. MsgSyncNow is a repair trigger (running it twice just converges
+// twice) and MsgSetPeers installs an absolute list, so both retransmit
+// safely.
 func init() {
-	wire.RegisterIdempotent(MsgFetch, MsgList, MsgUsage, MsgDelete,
-		MsgStoreAt, MsgDigest, MsgPull, MsgSyncNow, MsgSetPeers)
-	wire.RegisterMsgName(MsgStore, "pstate.store")
-	wire.RegisterMsgName(MsgFetch, "pstate.fetch")
-	wire.RegisterMsgName(MsgList, "pstate.list")
-	wire.RegisterMsgName(MsgDelete, "pstate.delete")
-	wire.RegisterMsgName(MsgUsage, "pstate.usage")
-	wire.RegisterMsgName(MsgStoreAt, "pstate.store_at")
-	wire.RegisterMsgName(MsgDigest, "pstate.digest")
-	wire.RegisterMsgName(MsgPull, "pstate.pull")
-	wire.RegisterMsgName(MsgSyncNow, "pstate.sync_now")
-	wire.RegisterMsgName(MsgSetPeers, "pstate.set_peers")
+	wire.Reserve(30, "pstate.store")
+	wire.Reserve(31, "pstate.fetch")
+	wire.Reserve(32, "pstate.list")
+	wire.Reserve(33, "pstate.delete")
+	wire.Reserve(34, "pstate.usage")
+	wire.Define(MsgStoreAt, "pstate.store_at", true)
+	wire.Define(MsgDigest, "pstate.digest", true)
+	wire.Define(MsgPull, "pstate.pull", true)
+	wire.Define(MsgSyncNow, "pstate.sync_now", true)
+	wire.Define(MsgSetPeers, "pstate.set_peers", true)
 }
 
 // CrashSite names a point inside Server.persist where the fault harness can
@@ -217,11 +201,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := s.load(); err != nil {
 		return nil, err
 	}
-	svc.Handle(MsgStore, wire.HandlerFunc(s.handleStore))
-	svc.Handle(MsgFetch, wire.HandlerFunc(s.handleFetch))
-	svc.Handle(MsgList, wire.HandlerFunc(s.handleList))
-	svc.Handle(MsgDelete, wire.HandlerFunc(s.handleDelete))
-	svc.Handle(MsgUsage, wire.HandlerFunc(s.handleUsage))
 	svc.Handle(MsgStoreAt, wire.HandlerFunc(s.handleStoreAt))
 	svc.Handle(MsgDigest, wire.HandlerFunc(s.handleDigest))
 	svc.Handle(MsgPull, wire.HandlerFunc(s.handlePull))
@@ -684,79 +663,6 @@ func (s *Server) Usage() (int64, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used, s.cfg.MaxBytes
-}
-
-func (s *Server) handleStore(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	class, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	data, err := d.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	ver, err := s.Store(name, class, data)
-	if err != nil {
-		return nil, err
-	}
-	return wire.Reply(MsgStore, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint64(ver)
-	})), nil
-}
-
-func (s *Server) handleFetch(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	o := s.Fetch(name)
-	return wire.Reply(MsgFetch, wire.MessageFunc(func(e *wire.Encoder) {
-		if o == nil {
-			e.PutBool(false)
-			return
-		}
-		e.PutBool(true)
-		e.PutString(o.Name)
-		e.PutString(o.Class)
-		e.PutUint64(o.Version)
-		e.PutBytes(o.Data)
-	})), nil
-}
-
-func (s *Server) handleList(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	names := s.Names()
-	return wire.Reply(MsgList, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutUint32(uint32(len(names)))
-		for _, n := range names {
-			e.PutString(n)
-		}
-	})), nil
-}
-
-func (s *Server) handleDelete(_ string, req *wire.Packet) (*wire.Packet, error) {
-	d := wire.NewDecoder(req.Payload)
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Delete(name); err != nil {
-		return nil, err
-	}
-	return wire.Reply(MsgDelete, nil), nil
-}
-
-func (s *Server) handleUsage(_ string, _ *wire.Packet) (*wire.Packet, error) {
-	used, quota := s.Usage()
-	return wire.Reply(MsgUsage, wire.MessageFunc(func(e *wire.Encoder) {
-		e.PutInt64(used)
-		e.PutInt64(quota)
-	})), nil
 }
 
 // putObject encodes an object for the replication plane: name, class,

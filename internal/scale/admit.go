@@ -42,9 +42,9 @@ type AdmitterConfig struct {
 	// below half of which PriNorm is shed, keeping headroom for PriHigh.
 	// Defaults to 0.2.
 	LowReserve float64
-	// Now overrides the clock (virtual time under simulation).
-	Now func() time.Time
-	// Metrics records scale.admit.* / scale.shed.* counters. Nil discards.
+	// Metrics records scale.admit.* / scale.shed.* counters and is the
+	// clock the bucket refills on (virtual time under simulation). Nil
+	// discards the counts and reads real time.
 	Metrics *telemetry.Registry
 }
 
@@ -66,9 +66,6 @@ type Admitter struct {
 
 // NewAdmitter builds an admitter. Rate <= 0 admits everything.
 func NewAdmitter(cfg AdmitterConfig) *Admitter {
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.Rate
 	}
@@ -78,7 +75,7 @@ func NewAdmitter(cfg AdmitterConfig) *Admitter {
 	if cfg.LowReserve <= 0 {
 		cfg.LowReserve = 0.2
 	}
-	a := &Admitter{cfg: cfg, tokens: cfg.Burst, last: cfg.Now()}
+	a := &Admitter{cfg: cfg, tokens: cfg.Burst, last: cfg.Metrics.Now()}
 	a.admitted = cfg.Metrics.Counter("scale.admit.ok")
 	a.shed[PriLow] = cfg.Metrics.Counter("scale.shed.low")
 	a.shed[PriNorm] = cfg.Metrics.Counter("scale.shed.norm")
@@ -150,7 +147,7 @@ func (a *Admitter) floorFor(pri Priority) float64 {
 }
 
 func (a *Admitter) refillLocked() {
-	now := a.cfg.Now()
+	now := a.cfg.Metrics.Now()
 	if el := now.Sub(a.last).Seconds(); el > 0 {
 		a.tokens += el * a.cfg.Rate
 		if a.tokens > a.cfg.Burst {

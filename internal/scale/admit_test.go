@@ -17,7 +17,8 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func TestAdmitterShedsLowFirst(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	m := telemetry.NewRegistry()
-	a := NewAdmitter(AdmitterConfig{Rate: 10, Burst: 10, LowReserve: 0.2, Now: clk.now, Metrics: m})
+	m.SetNow(clk.now)
+	a := NewAdmitter(AdmitterConfig{Rate: 10, Burst: 10, LowReserve: 0.2, Metrics: m})
 
 	// Drain below the low-priority floor (0.2*10 = 2 tokens).
 	for i := 0; i < 9; i++ {
@@ -58,7 +59,9 @@ func TestAdmitterShedsLowFirst(t *testing.T) {
 
 func TestAdmitterBatchPrefix(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	a := NewAdmitter(AdmitterConfig{Rate: 100, Burst: 5, Now: clk.now})
+	m := telemetry.NewRegistry()
+	m.SetNow(clk.now)
+	a := NewAdmitter(AdmitterConfig{Rate: 100, Burst: 5, Metrics: m})
 	if got := a.AdmitN(PriHigh, 3); got != 3 {
 		t.Fatalf("AdmitN under burst = %d, want 3", got)
 	}

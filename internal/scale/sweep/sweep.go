@@ -213,6 +213,7 @@ func Run(cfg Config) Result {
 	runtime.ReadMemStats(&msBefore)
 
 	eng := simgrid.NewEngine(time.Unix(0, 0).UTC())
+	cfg.Metrics.SetNow(eng.Now)
 
 	shards := make([]*shard, cfg.Shards)
 	names := make([]string, cfg.Shards)
@@ -228,7 +229,6 @@ func Run(cfg Config) Result {
 			shards[i].admit = scale.NewAdmitter(scale.AdmitterConfig{
 				Rate:    cfg.AdmitRate,
 				Burst:   cfg.AdmitBurst,
-				Now:     eng.Now,
 				Metrics: cfg.Metrics,
 			})
 		}

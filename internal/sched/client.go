@@ -46,9 +46,11 @@ type RunnerConfig struct {
 	// (default 10s). A roster update via SetSchedulers clears the marks —
 	// the rejoin path when scheduler birth/death circulates over Gossip.
 	SchedulerCooldown time.Duration
-	// RingFailover is how many distinct shards (owner included) a report
-	// routed over the scheduler ring (see SetRing) tries before falling
-	// back to the static list (default 3).
+	// RingFailover is how many distinct shards (owner first) make up a
+	// report's whole candidate list once a scheduler ring is installed
+	// (see SetRing; default 3). When all of them fail the report fails:
+	// the Gossip roster and the static list are consulted only while no
+	// ring is installed.
 	RingFailover int
 	// Metrics, if set, records report outcomes, scheduler fail-overs, and
 	// health-tracker transitions. Nil discards.

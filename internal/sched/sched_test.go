@@ -12,6 +12,7 @@ import (
 	"everyware/internal/dtrace"
 	"everyware/internal/logsvc"
 	"everyware/internal/ramsey"
+	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -177,7 +178,9 @@ func TestSchedulerMigratesSlowClientWork(t *testing.T) {
 
 func TestSchedulerExpiresStaleClients(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := NewServer(ServerConfig{N: 9, K: 3, StaleAfter: 10 * time.Second, Now: func() time.Time { return now }})
+	reg := telemetry.NewRegistry()
+	reg.SetNow(func() time.Time { return now })
+	s := NewServer(ServerConfig{N: 9, K: 3, StaleAfter: 10 * time.Second, Metrics: reg})
 	s.Handle(Report{ClientID: "c1"})
 	s.Handle(Report{ClientID: "c2"})
 	_, _, clients := s.Stats()

@@ -64,11 +64,9 @@ type ServerConfig struct {
 	AdmitRate float64
 	// AdmitBurst is the admission token bucket depth (default AdmitRate).
 	AdmitBurst float64
-	// Now is injectable for simulation.
-	Now func() time.Time
 	// Metrics, if set, is the daemon's shared telemetry registry (a fresh
-	// one is created otherwise). Its clock follows Now, so simulated runs
-	// report virtual-time metrics.
+	// one is created otherwise). Its clock is the scheduler's clock: a
+	// simulated run hands in a registry on virtual time (SetNow).
 	Metrics *telemetry.Registry
 	// Tracer, if set, records causal trace spans: every report handled
 	// under a trace context yields a sched.decision span with the
@@ -100,9 +98,6 @@ func (c *ServerConfig) fill() {
 	}
 	if c.MedianRefresh == 0 {
 		c.MedianRefresh = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 }
 
@@ -172,14 +167,10 @@ func NewServer(cfg ServerConfig) *Server {
 		forecasts: forecast.NewRegistry(),
 		clients:   make(map[string]*clientRecord),
 	}
-	// The injected scheduler clock is also the metrics clock: simulated
-	// runs (internal/simgrid) report spans and uptime in virtual time.
-	s.metrics.SetNow(s.cfg.Now)
 	if cfg.AdmitRate > 0 {
 		s.admit = scale.NewAdmitter(scale.AdmitterConfig{
 			Rate:    cfg.AdmitRate,
 			Burst:   cfg.AdmitBurst,
-			Now:     s.cfg.Now,
 			Metrics: s.metrics,
 		})
 	}
@@ -323,7 +314,7 @@ func infraLabel(infra string) string {
 }
 
 func (s *Server) handle(tc wire.TraceContext, r Report) Directive {
-	now := s.cfg.Now()
+	now := s.metrics.Now()
 	// Record the client's measured computational rate for forecasting.
 	rate := 0.0
 	if r.ElapsedSec > 0 {
@@ -438,7 +429,7 @@ func (s *Server) takeWorkLocked(clientID string) WorkUnit {
 // medianForecastLocked returns the pool's median forecast rate, cached
 // for MedianRefresh.
 func (s *Server) medianForecastLocked() float64 {
-	now := s.cfg.Now()
+	now := s.metrics.Now()
 	if !s.medianValidAt.IsZero() && now.Sub(s.medianValidAt) < s.cfg.MedianRefresh {
 		return s.medianCache
 	}
@@ -505,7 +496,7 @@ func (s *Server) forwardPerf(tc wire.TraceContext, r Report, rate float64) {
 		return
 	}
 	en := logsvc.Entry{
-		Unix:   s.cfg.Now().UnixNano(),
+		Unix:   s.metrics.Now().UnixNano(),
 		Source: r.ClientID,
 		Level:  "perf",
 		Line:   perfLine(r, rate),

@@ -23,15 +23,15 @@ const (
 	// MsgReport carries a client progress report; the response is a
 	// Directive.
 	MsgReport wire.MsgType = 50
-	// reserved, do not reuse: 51 (was MsgStats), 52 (was MsgReportBatch)
 )
 
 // Reports are last-write-wins per client (the scheduler keeps only the
 // latest record and re-issues a directive), so they survive duplicate
 // delivery and may be retransmitted on ambiguity.
 func init() {
-	wire.RegisterIdempotent(MsgReport)
-	wire.RegisterMsgName(MsgReport, "sched.report")
+	wire.Define(MsgReport, "sched.report", true)
+	wire.Reserve(51, "sched.stats")
+	wire.Reserve(52, "sched.report_batch")
 }
 
 // WorkUnit describes one unit of Ramsey search work.

@@ -59,9 +59,6 @@ func BenchmarkPacketWriteRead(b *testing.B) {
 	}
 }
 
-// benchEchoMsg is the message type of the benchmark echo service.
-const benchEchoMsg MsgType = 200
-
 // newEchoService stands up an echo Service on the given transport and
 // returns its address plus a connected client. The handler echoes on the
 // pooled path: the reply encodes the request payload straight into a

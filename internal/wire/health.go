@@ -18,11 +18,11 @@ type HealthTracker struct {
 	mu    sync.Mutex
 	max   int
 	cool  time.Duration
-	now   func() time.Time
 	state map[string]*healthState
-	// Metrics, when set, counts state transitions:
-	// wire.health.dead_marked, wire.health.recovered, wire.health.reset.
-	// Nil discards. Set before concurrent use.
+	// Metrics, when set, counts state transitions
+	// (wire.health.dead_marked, wire.health.recovered, wire.health.reset)
+	// and is the clock cooldowns run on. Nil discards the counts and
+	// reads real time. Set before concurrent use.
 	Metrics *telemetry.Registry
 }
 
@@ -43,16 +43,8 @@ func NewHealthTracker(maxFailures int, cooldown time.Duration) *HealthTracker {
 	return &HealthTracker{
 		max:   maxFailures,
 		cool:  cooldown,
-		now:   time.Now,
 		state: make(map[string]*healthState),
 	}
-}
-
-// SetNow injects a clock for tests and simulation.
-func (h *HealthTracker) SetNow(now func() time.Time) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.now = now
 }
 
 // Failure records one failed call to addr. It returns true if the address
@@ -70,7 +62,7 @@ func (h *HealthTracker) Failure(addr string) bool {
 		if st.consecutive == h.max {
 			h.Metrics.Counter("wire.health.dead_marked").Inc()
 		}
-		st.deadUntil = h.now().Add(h.cool)
+		st.deadUntil = h.Metrics.Now().Add(h.cool)
 		return true
 	}
 	return false
@@ -100,7 +92,7 @@ func (h *HealthTracker) Alive(addr string) bool {
 	if st == nil {
 		return true
 	}
-	return !h.now().Before(st.deadUntil)
+	return !h.Metrics.Now().Before(st.deadUntil)
 }
 
 // Failures returns the current consecutive failure count for addr.

@@ -16,7 +16,8 @@ func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 func newTrackedClock(max int, cool time.Duration) (*HealthTracker, *fakeClock) {
 	h := NewHealthTracker(max, cool)
 	fc := &fakeClock{t: time.Date(1998, 11, 7, 0, 0, 0, 0, time.UTC)}
-	h.SetNow(fc.now)
+	h.Metrics = telemetry.NewRegistry()
+	h.Metrics.SetNow(fc.now)
 	return h, fc
 }
 
@@ -113,8 +114,7 @@ func TestHealthReset(t *testing.T) {
 
 func TestHealthMetrics(t *testing.T) {
 	h, fc := newTrackedClock(2, 30*time.Second)
-	reg := telemetry.NewRegistry()
-	h.Metrics = reg
+	reg := h.Metrics
 	h.Failure("a:1")
 	h.Failure("a:1") // dead-marked here
 	h.Failure("a:1") // still dead; must not double-count

@@ -16,11 +16,6 @@ const (
 	MsgTelemetry MsgType = 110
 )
 
-func init() {
-	// A snapshot read has no remote side effects; re-asking is always safe.
-	RegisterIdempotent(MsgTelemetry)
-}
-
 // snapshotVersion guards the snapshot encoding against future layout
 // changes.
 const snapshotVersion = 1

@@ -12,7 +12,6 @@ import (
 // dropped and released by the demultiplexer — never delivered to a later
 // call on the same connection — and the drop must be counted.
 func TestLateReplyAfterTimeout(t *testing.T) {
-	const msgGate MsgType = 201
 	release := make(chan struct{})
 	svc := NewService(ServiceConfig{ListenAddr: "127.0.0.1:0", Transport: NewMemTransport(), Silent: true})
 	svc.Handle(msgGate, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"everyware/internal/forecast"
@@ -38,38 +37,6 @@ func (e *AmbiguousError) Error() string {
 
 // Unwrap exposes the underlying transport error.
 func (e *AmbiguousError) Unwrap() error { return e.Err }
-
-// Idempotency registry. Message types registered here are safe to
-// retransmit when a response was never observed: re-executing the request
-// yields the same remote state (reads, pings, registrations, level-
-// triggered state pushes). Side-effecting types — a persistent state
-// store bumps a version counter on every execution — must stay
-// unregistered so the retry machinery never blindly duplicates them.
-var (
-	idemMu     sync.RWMutex
-	idempotent = map[MsgType]bool{
-		MsgPing: true,
-		MsgPong: true,
-	}
-)
-
-// RegisterIdempotent marks message types as safe to retransmit. Service
-// packages register their read-only and level-triggered types from init.
-func RegisterIdempotent(types ...MsgType) {
-	idemMu.Lock()
-	defer idemMu.Unlock()
-	for _, t := range types {
-		idempotent[t] = true
-	}
-}
-
-// IsIdempotent reports whether t has been registered as safe to
-// retransmit.
-func IsIdempotent(t MsgType) bool {
-	idemMu.RLock()
-	defer idemMu.RUnlock()
-	return idempotent[t]
-}
 
 // RetryPolicy governs Client.Call retransmission: bounded attempts with
 // exponential back-off. When Timeouts is set, the back-off base is derived

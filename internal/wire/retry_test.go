@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"everyware/internal/forecast"
-	"everyware/internal/telemetry"
 )
 
 // flakyServer is a raw packet endpoint that fails the first N requests
@@ -24,9 +22,6 @@ type flakyServer struct {
 	mode    string
 	handled atomic.Int64
 }
-
-const msgFlaky MsgType = 240
-const msgFlakySideEffect MsgType = 241
 
 func newFlakyServer(t *testing.T, failures int64, mode string) (*flakyServer, string) {
 	t.Helper()
@@ -70,8 +65,6 @@ func (f *flakyServer) serveConn(nc net.Conn) {
 		}
 	}
 }
-
-func init() { RegisterIdempotent(msgFlaky) }
 
 // TestConcurrentCallsShareConn is the regression test for the reply-theft
 // bug: goroutines calling through one cached connection must each receive
@@ -218,51 +211,6 @@ func TestBackoffForecastDriven(t *testing.T) {
 	p2 := &RetryPolicy{BaseBackoff: 10 * time.Millisecond}
 	if got := p2.BackoffFor("unknown", 3); got != 40*time.Millisecond {
 		t.Fatalf("static back-off = %v, want 40ms", got)
-	}
-}
-
-// TestRemovedTypeIsDefinitiveRemoteError is the version-skew contract for
-// retired message numbers: an old peer that still sends one — and whose
-// own registry still marks it idempotent, the worst case — gets the
-// server's "no handler" answer as a *RemoteError on the first attempt. It
-// neither hangs until the timeout nor walks the retry ladder.
-func TestRemovedTypeIsDefinitiveRemoteError(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tr   Transport
-	}{{"tcp", TCP}, {"mem", NewMemTransport()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := silentServer(t)
-			s.Transport = tc.tr
-			addr, err := s.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := NewClient(time.Second)
-			defer c.Close()
-			c.Transport = tc.tr
-			c.Metrics = telemetry.NewRegistry()
-			var pauses atomic.Int64
-			c.Retry = &RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond,
-				Sleep: func(time.Duration) { pauses.Add(1) }}
-
-			// msgFlaky is registered idempotent and s has no handler for it.
-			_, err = c.Call(addr, &Packet{Type: msgFlaky}, 5*time.Second)
-			var remote *RemoteError
-			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "no handler for message type") {
-				t.Fatalf("want RemoteError \"no handler for message type\", got %v", err)
-			}
-			if n := pauses.Load(); n != 0 {
-				t.Fatalf("retry ladder paused %d times; an unhandled type must not retry", n)
-			}
-			snap := c.Metrics.Snapshot("wire.client.")
-			if got := snap.Value("wire.client.retries"); got != 0 {
-				t.Fatalf("wire.client.retries = %v, want 0", got)
-			}
-			if sm, ok := snap.Find("wire.client.call.remote_error"); !ok || sm.Hist == nil || sm.Hist.Count != 1 {
-				t.Fatalf("want exactly one remote_error call recorded, got %+v", sm)
-			}
-		})
 	}
 }
 

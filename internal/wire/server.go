@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -157,7 +158,13 @@ func (s *Server) Metrics() *telemetry.Registry {
 }
 
 // Register installs h for message type t, replacing any previous handler.
+// It panics unless t is a live row of the message table: a daemon that
+// would serve an undeclared or retired type fails at construction, never
+// on the serve path.
 func (s *Server) Register(t MsgType, h Handler) {
+	if m, ok := msgTable[t]; !ok || m.Reserved {
+		panic(fmt.Sprintf("wire: handler for message type %d, which the message table does not hold as live (%q)", t, m.Name))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[t] = h

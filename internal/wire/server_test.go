@@ -10,6 +10,29 @@ import (
 	"time"
 )
 
+// Message types the wire tests serve and send. They are declared in the
+// table like any other (Server.Register refuses an undeclared type), in
+// the 200s, clear of every service package the table test imports.
+const (
+	benchEchoMsg       MsgType = 200
+	msgGate            MsgType = 201
+	msgEcho            MsgType = 202
+	msgFail            MsgType = 203
+	msgSlow            MsgType = 204
+	msgFlaky           MsgType = 240
+	msgFlakySideEffect MsgType = 241
+)
+
+func init() {
+	Define(benchEchoMsg, "test.bench_echo", false)
+	Define(msgGate, "test.gate", false)
+	Define(msgEcho, "test.echo", false)
+	Define(msgFail, "test.fail", false)
+	Define(msgSlow, "test.slow", false)
+	Define(msgFlaky, "test.flaky", true)
+	Define(msgFlakySideEffect, "test.flaky_side_effect", false)
+}
+
 func silentServer(t *testing.T) *Server {
 	t.Helper()
 	s := NewServer()
@@ -37,7 +60,6 @@ func TestServerPing(t *testing.T) {
 
 func TestServerEcho(t *testing.T) {
 	s := silentServer(t)
-	const msgEcho MsgType = 100
 	s.Register(msgEcho, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {
 		return &Packet{Type: msgEcho, Payload: req.Payload}, nil
 	}))
@@ -73,7 +95,6 @@ func TestServerUnknownTypeReturnsRemoteError(t *testing.T) {
 
 func TestServerHandlerErrorPropagates(t *testing.T) {
 	s := silentServer(t)
-	const msgFail MsgType = 101
 	s.Register(msgFail, HandlerFunc(func(_ string, _ *Packet) (*Packet, error) {
 		return nil, fmt.Errorf("not a counter example")
 	}))
@@ -89,7 +110,6 @@ func TestServerHandlerErrorPropagates(t *testing.T) {
 
 func TestCallTimeoutOnSilentHandler(t *testing.T) {
 	s := silentServer(t)
-	const msgSlow MsgType = 102
 	s.Register(msgSlow, HandlerFunc(func(_ string, _ *Packet) (*Packet, error) {
 		time.Sleep(500 * time.Millisecond)
 		return &Packet{Type: msgSlow}, nil
@@ -105,7 +125,6 @@ func TestCallTimeoutOnSilentHandler(t *testing.T) {
 
 func TestCallDiscardsStaleResponses(t *testing.T) {
 	s := silentServer(t)
-	const msgSlow MsgType = 103
 	var delay time.Duration = 200 * time.Millisecond
 	var mu sync.Mutex
 	s.Register(msgSlow, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {
@@ -160,7 +179,6 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	s := silentServer(t)
-	const msgEcho MsgType = 104
 	s.Register(msgEcho, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {
 		return &Packet{Type: msgEcho, Payload: req.Payload}, nil
 	}))

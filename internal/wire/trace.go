@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // This file is the lingua franca's half of causal distributed tracing:
 // the trace-context envelope every Packet can carry, and the minimal
@@ -181,38 +178,6 @@ func (p *Packet) ExtractTrace() bool {
 	p.Trace = tc
 	p.Payload = p.Payload[:n-traceTrailerLen]
 	return true
-}
-
-// msgNames maps message types to human-readable names for span labels
-// and the ew-trace viewer. Service packages register their types in
-// init; unregistered types render as "t<N>".
-var (
-	msgNamesMu sync.RWMutex
-	msgNames   = map[MsgType]string{
-		MsgError:     "error",
-		MsgPing:      "ping",
-		MsgPong:      "pong",
-		MsgTelemetry: "telemetry",
-	}
-)
-
-// RegisterMsgName records a human-readable name for message type t, used
-// in span names and trace rendering. Last registration wins.
-func RegisterMsgName(t MsgType, name string) {
-	msgNamesMu.Lock()
-	msgNames[t] = name
-	msgNamesMu.Unlock()
-}
-
-// MsgName returns the registered name for t, or "t<N>".
-func MsgName(t MsgType) string {
-	msgNamesMu.RLock()
-	n, ok := msgNames[t]
-	msgNamesMu.RUnlock()
-	if ok {
-		return n
-	}
-	return "t" + itoa(uint64(t))
 }
 
 // itoa is a tiny allocation-conscious uint formatter (strconv would be

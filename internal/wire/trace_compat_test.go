@@ -323,7 +323,7 @@ func (r *recordingTracer) sawTrace(id uint64) bool {
 func TestTraceServiceInteropOldClient(t *testing.T) {
 	rec := &recordingTracer{}
 	svc := NewService(ServiceConfig{ListenAddr: "127.0.0.1:0", Tracer: rec})
-	svc.Handle(77, HandlerFunc(func(remote string, req *Packet) (*Packet, error) {
+	svc.Handle(msgEcho, HandlerFunc(func(remote string, req *Packet) (*Packet, error) {
 		d := NewDecoder(req.Payload)
 		s, err := d.String()
 		if err != nil {
@@ -331,7 +331,7 @@ func TestTraceServiceInteropOldClient(t *testing.T) {
 		}
 		var e Encoder
 		e.PutString(s + "/ack")
-		return &Packet{Type: 78, Payload: e.Bytes()}, nil
+		return &Packet{Type: msgEcho, Payload: e.Bytes()}, nil
 	}))
 	addr, err := svc.Start()
 	if err != nil {
@@ -344,7 +344,7 @@ func TestTraceServiceInteropOldClient(t *testing.T) {
 	defer oldc.Close()
 	var e Encoder
 	e.PutString("old")
-	resp, err := oldc.Call(addr, &Packet{Type: 77, Payload: e.Bytes()}, 2*time.Second)
+	resp, err := oldc.Call(addr, &Packet{Type: msgEcho, Payload: e.Bytes()}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestTraceServiceInteropOldClient(t *testing.T) {
 	root := TraceContext{TraceID: 0xfeed, SpanID: 0xbeef, Sampled: true}
 	var e2 Encoder
 	e2.PutString("new")
-	resp, err = newc.Call(addr, &Packet{Type: 77, Payload: e2.Bytes(), Trace: root}, 2*time.Second)
+	resp, err = newc.Call(addr, &Packet{Type: msgEcho, Payload: e2.Bytes(), Trace: root}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
