@@ -68,11 +68,12 @@ bench:
 # Transport comparison: the same lingua franca round trip,
 # concurrent-caller demux throughput, and pipelined-window cost over TCP
 # loopback vs the in-memory transport, recorded as JSON for
-# commit-over-commit comparison. The allocation gate runs first: a
-# pooling regression on the zero-alloc hot path fails the target before
-# any numbers are recorded.
+# commit-over-commit comparison. The allocation gates run first: a
+# pooling regression on the zero-alloc hot path, or an allocation on the
+# forecast read/record every message makes, fails the target before any
+# numbers are recorded.
 bench-wire:
-	$(GO) test -run 'TestMemRoundTripAllocGate' -count=1 ./internal/wire/
+	$(GO) test -run 'TestMemRoundTripAllocGate|TestForecastHotPathAllocs' -count=1 ./internal/wire/ ./internal/forecast/
 	$(GO) test -bench='RoundTrip|ConcurrentCalls|Pipelined' -benchmem -run='^$$' ./internal/wire/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_wire.json
 

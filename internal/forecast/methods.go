@@ -13,13 +13,19 @@ package forecast
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Method is one lightweight time-series forecasting technique. A Method
 // observes successive measurements via Update and predicts the next value
 // via Predict. Implementations are not safe for concurrent use; the
 // Selector serializes access.
+//
+// The Selector relies on two properties: Name is constant for the
+// Method's lifetime, and Predict is a pure function of the measurements
+// passed to Update since construction. It therefore asks each Method for
+// its name once and for its prediction once per measurement, and serves
+// every read from those answers.
 type Method interface {
 	// Name identifies the technique, e.g. "sliding_median_10".
 	Name() string
@@ -91,12 +97,49 @@ func (w *window) count() int {
 	return w.next
 }
 
-// values returns the live measurements, oldest order not preserved.
-func (w *window) values() []float64 {
+// sortedWindow is a window that also keeps its live measurements in
+// sort.Float64s order (NaN first, then ascending), maintained by one
+// removal and one insertion per push instead of a sort per prediction.
+type sortedWindow struct {
+	window
+	sorted []float64
+}
+
+func newSortedWindow(k int) *sortedWindow {
+	return &sortedWindow{window: window{buf: make([]float64, k)}, sorted: make([]float64, 0, k)}
+}
+
+func (w *sortedWindow) push(v float64) {
 	if w.full {
-		return w.buf
+		// Remove the evicted sample itself, bit for bit, so the slice stays
+		// an exact permutation of the live ones (+0 and -0 compare equal).
+		old := w.buf[w.next]
+		i := searchSorted(w.sorted, old)
+		for math.Float64bits(w.sorted[i]) != math.Float64bits(old) {
+			i++
+		}
+		w.sorted = append(w.sorted[:i], w.sorted[i+1:]...)
 	}
-	return w.buf[:w.next]
+	i := searchSorted(w.sorted, v)
+	w.sorted = append(w.sorted, 0)
+	copy(w.sorted[i+1:], w.sorted[i:])
+	w.sorted[i] = v
+	w.window.push(v)
+}
+
+// searchSorted returns the first index of s, which is in sort.Float64s
+// order, whose value does not sort before v.
+func searchSorted(s []float64, v float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x := s[mid]; x < v || (math.IsNaN(x) && !math.IsNaN(v)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // slidingMean predicts the mean over the last k measurements.
@@ -131,63 +174,59 @@ func (m *slidingMean) Predict() (float64, bool) {
 // are the NWS workhorse for noisy Grid measurements because they resist
 // the transient spikes that contention produces.
 type slidingMedian struct {
-	w       *window
-	k       int
-	scratch []float64
+	w *sortedWindow
+	k int
 }
 
 // NewSlidingMedian returns a sliding-window median forecaster over k
 // samples.
 func NewSlidingMedian(k int) Method {
-	return &slidingMedian{w: newWindow(k), k: k, scratch: make([]float64, 0, k)}
+	return &slidingMedian{w: newSortedWindow(k), k: k}
 }
 
 func (m *slidingMedian) Name() string     { return fmt.Sprintf("sliding_median_%d", m.k) }
 func (m *slidingMedian) Update(v float64) { m.w.push(v) }
 func (m *slidingMedian) Predict() (float64, bool) {
-	n := m.w.count()
+	s := m.w.sorted
+	n := len(s)
 	if n == 0 {
 		return 0, false
 	}
-	m.scratch = append(m.scratch[:0], m.w.values()...)
-	sort.Float64s(m.scratch)
 	if n%2 == 1 {
-		return m.scratch[n/2], true
+		return s[n/2], true
 	}
-	return (m.scratch[n/2-1] + m.scratch[n/2]) / 2, true
+	return (s[n/2-1] + s[n/2]) / 2, true
 }
 
 // trimmedMean predicts the mean of the central values of the last k
 // measurements after discarding the trim fraction at each extreme.
 type trimmedMean struct {
-	w       *window
-	k       int
-	trim    float64
-	scratch []float64
+	w    *sortedWindow
+	k    int
+	trim float64
 }
 
 // NewTrimmedMean returns a sliding trimmed-mean forecaster over k samples,
 // trimming the given fraction (0..0.5) from each tail.
 func NewTrimmedMean(k int, trim float64) Method {
-	return &trimmedMean{w: newWindow(k), k: k, trim: trim, scratch: make([]float64, 0, k)}
+	return &trimmedMean{w: newSortedWindow(k), k: k, trim: trim}
 }
 
 func (m *trimmedMean) Name() string     { return fmt.Sprintf("trimmed_mean_%d_%g", m.k, m.trim) }
 func (m *trimmedMean) Update(v float64) { m.w.push(v) }
 func (m *trimmedMean) Predict() (float64, bool) {
-	n := m.w.count()
+	s := m.w.sorted
+	n := len(s)
 	if n == 0 {
 		return 0, false
 	}
-	m.scratch = append(m.scratch[:0], m.w.values()...)
-	sort.Float64s(m.scratch)
 	cut := int(float64(n) * m.trim)
 	lo, hi := cut, n-cut
 	if lo >= hi { // degenerate: fall back to median
 		lo, hi = n/2, n/2+1
 	}
 	sum := 0.0
-	for _, v := range m.scratch[lo:hi] {
+	for _, v := range s[lo:hi] {
 		sum += v
 	}
 	return sum / float64(hi-lo), true
@@ -255,9 +294,9 @@ func (m *adaptSmooth) Predict() (float64, bool) { return m.f, m.seen }
 // series has little serial correlation the model degrades gracefully to
 // the window mean.
 type ar1 struct {
-	w *window
 	k int
-	// prev holds the window's values in arrival order for lag-1 pairs.
+	// ordered holds the last k measurements in arrival order for lag-1
+	// pairs, in a buffer of capacity k allocated once.
 	ordered []float64
 }
 
@@ -266,16 +305,17 @@ func NewAR1(k int) Method {
 	if k < 4 {
 		k = 4
 	}
-	return &ar1{w: newWindow(k), k: k}
+	return &ar1{k: k, ordered: make([]float64, 0, k)}
 }
 
 func (m *ar1) Name() string { return fmt.Sprintf("ar1_%d", m.k) }
 func (m *ar1) Update(v float64) {
-	m.w.push(v)
-	m.ordered = append(m.ordered, v)
-	if len(m.ordered) > m.k {
-		m.ordered = m.ordered[len(m.ordered)-m.k:]
+	if len(m.ordered) < m.k {
+		m.ordered = append(m.ordered, v)
+		return
 	}
+	copy(m.ordered, m.ordered[1:])
+	m.ordered[m.k-1] = v
 }
 func (m *ar1) Predict() (float64, bool) {
 	n := len(m.ordered)

@@ -1,8 +1,10 @@
 package forecast
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +207,84 @@ func TestQuickSlidingWindowForgetsOldData(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSortedWindow pushes arbitrary measurements into a sortedWindow of
+// size 1–40 and checks, after every push, that its sorted slice is
+// sort.Float64s of the live samples (NaN first) and holds exactly those
+// samples, bit for bit. Each input byte is one push: below 240 a small
+// integer (dense ties), 240–243 NaN, +Inf, -Inf, -0, and above that the
+// next eight bytes as raw float64 bits.
+func FuzzSortedWindow(f *testing.F) {
+	f.Add(uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(0), []byte{0, 243, 0, 243, 240, 1})
+	f.Add(uint8(9), []byte{240, 3, 241, 3, 242, 240, 3, 3, 243, 0, 5, 240, 241})
+	f.Add(uint8(30), []byte{255, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 7, 255, 1, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Fuzz(func(t *testing.T, k uint8, in []byte) {
+		w := newSortedWindow(1 + int(k)%40)
+		for len(in) > 0 {
+			b := in[0]
+			in = in[1:]
+			var v float64
+			switch {
+			case b < 240:
+				v = float64(int(b%16) - 8)
+			case b == 240:
+				v = math.NaN()
+			case b == 241:
+				v = math.Inf(1)
+			case b == 242:
+				v = math.Inf(-1)
+			case b == 243:
+				v = math.Copysign(0, -1)
+			case len(in) >= 8:
+				v = math.Float64frombits(binary.LittleEndian.Uint64(in))
+				in = in[8:]
+			default:
+				return
+			}
+			w.push(v)
+
+			live := w.buf[:w.count()]
+			want := append([]float64(nil), live...)
+			sort.Float64s(want)
+			if len(w.sorted) != len(want) {
+				t.Fatalf("sorted holds %d samples, window %d", len(w.sorted), len(want))
+			}
+			for i := range want {
+				// sort.Float64s leaves the order of equal values (+0 and -0,
+				// NaNs with different payloads) unspecified; compare values.
+				g := w.sorted[i]
+				if g != want[i] && !(math.IsNaN(g) && math.IsNaN(want[i])) {
+					t.Fatalf("sorted[%d] = %v, want %v (sorted %v, live %v)", i, g, want[i], w.sorted, live)
+				}
+			}
+			if !sameBitMultiset(w.sorted, live) {
+				t.Fatalf("sorted %v is not a permutation of the live samples %v", w.sorted, live)
+			}
+		}
+	})
+}
+
+func sameBitMultiset(a, b []float64) bool {
+	bits := func(s []float64) []uint64 {
+		out := make([]uint64, len(s))
+		for i, v := range s {
+			out[i] = math.Float64bits(v)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	if len(a) != len(b) {
+		return false
+	}
+	x, y := bits(a), bits(b)
+	for i := range x {
+		if x[i] != y[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAR1TracksAutocorrelatedSeries(t *testing.T) {

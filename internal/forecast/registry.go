@@ -78,6 +78,15 @@ func (r *Registry) Forecast(key Key) (Forecast, bool) {
 	return s.Forecast()
 }
 
+// Forget drops key's Selector and its history, so an event source that
+// has gone for good (a departed client, an evicted holder) stops holding
+// one; a later Record for key starts afresh.
+func (r *Registry) Forget(key Key) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.selectors, key)
+}
+
 // Keys returns all registered keys in deterministic order.
 func (r *Registry) Keys() []Key {
 	r.mu.RLock()

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
 	"sync"
 )
@@ -23,12 +24,21 @@ type Forecast struct {
 // Selector runs a battery of forecasting methods over one measurement
 // stream, tracks each method's accumulated prediction error, and forecasts
 // with the method that has been most accurate so far — the core of the NWS
-// methodology. Selector is safe for concurrent use.
+// methodology. Predictions are computed once per Update (and once at
+// construction), relying on the Method contract: the next measurement is
+// scored against them and every read until then is served from them, so a
+// Forecast costs a lock and a few loads however often it is asked for.
+// Selector is safe for concurrent use.
 type Selector struct {
 	mu      sync.Mutex
 	methods []Method
+	names   []string  // methods[i].Name(); shared by same-named batteries, read-only
+	pred    []float64 // methods[i]'s prediction of the next measurement
+	ok      []bool    // whether methods[i] predicts yet
 	sqErr   []float64 // cumulative squared error per method
 	absErr  []float64 // cumulative absolute error per method
+	bestMSE int       // the predicting method with the least sqErr, or -1
+	bestMAE int       // the predicting method with the least absErr, or -1
 	scored  int       // updates for which errors were recorded
 	samples int
 	last    float64
@@ -40,29 +50,36 @@ func NewSelector(battery ...Method) *Selector {
 	if len(battery) == 0 {
 		battery = DefaultBattery()
 	}
-	return &Selector{
+	n := len(battery)
+	s := &Selector{
 		methods: battery,
-		sqErr:   make([]float64, len(battery)),
-		absErr:  make([]float64, len(battery)),
+		names:   internNames(battery),
+		pred:    make([]float64, n),
+		ok:      make([]bool, n),
+		sqErr:   make([]float64, n),
+		absErr:  make([]float64, n),
 	}
+	s.predict()
+	return s
 }
 
-// Update feeds measurement v to every method, first scoring each method's
-// standing prediction against v.
+// Update scores each method's standing prediction against measurement v,
+// feeds v to every method, and computes their predictions of the next one.
 func (s *Selector) Update(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	anyPredicted := false
-	for i, m := range s.methods {
-		if p, ok := m.Predict(); ok {
-			e := p - v
-			s.sqErr[i] += e * e
-			if e < 0 {
-				e = -e
-			}
-			s.absErr[i] += e
-			anyPredicted = true
+	for i, ok := range s.ok {
+		if !ok {
+			continue
 		}
+		e := s.pred[i] - v
+		s.sqErr[i] += e * e
+		if e < 0 {
+			e = -e
+		}
+		s.absErr[i] += e
+		anyPredicted = true
 	}
 	if anyPredicted {
 		s.scored++
@@ -72,6 +89,27 @@ func (s *Selector) Update(v float64) {
 	}
 	s.samples++
 	s.last = v
+	s.predict()
+}
+
+// predict refreshes the cached predictions and both winners. A winner is
+// the first predicting method with the strictly lowest cumulative error,
+// so ties go to the earlier method and a NaN error never wins.
+func (s *Selector) predict() {
+	s.bestMSE, s.bestMAE = -1, -1
+	bestSq, bestAbs := math.Inf(1), math.Inf(1)
+	for i, m := range s.methods {
+		s.pred[i], s.ok[i] = m.Predict()
+		if !s.ok[i] {
+			continue
+		}
+		if s.sqErr[i] < bestSq {
+			bestSq, s.bestMSE = s.sqErr[i], i
+		}
+		if s.absErr[i] < bestAbs {
+			bestAbs, s.bestMAE = s.absErr[i], i
+		}
+	}
 }
 
 // Samples reports how many measurements the Selector has seen.
@@ -105,34 +143,17 @@ func (s *Selector) ForecastMAE() (Forecast, bool) {
 func (s *Selector) forecast(useMAE bool) (Forecast, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.samples == 0 {
+	best := s.bestMSE
+	if useMAE {
+		best = s.bestMAE
+	}
+	if s.samples == 0 || best < 0 {
 		return Forecast{}, false
 	}
-	best := -1
-	bestErr := math.Inf(1)
-	for i, m := range s.methods {
-		if _, ok := m.Predict(); !ok {
-			continue
-		}
-		var e float64
-		if useMAE {
-			e = s.absErr[i]
-		} else {
-			e = s.sqErr[i]
-		}
-		if e < bestErr {
-			bestErr = e
-			best = i
-		}
-	}
-	if best < 0 {
-		return Forecast{}, false
-	}
-	v, _ := s.methods[best].Predict()
 	n := float64(max(s.scored, 1))
 	return Forecast{
-		Value:   v,
-		Method:  s.methods[best].Name(),
+		Value:   s.pred[best],
+		Method:  s.names[best],
 		MSE:     s.sqErr[best] / n,
 		MAE:     s.absErr[best] / n,
 		Samples: s.samples,
@@ -146,8 +167,32 @@ func (s *Selector) Errors() map[string][2]float64 {
 	defer s.mu.Unlock()
 	out := make(map[string][2]float64, len(s.methods))
 	n := float64(max(s.scored, 1))
-	for i, m := range s.methods {
-		out[m.Name()] = [2]float64{s.sqErr[i] / n, s.absErr[i] / n}
+	for i, name := range s.names {
+		out[name] = [2]float64{s.sqErr[i] / n, s.absErr[i] / n}
 	}
 	return out
+}
+
+// batteryNames holds one names slice per distinct list of method names,
+// so the many selectors of a registry share one.
+var batteryNames = struct {
+	sync.Mutex
+	m map[string][]string
+}{m: make(map[string][]string)}
+
+// internNames resolves each method's name once and returns the shared,
+// read-only slice for a battery with those names.
+func internNames(battery []Method) []string {
+	names := make([]string, len(battery))
+	for i, m := range battery {
+		names[i] = m.Name()
+	}
+	key := fmt.Sprintf("%q", names) // quoted, so distinct lists never share a key
+	batteryNames.Lock()
+	defer batteryNames.Unlock()
+	if shared, ok := batteryNames.m[key]; ok {
+		return shared
+	}
+	batteryNames.m[key] = names
+	return names
 }

@@ -43,14 +43,13 @@ func (p *TimeoutPolicy) Timeout(key Key) time.Duration {
 	if !ok || f.Value <= 0 {
 		return p.Default
 	}
-	d := time.Duration(f.Value*p.Multiplier*float64(time.Second)) + p.Pad
-	if d < p.Min {
-		d = p.Min
+	// Clamp to Max before converting: a forecast past MaxInt64 ns would
+	// otherwise become a negative Duration that the Min clamp then raises.
+	ns := f.Value * p.Multiplier * float64(time.Second)
+	if ns >= float64(p.Max-p.Pad) {
+		return p.Max
 	}
-	if d > p.Max {
-		d = p.Max
-	}
-	return d
+	return min(max(time.Duration(ns)+p.Pad, p.Min), p.Max)
 }
 
 // Observe records a measured response time for key so subsequent Timeout
@@ -70,10 +69,12 @@ func (p *TimeoutPolicy) Observe(key Key, d time.Duration) {
 func (p *TimeoutPolicy) Backoff(key Key, retry int) time.Duration {
 	base := p.Min
 	if f, ok := p.Registry.Forecast(key); ok && f.Value > 0 {
-		base = time.Duration(f.Value * float64(time.Second))
-	}
-	if base < p.Min {
-		base = p.Min
+		// Clamp before converting, as in Timeout.
+		ns := f.Value * float64(time.Second)
+		if ns >= float64(p.Max) {
+			return p.Max
+		}
+		base = max(time.Duration(ns), p.Min)
 	}
 	d := base
 	for i := 0; i < retry; i++ {

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -63,6 +64,42 @@ func TestBackoffSubMinForecastClampsUp(t *testing.T) {
 	p.Observe(key, time.Millisecond) // forecast far below Min
 	if got := p.Backoff(key, 0); got != p.Min {
 		t.Errorf("Backoff with 1ms forecast = %v, want Min %v", got, p.Min)
+	}
+}
+
+// TestTimeoutHugeForecastClampsToMax: a forecast whose scaled Duration
+// overflows int64 must clamp down to Max, not wrap negative and clamp up
+// to Min (the parent returned 100 ms for the first two rows).
+func TestTimeoutHugeForecastClampsToMax(t *testing.T) {
+	p := NewTimeoutPolicy(NewRegistry())
+	edge := (p.Max - p.Pad) / 4 // the measurement whose Timeout is exactly Max
+	for _, tc := range []struct {
+		name             string
+		observed         time.Duration
+		timeout, backoff time.Duration
+	}{
+		{"100 years", 100 * 365 * 24 * time.Hour, p.Max, p.Max},
+		{"MaxInt64", time.Duration(math.MaxInt64), p.Max, p.Max},
+		{"timeout just below Max", edge - time.Millisecond, p.Max - 4*time.Millisecond, edge - time.Millisecond},
+		{"timeout just above Max", edge + time.Millisecond, p.Max, edge + time.Millisecond},
+		{"backoff just below Max", p.Max - time.Millisecond, p.Max, p.Max - time.Millisecond},
+		{"backoff just above Max", p.Max + time.Millisecond, p.Max, p.Max},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := Key{Resource: tc.name, Event: "report"}
+			p.Observe(key, tc.observed)
+			// One sample: every method predicts it exactly, up to the
+			// float64 round trip through seconds.
+			near := func(got, want time.Duration) bool {
+				return got <= p.Max && got >= want-time.Microsecond && got <= want+time.Microsecond
+			}
+			if got := p.Timeout(key); !near(got, tc.timeout) {
+				t.Errorf("Timeout = %v, want %v", got, tc.timeout)
+			}
+			if got := p.Backoff(key, 0); !near(got, tc.backoff) {
+				t.Errorf("Backoff(0) = %v, want %v", got, tc.backoff)
+			}
+		})
 	}
 }
 

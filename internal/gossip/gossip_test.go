@@ -250,14 +250,20 @@ func TestGossipEvictsDeadComponent(t *testing.T) {
 	client := wire.NewClient(time.Second)
 	defer client.Close()
 	const key = "app/evict"
+	baseline := len(g.timeout.Registry.Keys())
 	c := newTestComponent(t)
 	if err := c.agent.Register(client, g.Addr(), key, CmpCounter, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, 2*time.Second, func() bool { return len(g.Registrations()) == 1 }, "registered")
+	eventually(t, 2*time.Second, func() bool { return len(g.timeout.Registry.Keys()) > baseline }, "polled")
 	c.srv.Close() // component dies
 	eventually(t, 10*time.Second, func() bool { return len(g.Registrations()) == 0 },
 		"dead component should be evicted after MaxFailures")
+	// Eviction and forgetting happen under one lock, so no wait is needed.
+	if got := g.timeout.Registry.Keys(); len(got) != baseline {
+		t.Fatalf("evicted holder's forecasters linger: %v", got)
+	}
 }
 
 func TestGossipPoolFormsAndSharesRegistrations(t *testing.T) {

@@ -469,7 +469,20 @@ func (s *Server) recordFailure(r Registration) {
 		s.metrics.Counter("gossip.evictions").Inc()
 		s.metrics.Gauge("gossip.registrations").Set(int64(len(s.regs)))
 		s.cfg.Logf("gossip: evicted %s/%s after %d failures", r.Addr, r.Key, s.cfg.MaxFailures)
+		s.forgetHolderLocked(r.Addr)
 	}
+}
+
+// forgetHolderLocked drops addr's time-out forecasters once no
+// registration is left there, so dead holders do not accumulate them.
+func (s *Server) forgetHolderLocked(addr string) {
+	for k := range s.regs {
+		if k.addr == addr {
+			return
+		}
+	}
+	s.timeout.Registry.Forget(forecast.Key{Resource: addr, Event: "get_state"})
+	s.timeout.Registry.Forget(forecast.Key{Resource: addr, Event: "put_state"})
 }
 
 func (s *Server) clearFailure(r Registration) {

@@ -195,6 +195,33 @@ func TestSchedulerExpiresStaleClients(t *testing.T) {
 	}
 }
 
+// TestSchedulerExpiryForgetsRateForecaster: a departed client's rate
+// forecaster goes with it, so churn under fresh IDs does not grow the
+// forecast registry without bound.
+func TestSchedulerExpiryForgetsRateForecaster(t *testing.T) {
+	now := time.Unix(1000, 0)
+	reg := telemetry.NewRegistry()
+	reg.SetNow(func() time.Time { return now })
+	s := NewServer(ServerConfig{N: 9, K: 3, StaleAfter: 10 * time.Second, Metrics: reg})
+	report := func(id string) {
+		dr := s.Handle(Report{ClientID: id})
+		s.Handle(Report{ClientID: id, WorkID: dr.Work.ID, Ops: 100, ElapsedSec: 1})
+	}
+	report("stayer")
+	baseline := len(s.forecasts.Keys())
+	for i := 0; i < 5; i++ {
+		report(fmt.Sprintf("churn-%d", i))
+	}
+	if got := len(s.forecasts.Keys()); got != baseline+5 {
+		t.Fatalf("forecasters = %d, want %d", got, baseline+5)
+	}
+	now = now.Add(time.Minute)
+	report("stayer")
+	if got := len(s.forecasts.Keys()); got != baseline {
+		t.Fatalf("forecasters after expiry = %d, want baseline %d: %v", got, baseline, s.forecasts.Keys())
+	}
+}
+
 func TestSchedulerForwardsPerfToLogService(t *testing.T) {
 	ls, err := logsvc.NewServer(logsvc.ServerConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {

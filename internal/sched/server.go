@@ -474,6 +474,9 @@ func (s *Server) expireStaleLocked(now time.Time) {
 			s.migrated = append(s.migrated, rec.work)
 		}
 		delete(s.clients, id)
+		// Churning hosts rejoin under fresh IDs; keeping the departed one's
+		// rate forecaster would grow the registry without bound.
+		s.forecasts.Forget(forecast.Key{Resource: id, Event: "rate"})
 	}
 }
 
