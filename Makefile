@@ -16,15 +16,52 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Dead-code gate: one coverage pass over every test in the module,
+# Dead-code gates, two of them.
+#
+# Linkage: a program is every main package under cmd/, examples/ and
+# bench/. ew-unlinked builds them all with inlining off and lists, into
+# deadcode.unlinked, the functions under internal/ whose symbol none of
+# them contains: no user can run such a function, even when tests cover
+# it. The gate fails above UNLINKED_MAX. Every entry at the ceiling is in
+# one of these classes; a new entry needs a program caller, a class, or
+# deleting:
+#   - test-harness API: faults.Injector's Slow/Unslow/SlowFor/SlowHandler/
+#     ScheduleFor/Dialer/WrapEndpoint and the clique.Endpoint send filter
+#     WrapEndpoint installs; dtrace.Capture and Tracer.Root;
+#     pstate.CrashSites; wire.Dial, NewRawRequest and Messages (the
+#     msgtable listing); forecast.Registry.StartEvent;
+#   - encode halves whose decoder a program links: applet Parcel and
+#     ParcelResult, clique Message, ctrl Heartbeat and Status, dtrace
+#     Spans, gossip Registrations, logsvc Entry;
+#   - client halves of live messages, each the only decoder of its reply:
+#     legion.NewClient/Client.Invoke, nws.Client.Forecast/Report,
+#     globus MDSClient.Register and GASSClient.Put;
+#   - ROADMAP's Decided list (pstate.Server.Delete, nws.Memory.Series,
+#     globus Gatekeeper.Job) and reference oracles (ramsey
+#     IsCounterExample, CountMonoCliquesThroughEdge, Coloring.Equal);
+#   - owed a caller by an open ROADMAP item: pstate.ReplicaSet's
+#     Addrs/Delete/List/SpoolDepth and goDigest (items 3, 10, 12);
+#     ctrl.FleetSpec.Service and the §5.4 resume path
+#     core.Component.ResumeFromCheckpoint, sched.Runner.Adopt,
+#     sched.DecodeWorkUnit (item 6); wire's memBuf.arm, whose missing
+#     call is a known defect (Small, known, and owed);
+#   - String() and net.Conn methods;
+#   - the rest (36): accessors and one-line shorthands that tests observe
+#     or drive through.
+#
+# Coverage: one coverage pass over every test in the module,
 # instrumenting internal/ and cmd/, lists the functions under internal/
 # that nothing executed and fails above DEADCODE_MAX. What remains at the
 # ceiling is called only from a cmd/ main, a benchmark or a test-failure
 # message, satisfies net.Conn / net.Addr / wire.ActiveSpan / a default
 # hook, or is the control plane's untested actuation path (ROADMAP item
 # 6); a new entry needs a caller, a test, or deleting.
+UNLINKED_MAX = 86
 DEADCODE_MAX = 19
 deadcode:
+	$(GO) run ./cmd/ew-unlinked ./cmd/... ./examples/... ./bench > deadcode.unlinked
+	awk -v max=$(UNLINKED_MAX) '{ print; n++ } \
+		END { printf "%d unlinked functions under internal/ (ceiling %d)\n", n, max; exit n > max }' deadcode.unlinked
 	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=deadcode.cover ./...
 	$(GO) tool cover -func=deadcode.cover | awk -v max=$(DEADCODE_MAX) \
 		'$$1 ~ /\/internal\// && $$NF == "0.0%" { print; n++ } \
@@ -122,8 +159,8 @@ heal:
 	$(GO) test -race -count=1 -v -run 'TestCtrlHeal|TestCtrlLeaderFailoverHeal' -timeout 10m ./internal/faults/
 
 # Web-scale suite: the scale plane (ring, router, admission, outbox,
-# hierarchy) and the sharded-scheduler integration under the race
-# detector, and the shard-kill chaos test over real daemons.
+# gossip-traffic model) and the sharded-scheduler integration under the
+# race detector, and the shard-kill chaos test over real daemons.
 scale:
 	$(GO) test -race -count=1 ./internal/outbox/ ./internal/scale/... ./internal/sched/
 	$(GO) test -race -count=1 -run 'TestScaleShardKill' -v ./internal/faults/
@@ -148,4 +185,4 @@ examples:
 
 # Untracked outputs only: the BENCH_*.json files are committed records.
 clean:
-	rm -rf figures/ test_output.txt bench_output.txt deadcode.cover .bench_build/ bench/out/
+	rm -rf figures/ test_output.txt bench_output.txt deadcode.cover deadcode.unlinked .bench_build/ bench/out/

@@ -133,9 +133,8 @@ func sortedUnion(a, b []string) []string {
 }
 
 // LeaderID returns the smallest ID in ids ("" if empty) — the clique
-// leader-election rule. Exported so higher layers that partition members
-// into regions (the scale hierarchy) elect the same leader the region's
-// own clique protocol would converge on.
+// leader-election rule. Exported so that the controller group elects by
+// the same rule the clique protocol converges on.
 func LeaderID(ids []string) string {
 	if len(ids) == 0 {
 		return ""

@@ -164,40 +164,6 @@ func (p *Pool) Submit(id string, cb JobCallbacks) error {
 	return nil
 }
 
-// Remove withdraws a job (killing it if running).
-func (p *Pool) Remove(id string) {
-	p.mu.Lock()
-	j, ok := p.jobs[id]
-	if !ok {
-		p.mu.Unlock()
-		return
-	}
-	var cb func()
-	if j.ws >= 0 {
-		ws := p.stations[j.ws]
-		ws.jobID = ""
-		ws.state = Idle
-		ws.idleSince = p.eng.Now()
-		j.goodput += p.eng.Now().Sub(j.started)
-		cb = j.cb.OnKill
-	}
-	delete(p.jobs, id)
-	p.dropFromQueueLocked(id)
-	p.mu.Unlock()
-	if cb != nil {
-		cb()
-	}
-}
-
-func (p *Pool) dropFromQueueLocked(id string) {
-	for i, q := range p.queue {
-		if q == id {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			return
-		}
-	}
-}
-
 // ownerLeaves transitions a workstation to Idle and arms the claim timer.
 func (p *Pool) ownerLeaves(idx int) {
 	p.mu.Lock()
@@ -271,10 +237,6 @@ func (p *Pool) match() {
 		id := p.queue[0]
 		p.queue = p.queue[1:]
 		j := p.jobs[id]
-		if j == nil {
-			p.mu.Unlock()
-			continue
-		}
 		ws.state = Claimed
 		ws.jobID = id
 		for i, cand := range p.stations {
@@ -333,17 +295,5 @@ func (p *Pool) Jobs() []JobReport {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// StationStates returns the current state of every workstation, for
-// diagnostics.
-func (p *Pool) StationStates() map[WorkstationState]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := map[WorkstationState]int{}
-	for _, ws := range p.stations {
-		out[ws.state]++
-	}
 	return out
 }

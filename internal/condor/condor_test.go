@@ -112,26 +112,6 @@ func TestDuplicateSubmitRejected(t *testing.T) {
 	}
 }
 
-func TestRemoveKillsRunningJob(t *testing.T) {
-	eng := simgrid.NewEngine(t0)
-	pool := NewPool(eng, PoolConfig{Seed: 6, Workstations: 4})
-	var killed atomic.Bool
-	if err := pool.Submit("r", JobCallbacks{OnKill: func() { killed.Store(true) }}); err != nil {
-		t.Fatal(err)
-	}
-	// Run until the job is placed, then remove it.
-	eng.Run(t0.Add(2 * time.Hour))
-	wasRunning := pool.Stats().Running > 0
-	pool.Remove("r")
-	if wasRunning && !killed.Load() {
-		t.Fatal("running job removed without OnKill")
-	}
-	if len(pool.Jobs()) != 0 {
-		t.Fatal("job not removed")
-	}
-	pool.Remove("nonexistent") // must not panic
-}
-
 func TestMoreJobsThanWorkstationsQueue(t *testing.T) {
 	eng := simgrid.NewEngine(t0)
 	pool := NewPool(eng, PoolConfig{Seed: 7, Workstations: 2})
@@ -163,20 +143,6 @@ func TestDeterministicForSeed(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestStationStatesAccounted(t *testing.T) {
-	eng := simgrid.NewEngine(t0)
-	pool := NewPool(eng, PoolConfig{Seed: 9, Workstations: 10})
-	eng.Run(t0.Add(3 * time.Hour))
-	states := pool.StationStates()
-	total := 0
-	for _, n := range states {
-		total += n
-	}
-	if total != 10 {
-		t.Fatalf("states = %v", states)
 	}
 }
 

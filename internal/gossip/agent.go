@@ -2,8 +2,6 @@ package gossip
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -109,22 +107,6 @@ func (a *Agent) Get(key string) (Stamped, bool) {
 	defer a.mu.Unlock()
 	s, ok := a.store[key]
 	return s, ok
-}
-
-// Tracked returns every locally held state whose key starts with prefix,
-// sorted by key — how a hierarchy reader enumerates all region rollups
-// visible in its pool without knowing the region count.
-func (a *Agent) Tracked(prefix string) []Stamped {
-	a.mu.Lock()
-	out := make([]Stamped, 0, len(a.store))
-	for k, s := range a.store {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, s)
-		}
-	}
-	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 func (a *Agent) handleGet(_ string, req *wire.Packet) (*wire.Packet, error) {

@@ -56,8 +56,7 @@ func BenchmarkHeuristicStep(b *testing.B) {
 }
 
 // BenchmarkSearchToSolutionR3 measures complete time-to-counter-example
-// for the easy R(3) problem, sequential vs the section-6 parallel
-// portfolio extension.
+// for the easy R(3) problem.
 func BenchmarkSearchToSolutionR3(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		found := 0
@@ -67,19 +66,6 @@ func BenchmarkSearchToSolutionR3(b *testing.B) {
 				b.Fatal(err)
 			}
 			if s.Run(50000) {
-				found++
-			}
-		}
-		b.ReportMetric(float64(found)/float64(b.N), "success_rate")
-	})
-	b.Run("parallel4", func(b *testing.B) {
-		found := 0
-		for i := 0; i < b.N; i++ {
-			res, err := ParallelSearch(SearchConfig{N: 5, K: 3, Seed: int64(i)}, 4, 50000, 500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Found {
 				found++
 			}
 		}

@@ -12,8 +12,10 @@ import (
 // clients do this by replicating their best in-progress coloring — the
 // elite — through the Gossip service: a client that has fallen far behind
 // the pool restarts from the replicated elite instead of grinding through
-// a region the pool has already beaten. This is the Grid-wide counterpart
-// of ParallelSearch's in-process elite sharing.
+// a region the pool has already beaten. The grid's components together are
+// the section-6 portfolio search: each publishes its elite under
+// core.ComponentConfig.EliteShareKey and adopts a replicated one that is at
+// least 20% fitter.
 
 // Elite is a best-so-far coloring with its monochromatic clique count.
 type Elite struct {

@@ -104,25 +104,3 @@ func counterExampleN(p []byte) int {
 	}
 	return ce.Coloring.N()
 }
-
-// KnownLowerBound returns the best classical lower bound for R(k) known at
-// the time of the paper (Radziszowski's 1994 dynamic survey [28], which
-// the paper cites for R(5) >= 43). ok is false for k outside the table.
-// A counter-example on n vertices improves the bound when n+1 exceeds
-// this value.
-func KnownLowerBound(k int) (bound int, ok bool) {
-	// R(3) = 6 and R(4) = 18 exactly; higher entries are lower bounds.
-	known := map[int]int{3: 6, 4: 18, 5: 43, 6: 102, 7: 205}
-	b, ok := known[k]
-	return b, ok
-}
-
-// Improves reports whether this counter-example beats the known lower
-// bound for its K.
-func (ce *CounterExample) Improves() bool {
-	b, ok := KnownLowerBound(ce.K)
-	if !ok {
-		return true // uncharted territory
-	}
-	return ce.Bound() > b
-}

@@ -40,35 +40,6 @@ func TestBestComparatorEqualSizes(t *testing.T) {
 	}
 }
 
-func TestKnownLowerBounds(t *testing.T) {
-	if b, ok := KnownLowerBound(3); !ok || b != 6 {
-		t.Fatalf("R(3) bound = %d, %v", b, ok)
-	}
-	if b, ok := KnownLowerBound(5); !ok || b != 43 {
-		t.Fatalf("R(5) bound = %d, %v (the paper's search target)", b, ok)
-	}
-	if _, ok := KnownLowerBound(99); ok {
-		t.Fatal("unknown k must report !ok")
-	}
-}
-
-func TestImproves(t *testing.T) {
-	p5, _ := Paley(5)
-	ce := &CounterExample{K: 3, Coloring: p5}
-	if ce.Improves() {
-		t.Fatal("R(3) > 5 does not improve R(3) = 6")
-	}
-	p17, _ := Paley(17)
-	ce4 := &CounterExample{K: 4, Coloring: p17}
-	if ce4.Improves() {
-		t.Fatal("R(4) > 17 does not improve R(4) = 18")
-	}
-	big := &CounterExample{K: 99, Coloring: p5}
-	if !big.Improves() {
-		t.Fatal("uncharted k must always improve")
-	}
-}
-
 func TestEliteEncodeDecodeAndComparator(t *testing.T) {
 	p17, _ := Paley(17)
 	e := &Elite{Conflicts: 3, K: 4, Coloring: p17}

@@ -36,19 +36,3 @@ func FuzzRingCodec(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRollupCodec asserts DecodeRollup never panics and round-trips.
-func FuzzRollupCodec(f *testing.F) {
-	f.Add(EncodeRollup(Rollup{Region: 3, Members: 9, Clients: 1e6, Reports: 42, Ops: 7, Shed: 1, Unix: 99}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeRollup(data)
-		if err != nil {
-			return
-		}
-		back, err := DecodeRollup(EncodeRollup(r))
-		if err != nil || back != r {
-			t.Fatalf("round trip mismatch: %+v vs %+v (%v)", r, back, err)
-		}
-	})
-}

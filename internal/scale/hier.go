@@ -1,63 +1,12 @@
 package scale
 
-import (
-	"fmt"
-	"sort"
-
-	"everyware/internal/clique"
-	"everyware/internal/gossip"
-	"everyware/internal/telemetry"
-	"everyware/internal/wire"
-)
-
-// Hierarchical cliques: instead of one flat Gossip pool where every
-// member exchanges state with every other (O(n) traffic per member, O(n²)
-// total), members split into region sub-pools. Each region elects a
-// leader — the same lowest-ID convention the clique token protocol uses —
-// and only leaders participate in the top pool, republishing their
-// region's rollup summary. Per-member traffic is O(region size) and top
-// traffic O(#regions); with region size ~log n both layers stay
-// logarithmic in the fleet.
-
-// RegionPrefix prefixes per-region rollup keys in the top pool.
-const RegionPrefix = "everyware/region/"
-
-// RegionKey names region r's rollup key in the top pool.
-func RegionKey(region int) string { return fmt.Sprintf("%s%04d", RegionPrefix, region) }
-
-// Regions partitions members deterministically into ceil(n/size) regions
-// by member hash, so every daemon computes the same partition from the
-// same membership without coordination. Members and the per-region lists
-// come back sorted.
-func Regions(members []string, size int) [][]string {
-	if size <= 0 {
-		size = 16
-	}
-	ms := dedupSorted(members)
-	if len(ms) == 0 {
-		return nil
-	}
-	n := (len(ms) + size - 1) / size
-	out := make([][]string, n)
-	for _, m := range ms {
-		r := int(HashKey(m) % uint64(n))
-		out[r] = append(out[r], m)
-	}
-	for _, region := range out {
-		sort.Strings(region)
-	}
-	return out
-}
-
-// LeaderOf returns a region's leader. It delegates to the clique
-// protocol's exported election rule, so the sub-pool's clique leader and
-// its hierarchy leader are the same process by construction.
-func LeaderOf(region []string) string { return clique.LeaderID(region) }
-
 // GossipTraffic models per-round message counts for a fleet of n members:
 // flat (every member syncs its whole pool) versus hierarchical (members
-// sync within regions of the given size, leaders additionally sync the
-// top pool). The sweep records both so the scaling claim is checkable.
+// sync within their region, and one leader per region syncs a top pool of
+// leaders). The regions are the sweep's gateways: ⌊n/regionSize⌋ full
+// regions plus one holding the remainder. No daemon runs the hierarchy;
+// the sweep and ew-sc98 -fig scale record both counts so that the scaling
+// claim is checkable.
 func GossipTraffic(n, regionSize int) (flat, hier int) {
 	if n <= 0 {
 		return 0, 0
@@ -65,126 +14,12 @@ func GossipTraffic(n, regionSize int) (flat, hier int) {
 	if regionSize <= 0 {
 		regionSize = 16
 	}
+	full, rem := n/regionSize, n%regionSize
+	regions := full
+	if rem > 0 {
+		regions++
+	}
 	flat = n * (n - 1)
-	regions := (n + regionSize - 1) / regionSize
-	perRegion := n / max(regions, 1)
-	hier = n*max(perRegion-1, 0) + regions*max(regions-1, 0)
+	hier = full*regionSize*(regionSize-1) + rem*(rem-1) + regions*(regions-1)
 	return flat, hier
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Rollup is one region's aggregated state: what a region leader publishes
-// into the top pool instead of n individual member states.
-type Rollup struct {
-	// Region indexes the region within the current partition.
-	Region int
-	// Members is the region's member count.
-	Members int
-	// Clients is the total client population the region fronts.
-	Clients int64
-	// Reports counts reports the region handled since the epoch.
-	Reports int64
-	// Ops is the total useful operation count reported.
-	Ops int64
-	// Shed counts reports shed by region admission control.
-	Shed int64
-	// Unix is the rollup time on the publisher's clock.
-	Unix int64
-}
-
-// EncodeRollup serializes a rollup.
-func EncodeRollup(r Rollup) []byte {
-	var e wire.Encoder
-	e.PutUint32(uint32(r.Region))
-	e.PutUint32(uint32(r.Members))
-	e.PutInt64(r.Clients)
-	e.PutInt64(r.Reports)
-	e.PutInt64(r.Ops)
-	e.PutInt64(r.Shed)
-	e.PutInt64(r.Unix)
-	return e.Bytes()
-}
-
-// DecodeRollup parses a rollup.
-func DecodeRollup(p []byte) (Rollup, error) {
-	d := wire.NewDecoder(p)
-	var r Rollup
-	reg, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Region = int(reg)
-	mem, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Members = int(mem)
-	if r.Clients, err = d.Int64(); err != nil {
-		return r, err
-	}
-	if r.Reports, err = d.Int64(); err != nil {
-		return r, err
-	}
-	if r.Ops, err = d.Int64(); err != nil {
-		return r, err
-	}
-	if r.Shed, err = d.Int64(); err != nil {
-		return r, err
-	}
-	r.Unix, err = d.Int64()
-	return r, err
-}
-
-// Bridge is the leader's link between a region sub-pool and the top pool:
-// it tracks the region's rollup key locally and republishes fresher
-// values upward. Only the region leader runs an active bridge, so the top
-// pool sees one writer per region.
-type Bridge struct {
-	region  *gossip.Agent
-	top     *gossip.Agent
-	key     string
-	metrics *telemetry.Registry
-}
-
-// NewBridge wires a bridge from a region-pool agent to a top-pool agent
-// for the given region index. Call Publish (or let the region agent's
-// tracking trigger republish) as rollups change.
-func NewBridge(region, top *gossip.Agent, regionIdx int, metrics *telemetry.Registry) *Bridge {
-	b := &Bridge{region: region, top: top, key: RegionKey(regionIdx), metrics: metrics}
-	// Track the rollup key in the region pool; every fresher replica
-	// observed there is republished into the top pool.
-	b.region.Track(b.key, gossip.CmpCounter, func(s gossip.Stamped) {
-		b.top.SetStamped(s)
-		metrics.Counter("scale.hier.republished").Inc()
-	})
-	return b
-}
-
-// Publish sets the region's rollup in the region pool and republishes it
-// to the top pool immediately (the Track callback covers rollups that
-// arrive from region peers rather than locally).
-func (b *Bridge) Publish(r Rollup) {
-	s := b.region.Set(b.key, EncodeRollup(r))
-	b.top.SetStamped(s)
-	b.metrics.Counter("scale.hier.rollups").Inc()
-}
-
-// TopRollups reads every region rollup visible in an agent's pool —
-// what ew-top and the sweep use to see fleet-wide state at O(#regions)
-// cost.
-func TopRollups(a *gossip.Agent) []Rollup {
-	var out []Rollup
-	for _, s := range a.Tracked(RegionPrefix) {
-		if r, err := DecodeRollup(s.Data); err == nil {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
-	return out
 }

@@ -2,27 +2,25 @@
 // the EveryWare toolkit's flat, O(n) SC98 design survive hundreds of
 // thousands of clients.
 //
-// Four mechanisms, each usable on its own and composed by the sched
-// layer and the sweep:
+// Three mechanisms, each usable on its own and composed by the sched
+// layer and the sweep, and one traffic model:
 //
 //   - A consistent-hash ring (Ring) shards scheduler state across N sched
 //     servers with bounded key movement on membership change. The current
 //     ring is published through Gossip under RingKey; clients route
 //     reports by work-key through a Router and fail over along ring
 //     successors.
-//   - Report aggregation: region members roll summaries up (Rollup),
-//     and the sweep models gateways that coalesce their applets' reports
-//     per shard, so per-scheduler inbound message rate can grow with
-//     shard count, not client count. The per-destination buffer a
-//     batching gateway needs is outbox.Pending.
-//   - Hierarchical cliques (Regions/Bridge): members split into region
-//     sub-pools whose leaders republish rollups into a top pool, keeping
-//     per-member gossip traffic O(region) and top-ring traffic
-//     O(#regions) instead of O(n).
+//   - Report aggregation: the sweep models gateways that coalesce their
+//     applets' reports per shard, so per-scheduler inbound message rate
+//     can grow with shard count, not client count. The per-destination
+//     buffer a batching gateway needs is outbox.Pending.
 //   - Admission control (Admitter): a token bucket per shard with
 //     priority-aware load shedding. A shed report is a degraded success —
 //     the client keeps computing and retries the report later — mirroring
 //     pstate's ErrSpooled contract.
+//   - GossipTraffic counts what a two-level gossip hierarchy of regions
+//     would send per round against one flat pool. It is a model only:
+//     no daemon runs the hierarchy.
 package scale
 
 import "errors"
