@@ -2,6 +2,7 @@ package applet
 
 import (
 	"bytes"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -140,11 +141,8 @@ func TestGatewayCloseIsCleanAndRaceSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dials atomic.Int64
-	g.wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
-		dials.Add(1)
-		return wire.Dial(addr, timeout)
-	}
+	dials := &dialCounter{Transport: wire.TCP}
+	g.wc.Transport = dials
 	if _, err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +162,7 @@ func TestGatewayCloseIsCleanAndRaceSafe(t *testing.T) {
 	}
 	wg.Wait()
 
-	dialed := dials.Load()
+	dialed := dials.n.Load()
 	if dialed == 0 {
 		t.Fatal("test setup broken: the gateway never dialed its scheduler")
 	}
@@ -177,7 +175,18 @@ func TestGatewayCloseIsCleanAndRaceSafe(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
-	if got := dials.Load(); got != dialed {
+	if got := dials.n.Load(); got != dialed {
 		t.Fatalf("closed gateway dialed %d more times", got-dialed)
 	}
+}
+
+// dialCounter is a Transport that counts the dials made through it.
+type dialCounter struct {
+	wire.Transport
+	n atomic.Int64
+}
+
+func (t *dialCounter) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.n.Add(1)
+	return t.Transport.Dial(addr, timeout)
 }

@@ -91,9 +91,6 @@ type ComponentConfig struct {
 	// Transport selects the wire substrate for the component's listener
 	// and dials (nil = TCP).
 	Transport wire.Transport
-	// Dialer overrides how outbound connections are opened (fault
-	// injection, tests). Nil means dialling over Transport.
-	Dialer wire.DialFunc
 	// Retry, if set, governs the component's retransmission policy:
 	// bounded attempts with forecast-driven back-off, never blindly
 	// resending non-idempotent requests.
@@ -165,7 +162,6 @@ func NewComponent(cfg ComponentConfig) *Component {
 		Transport:   cfg.Transport,
 		Metrics:     cfg.Metrics,
 		DialTimeout: cfg.CallTimeout,
-		Dialer:      cfg.Dialer,
 		Retry:       cfg.Retry,
 		Silent:      true,
 		Tracer:      cfg.Tracer,

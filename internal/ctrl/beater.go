@@ -22,11 +22,10 @@ type BeaterConfig struct {
 	// Timeout bounds each probe/beat RPC (default Interval, capped at 2s).
 	Timeout time.Duration
 	// Client carries the beats (shared with the harness when set). When
-	// nil a private client is built from Transport/Dialer and closed with
+	// nil a private client is built over Transport and closed with
 	// the beater.
 	Client    *wire.Client
 	Transport wire.Transport
-	Dialer    wire.DialFunc
 	// Logf receives beat diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -66,7 +65,6 @@ func NewBeater(cfg BeaterConfig) *Beater {
 	if b.client == nil {
 		b.client = wire.NewClient(cfg.Timeout)
 		b.client.Transport = cfg.Transport
-		b.client.Dialer = cfg.Dialer
 		b.ownClient = true
 	}
 	b.cfgVer.Store(cfg.Member.ConfigVer)

@@ -20,8 +20,6 @@ type ServerConfig struct {
 	ListenAddr string
 	// Transport selects the wire substrate (nil = TCP).
 	Transport wire.Transport
-	// Dialer overrides outbound connection setup (fault injection).
-	Dialer wire.DialFunc
 	// Retry is the outbound retry policy.
 	Retry *wire.RetryPolicy
 	// Metrics is the daemon registry (nil creates one). Its clock is the
@@ -220,7 +218,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ListenAddr: cfg.ListenAddr,
 		Transport:  cfg.Transport,
 		Metrics:    cfg.Metrics,
-		Dialer:     cfg.Dialer,
 		Retry:      cfg.Retry,
 		Logf:       cfg.Logf,
 		Tracer:     cfg.Tracer,

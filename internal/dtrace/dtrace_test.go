@@ -3,6 +3,7 @@
 package dtrace_test
 
 import (
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -374,11 +375,8 @@ func TestExporterCloseIsCleanAndConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := wire.NewClient(time.Second)
-	var dials atomic.Int64
-	wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
-		dials.Add(1)
-		return wire.DialOn(tp, addr, timeout)
-	}
+	dials := &dialCounter{Transport: tp}
+	wc.Transport = dials
 	reg := telemetry.NewRegistry()
 	ex := dtrace.NewExporter(dtrace.ExporterConfig{Client: wc, Addr: addr, Metrics: reg})
 
@@ -398,7 +396,7 @@ func TestExporterCloseIsCleanAndConserves(t *testing.T) {
 	}
 	wg.Wait()
 
-	dialed := dials.Load()
+	dialed := dials.n.Load()
 	ex.Emit(dtrace.Span{TraceID: 9, SpanID: 1, Name: "late", Outcome: "ok"})
 	snap := reg.Snapshot("")
 	exported, dropped := snap.Value("dtrace.export.spans"), snap.Value("dtrace.export.dropped")
@@ -419,7 +417,7 @@ func TestExporterCloseIsCleanAndConserves(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
-	if got := dials.Load(); got != dialed {
+	if got := dials.n.Load(); got != dialed {
 		t.Fatalf("closed exporter dialed %d more times", got-dialed)
 	}
 }
@@ -437,4 +435,15 @@ func TestSpanString(t *testing.T) {
 			t.Errorf("Span.String() = %q, want %q", got, tc.want)
 		}
 	}
+}
+
+// dialCounter is a Transport that counts the dials made through it.
+type dialCounter struct {
+	wire.Transport
+	n atomic.Int64
+}
+
+func (t *dialCounter) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.n.Add(1)
+	return t.Transport.Dial(addr, timeout)
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,34 +273,36 @@ func (in *Injector) ScheduleFor(stream string, n int) []Action {
 	return out
 }
 
-// Dialer returns a wire.DialFunc for the process labelled from: dials are
-// refused across active partitions, and every connection it opens injects
-// the from->to stream's fault schedule into outbound frames. self is
-// evaluated late so a process may register its own label after binding an
-// ephemeral port. Connections ride TCP; use DialerOn to chaos a
-// different substrate.
-func (in *Injector) Dialer(from string) wire.DialFunc {
-	return in.DialerOn(nil, from)
+// Transport returns inner (nil means TCP) as seen by the process
+// labelled from: dials are refused across active partitions, and every
+// connection it opens injects the from->to stream's fault schedule into
+// outbound frames. Listen is inner's. The peer's label is looked up at
+// dial time, so a process may register its own label after binding an
+// ephemeral port. Real sockets and in-memory pipes take faults
+// identically, so a chaos scenario runs unchanged over either substrate.
+func (in *Injector) Transport(inner wire.Transport, from string) wire.Transport {
+	if inner == nil {
+		inner = wire.TCP
+	}
+	return faultTransport{Transport: inner, in: in, from: from}
 }
 
-// DialerOn is Dialer over an explicit wire.Transport (nil means TCP).
-// The injector perturbs whatever conns the transport produces — real
-// sockets and in-memory pipes take faults identically, so a chaos
-// scenario runs unchanged over either substrate.
-func (in *Injector) DialerOn(tr wire.Transport, from string) wire.DialFunc {
-	if tr == nil {
-		tr = wire.TCP
+// faultTransport is the Transport Injector.Transport returns.
+type faultTransport struct {
+	wire.Transport
+	in   *Injector
+	from string
+}
+
+func (t faultTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	to := t.in.LabelFor(addr)
+	if t.in.Partitioned(t.from, to) {
+		t.in.refused.Add(1)
+		return nil, fmt.Errorf("faults: %s -> %s partitioned", t.from, to)
 	}
-	return func(addr string, timeout time.Duration) (*wire.Conn, error) {
-		to := in.LabelFor(addr)
-		if in.Partitioned(from, to) {
-			in.refused.Add(1)
-			return nil, fmt.Errorf("faults: %s -> %s partitioned", from, to)
-		}
-		nc, err := tr.Dial(addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewConn(in.wrap(nc, from, to)), nil
+	nc, err := t.Transport.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
 	}
+	return t.in.wrap(nc, t.from, to), nil
 }

@@ -91,7 +91,7 @@ func TestDialerInjectsFaultsAndRetrySurvives(t *testing.T) {
 	in.RegisterName(addr, "svc")
 	c := wire.NewClient(time.Second)
 	defer c.Close()
-	c.Dialer = in.Dialer("cli")
+	c.Transport = in.Transport(nil, "cli")
 	c.Retry = &wire.RetryPolicy{MaxAttempts: 25, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 
 	const calls = 60
@@ -124,7 +124,7 @@ func TestPartitionRefusesAndHeals(t *testing.T) {
 	in.RegisterName(addr, "svc")
 	c := wire.NewClient(time.Second)
 	defer c.Close()
-	c.Dialer = in.Dialer("cli")
+	c.Transport = in.Transport(nil, "cli")
 
 	if _, err := c.Ping(addr, time.Second); err != nil {
 		t.Fatalf("pre-partition ping: %v", err)
@@ -167,7 +167,7 @@ func TestDuplicateDeliveredTwice(t *testing.T) {
 	in.RegisterName(addr, "svc")
 	c := wire.NewClient(time.Second)
 	defer c.Close()
-	c.Dialer = in.Dialer("cli")
+	c.Transport = in.Transport(nil, "cli")
 
 	if _, err := c.Call(addr, &wire.Packet{Type: msgEcho}, time.Second); err != nil {
 		t.Fatalf("call through duplicating link: %v", err)

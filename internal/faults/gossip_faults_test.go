@@ -20,7 +20,7 @@ func startFaultyGossip(t *testing.T, in *Injector, label string, wellKnown ...st
 		Heartbeat:    20 * time.Millisecond,
 		CallTimeout:  250 * time.Millisecond,
 		MaxFailures:  10, // fault noise must not evict live components
-		Dialer:       in.Dialer(label),
+		Transport:    in.Transport(nil, label),
 		Retry:        &wire.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	})
 	addr, err := g.Start()
@@ -51,7 +51,7 @@ func TestGossipAntiEntropyUnderFaults(t *testing.T) {
 		svc := wire.NewService(wire.ServiceConfig{
 			ListenAddr:  "127.0.0.1:0",
 			DialTimeout: time.Second,
-			Dialer:      in.Dialer(label),
+			Transport:   in.Transport(nil, label),
 			Retry:       &wire.RetryPolicy{MaxAttempts: 5, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 			Silent:      true,
 		})

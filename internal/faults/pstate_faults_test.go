@@ -26,7 +26,7 @@ func TestRecoverNotStaleAfterPartition(t *testing.T) {
 			ListenAddr:   "127.0.0.1:0",
 			Dir:          t.TempDir(),
 			SyncInterval: time.Hour,
-			Dialer:       in.Dialer(label),
+			Transport:    in.Transport(nil, label),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,10 +43,10 @@ func TestRecoverNotStaleAfterPartition(t *testing.T) {
 
 	// The component lists the soon-to-be-stale replica C first.
 	comp := core.NewComponent(core.ComponentConfig{
-		ID:      "stale-reader",
-		Infra:   "test",
-		PStates: []string{c, a, b},
-		Dialer:  in.Dialer("comp"),
+		ID:        "stale-reader",
+		Infra:     "test",
+		PStates:   []string{c, a, b},
+		Transport: in.Transport(nil, "comp"),
 	})
 	if _, err := comp.Start(); err != nil {
 		t.Fatal(err)

@@ -321,8 +321,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				ListenAddr:   listen,
 				Dir:          filepath.Join(cfg.Dir, label),
 				SyncInterval: 60 * time.Millisecond,
-				Transport:    cfg.Transport,
-				Dialer:       in.DialerOn(cfg.Transport, label),
+				Transport:    in.Transport(cfg.Transport, label),
 				Retry:        retryPolicy(),
 				Tracer:       tracerFor(label),
 			}
@@ -378,8 +377,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				// 2x this, so partition detection and re-merge stay sub-second
 				// even when injected faults stall individual token hops.
 				CallTimeout: 250 * time.Millisecond,
-				Transport:   cfg.Transport,
-				Dialer:      in.DialerOn(cfg.Transport, label),
+				Transport:   in.Transport(cfg.Transport, label),
 				Retry:       retryPolicy(),
 				Tracer:      tracerFor(label),
 			}), nil)
@@ -505,8 +503,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			Schedulers:         schedAddrs,
 			Gossips:            gossipAddrs,
 			PStates:            append([]string(nil), rosterAddrs...),
-			Transport:          cfg.Transport,
-			Dialer:             in.DialerOn(cfg.Transport, label),
+			Transport:          in.Transport(cfg.Transport, label),
 			Retry:              retryPolicy(),
 			MaxServiceFailures: 3,
 			ServiceCooldown:    200 * time.Millisecond,
@@ -659,7 +656,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var writerWG sync.WaitGroup
 	if cfg.WriteLoad {
 		wcW := wire.NewClient(500 * time.Millisecond)
-		wcW.Dialer = in.DialerOn(cfg.Transport, "cw")
+		wcW.Transport = in.Transport(cfg.Transport, "cw")
 		wcW.Retry = retryPolicy()
 		defer wcW.Close()
 		rs, err := pstate.NewReplicaSet(wcW, pstate.ReplicaSetConfig{

@@ -3,6 +3,7 @@ package gossip
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -433,24 +434,21 @@ func TestShareCoalescerMergesPerPeer(t *testing.T) {
 // dials; and once every daemon is closed no goroutine is left.
 func TestCloseIsCleanAndRaceSafe(t *testing.T) {
 	base := runtime.NumGoroutine()
-	var dials atomic.Int64
-	start := func(dialer wire.DialFunc, wellKnown ...string) *Server {
+	dials := &dialCounter{Transport: wire.TCP}
+	start := func(tr wire.Transport, wellKnown ...string) *Server {
 		g := NewServer(ServerConfig{
 			ListenAddr:   "127.0.0.1:0",
 			WellKnown:    wellKnown,
 			SyncInterval: 30 * time.Millisecond,
 			Heartbeat:    20 * time.Millisecond,
-			Dialer:       dialer,
+			Transport:    tr,
 		})
 		if _, err := g.Start(); err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	a := start(func(addr string, timeout time.Duration) (*wire.Conn, error) {
-		dials.Add(1)
-		return wire.Dial(addr, timeout)
-	})
+	a := start(dials)
 	b := start(nil, a.Addr())
 	eventually(t, 5*time.Second, func() bool { return len(a.PoolView().Members) == 2 }, "pool of two")
 
@@ -474,7 +472,7 @@ func TestCloseIsCleanAndRaceSafe(t *testing.T) {
 	}
 	wg.Wait()
 
-	dialed := dials.Load()
+	dialed := dials.n.Load()
 	late := Registration{Addr: "comp:2", Key: "app/k", Comparator: CmpCounter}
 	a.enqueueShare(view, late)
 	a.out.Kick()
@@ -484,10 +482,21 @@ func TestCloseIsCleanAndRaceSafe(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
-	if got := dials.Load(); got != dialed {
+	if got := dials.n.Load(); got != dialed {
 		t.Fatalf("closed gossip dialed %d more times", got-dialed)
 	}
 	if a.shares.Len() != 1 {
 		t.Fatalf("a share enqueued after Close was taken for sending (%d pending, want 1)", a.shares.Len())
 	}
+}
+
+// dialCounter is a Transport that counts the dials made through it.
+type dialCounter struct {
+	wire.Transport
+	n atomic.Int64
+}
+
+func (t *dialCounter) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.n.Add(1)
+	return t.Transport.Dial(addr, timeout)
 }

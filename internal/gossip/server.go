@@ -37,9 +37,6 @@ type ServerConfig struct {
 	// Transport selects the wire substrate for the listener and all
 	// outbound calls. Nil means TCP.
 	Transport wire.Transport
-	// Dialer overrides how outbound connections are opened (fault
-	// injection, tests). Nil means dialing the Transport.
-	Dialer wire.DialFunc
 	// Retry, if set, governs the daemon's outbound retransmission policy.
 	// Every Gossip message type is idempotent, so retries are safe.
 	Retry *wire.RetryPolicy
@@ -127,7 +124,6 @@ func NewServer(cfg ServerConfig) *Server {
 		Transport:   cfg.Transport,
 		Metrics:     cfg.Metrics,
 		DialTimeout: cfg.CallTimeout,
-		Dialer:      cfg.Dialer,
 		Retry:       cfg.Retry,
 		Logf:        cfg.Logf,
 		Tracer:      cfg.Tracer,

@@ -20,10 +20,9 @@ type Config struct {
 	Name string
 	// ListenAddr binds the introspection endpoint (default ":0").
 	ListenAddr string
-	// Transport, Dialer, Metrics, Silent follow wire.ServiceConfig. The
+	// Transport, Metrics, Silent follow wire.ServiceConfig. The
 	// registry's clock is the observatory's: alert timestamps come from it.
 	Transport wire.Transport
-	Dialer    wire.DialFunc
 	Metrics   *telemetry.Registry
 	Silent    bool
 
@@ -96,7 +95,6 @@ func New(cfg Config) *Server {
 		Name:       cfg.Name,
 		ListenAddr: cfg.ListenAddr,
 		Transport:  cfg.Transport,
-		Dialer:     cfg.Dialer,
 		Metrics:    cfg.Metrics,
 		Silent:     cfg.Silent,
 	})

@@ -3,6 +3,7 @@ package pstate
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"slices"
 	"testing"
@@ -123,12 +124,12 @@ func TestSpoolFlushOnReconnect(t *testing.T) {
 	t.Cleanup(wc.Close)
 	addrs := addrsOf(srvs)
 	refuse := true
-	wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+	wc.Transport = dialHook(func(addr string, timeout time.Duration) (net.Conn, error) {
 		if refuse {
 			return nil, fmt.Errorf("test: unreachable")
 		}
-		return wire.Dial(addr, timeout)
-	}
+		return wire.TCP.Dial(addr, timeout)
+	})
 	rs, err := NewReplicaSet(wc, ReplicaSetConfig{Addrs: addrs, Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -244,17 +245,17 @@ func TestTombstoneConvergence(t *testing.T) {
 func TestQuorumDeleteAndList(t *testing.T) {
 	srvs := newPeeredServers(t, 3)
 	unreachable := make(map[string]bool)
-	conns := make(map[string]*wire.Conn)
+	conns := make(map[string]net.Conn)
 	wc := wire.NewClient(200 * time.Millisecond)
 	t.Cleanup(wc.Close)
-	wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+	wc.Transport = dialHook(func(addr string, timeout time.Duration) (net.Conn, error) {
 		if unreachable[addr] {
 			return nil, fmt.Errorf("test: unreachable")
 		}
-		cc, err := wire.Dial(addr, timeout)
+		cc, err := wire.TCP.Dial(addr, timeout)
 		conns[addr] = cc
 		return cc, err
-	}
+	})
 	rs, err := NewReplicaSet(wc, ReplicaSetConfig{Addrs: addrsOf(srvs), Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -435,3 +436,9 @@ func TestReplicaSetQuorumImpossible(t *testing.T) {
 		t.Fatal("impossible quorum accepted")
 	}
 }
+
+// dialHook is a TCP Transport whose dials go through a test hook.
+type dialHook func(addr string, timeout time.Duration) (net.Conn, error)
+
+func (f dialHook) Dial(addr string, timeout time.Duration) (net.Conn, error) { return f(addr, timeout) }
+func (dialHook) Listen(addr string) (net.Listener, error)                    { return wire.TCP.Listen(addr) }

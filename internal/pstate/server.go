@@ -120,9 +120,6 @@ type ServerConfig struct {
 	// Transport selects the wire substrate for the listener and
 	// anti-entropy calls. Nil means TCP.
 	Transport wire.Transport
-	// Dialer overrides how anti-entropy connections are opened (fault
-	// injection, tests). Nil means dialing the Transport.
-	Dialer wire.DialFunc
 	// Retry governs anti-entropy retransmission (nil: wire defaults).
 	Retry *wire.RetryPolicy
 	// CrashPoints, if set, is consulted at every CrashSite inside persist;
@@ -178,7 +175,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ListenAddr: cfg.ListenAddr,
 		Transport:  cfg.Transport,
 		Metrics:    cfg.Metrics,
-		Dialer:     cfg.Dialer,
 		Retry:      cfg.Retry,
 		Logf:       cfg.Logf,
 		Tracer:     cfg.Tracer,

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -410,11 +411,8 @@ func TestLogForwardKeepsTraceAndCloseIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(ServerConfig{N: 9, K: 3, LogAddr: ls.Addr()})
-	var dials atomic.Int64
-	s.wc.Dialer = func(addr string, timeout time.Duration) (*wire.Conn, error) {
-		dials.Add(1)
-		return wire.Dial(addr, timeout)
-	}
+	dials := &dialCounter{Transport: wire.TCP}
+	s.wc.Transport = dials
 	const reports = 40
 	for i := uint64(1); i <= reports; i++ {
 		tc := wire.TraceContext{TraceID: i, SpanID: 1000 + i, Sampled: true}
@@ -438,7 +436,7 @@ func TestLogForwardKeepsTraceAndCloseIsClean(t *testing.T) {
 		t.Fatalf("%d appends carried a report's trace, want %d", len(seen), reports)
 	}
 
-	dialed := dials.Load()
+	dialed := dials.n.Load()
 	s.Handle(Report{ClientID: "late", Infra: "unix"})
 	ls.Close()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
@@ -446,10 +444,21 @@ func TestLogForwardKeepsTraceAndCloseIsClean(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
-	if got := dials.Load(); got != dialed {
+	if got := dials.n.Load(); got != dialed {
 		t.Fatalf("closed scheduler dialed %d more times", got-dialed)
 	}
 	if appended, _ := ls.Stats(); appended != reports {
 		t.Fatalf("a report handled after Close was logged (%d entries)", appended)
 	}
+}
+
+// dialCounter is a Transport that counts the dials made through it.
+type dialCounter struct {
+	wire.Transport
+	n atomic.Int64
+}
+
+func (t *dialCounter) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.n.Add(1)
+	return t.Transport.Dial(addr, timeout)
 }

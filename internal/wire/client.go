@@ -9,11 +9,6 @@ import (
 	"everyware/internal/telemetry"
 )
 
-// DialFunc opens a packet connection to addr within timeout. The default
-// is Dial; tests and the fault-injection harness substitute wrappers that
-// corrupt, delay, or partition the underlying byte stream.
-type DialFunc func(addr string, timeout time.Duration) (*Conn, error)
-
 // Client maintains cached connections to remote services with a bounded,
 // idempotency-aware retry policy. EveryWare components use a Client to
 // talk to schedulers, Gossips, persistent state managers, and logging
@@ -24,11 +19,9 @@ type Client struct {
 	closed      bool
 	DialTimeout time.Duration
 	// Transport selects the substrate connections are opened on. Nil
-	// means TCP. Ignored when Dialer is set.
+	// means TCP. Fault injection and tests wrap a Transport to corrupt,
+	// delay, partition or count the connections it opens.
 	Transport Transport
-	// Dialer overrides how connections are opened (fault injection,
-	// tests). Nil means dialing the Transport directly.
-	Dialer DialFunc
 	// Retry, when set, governs retransmission: bounded attempts with
 	// forecast-driven exponential back-off. Nil preserves the historical
 	// single-redial behaviour (one retransmit on a fresh connection),
@@ -48,9 +41,6 @@ type Client struct {
 	// never starts a trace itself — roots belong to domain operations.
 	// Nil propagates req.Trace unchanged and records nothing.
 	Tracer Tracer
-	// Window bounds pipelined in-flight calls per connection (0 means
-	// DefaultWindow). Applied to connections as they are dialed.
-	Window int
 
 	// callFam caches the "wire.client.call" span family so the hot path
 	// records latency without per-call name concatenation.
@@ -76,21 +66,14 @@ func (c *Client) conn(addr string) (*Conn, error) {
 	if cc, ok := c.conns[addr]; ok {
 		return cc, nil
 	}
-	dial := c.Dialer
-	if dial == nil {
-		tr := c.Transport
-		if tr == nil {
-			tr = TCP
-		}
-		dial = func(addr string, timeout time.Duration) (*Conn, error) {
-			return DialOn(tr, addr, timeout)
-		}
+	tr := c.Transport
+	if tr == nil {
+		tr = TCP
 	}
-	cc, err := dial(addr, c.DialTimeout)
+	cc, err := DialOn(tr, addr, c.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cc.Window = c.Window
 	c.conns[addr] = cc
 	return cc, nil
 }
@@ -202,12 +185,13 @@ func (c *Client) CallMsgTraced(addr string, t MsgType, tc TraceContext, req Mess
 	return err
 }
 
-// Go issues req to addr asynchronously on the cached (pipelined)
-// connection and returns a PendingCall completed when the reply arrives,
-// the timeout fires, or the connection fails. Go takes ownership of req.
-// There is no retry ladder on the async path: quorum fan-out and
-// anti-entropy layers — the Go callers — own their own redundancy. A
-// connection already marked broken is redialed once before dispatch.
+// Go issues req to addr on the cached (pipelined) connection without
+// waiting; the returned PendingCall's Wait collects the reply, the
+// timeout, or the connection's failure, and must be called exactly once.
+// Go takes ownership of req and releases it once it is dispatched. There
+// is no retry ladder on the async path: quorum fan-out and anti-entropy
+// layers — the Go callers — own their own redundancy. A connection
+// already marked broken is redialed once before dispatch.
 func (c *Client) Go(addr string, req *Packet, timeout time.Duration) *PendingCall {
 	cc, err := c.conn(addr)
 	if err == nil && cc.Broken() != nil {
@@ -216,9 +200,13 @@ func (c *Client) Go(addr string, req *Packet, timeout time.Duration) *PendingCal
 	}
 	if err != nil {
 		req.Release()
-		return failedCall(err)
+		pc := getCall()
+		pc.err = err
+		return pc
 	}
-	return cc.CallAsync(req, timeout)
+	pc := cc.Go(req, timeout)
+	req.Release()
+	return pc
 }
 
 // call is the uninstrumented retry ladder. It reports the telemetry

@@ -8,85 +8,77 @@ import (
 	"time"
 )
 
-// DefaultWindow is the per-Conn bound on pipelined in-flight calls when
-// Conn.Window is zero. The window is admission control, not concurrency:
-// calls beyond it wait (up to their timeout) for a slot instead of
-// stacking unbounded state on one connection.
+// DefaultWindow is the per-Conn bound on pipelined in-flight calls. The
+// window is admission control, not concurrency: calls beyond it wait (up
+// to their timeout) for a slot instead of stacking unbounded state on
+// one connection.
 const DefaultWindow = 64
 
 // Conn wraps a stream connection with packet semantics and the
-// timeout-bounded operations the lingua franca requires. All sends and
-// receives are safe for concurrent use; writes are serialized by a mutex
-// and reads by a second mutex, matching the paper's request/response
-// discipline.
+// timeout-bounded request/response exchange the lingua franca requires.
+// Writes are serialized by a mutex.
 //
-// Concurrent Calls on one Conn are multiplexed by correlation tag: the
-// first Call starts a demultiplexer goroutine that owns all reads and
-// routes each reply to the waiting caller. Calls pipeline — any mix of
-// Call and CallAsync shares the connection, bounded by Window. Raw Recv
-// must therefore not be mixed with Call on the same Conn.
+// Concurrent calls on one Conn are multiplexed by correlation tag: the
+// first call starts a demultiplexer goroutine that owns all reads and
+// routes each reply to the waiting caller. Calls pipeline — Call and Go
+// share one mechanism and one connection, bounded by DefaultWindow.
 type Conn struct {
 	nc      net.Conn
 	wmu     sync.Mutex
-	rmu     sync.Mutex
 	tagSeq  atomic.Uint64
 	oneShot sync.Once
 
-	// Window bounds in-flight pipelined calls on this Conn (0 means
-	// DefaultWindow). Set before the first Call.
-	Window int
-
 	pmu     sync.Mutex
-	pending map[uint64]*pendingCall
+	pending map[uint64]*PendingCall
 	winCh   chan struct{}
 	demuxOn bool
-	broken  error // terminal read error; all further Calls fail fast
+	broken  error // terminal read error; all further calls fail fast
 }
 
-// pendingCall is one registered in-flight call. Sync callers wait on ch
-// (capacity 1, reused across calls via syncCalls); async callers carry a
-// *PendingCall completed under the pending-map lock.
+// PendingCall is one in-flight call issued with Conn.Go or Client.Go.
+// Wait collects its result exactly once; the call is pooled and must not
+// be touched after Wait returns.
 //
-// timer is the call's deadline. Sync calls own it exclusively (a
-// reusable NewTimer armed after send, disarmed by the caller). Async
-// calls use an AfterFunc armed and stopped only under the Conn's
-// pending-map lock, because the demux may complete the call the moment
-// it is published.
-type pendingCall struct {
+// ch has capacity 1 and receives the reply (nil when the connection
+// broke); the demux sends on it under the pending-map lock, atomically
+// with removing the call's entry. timer is the call's reusable deadline,
+// owned by whoever issued and waits on the call.
+type PendingCall struct {
 	ch    chan *Packet
 	timer *time.Timer
-	async *PendingCall
+	armed bool
+	c     *Conn
+	tag   uint64
+	err   error // set when the request was never sent
 }
 
-// stopAsyncTimer stops an async call's timeout, if armed. Caller holds
-// the pending-map lock.
-func (pc *pendingCall) stopAsyncTimer() {
-	if pc.timer != nil {
-		pc.timer.Stop()
-	}
-}
+// callPool pools PendingCall structs so the per-call channel and
+// deadline timer are reused instead of allocated.
+var callPool sync.Pool
 
-// syncCalls pools pendingCall structs for synchronous Calls so the
-// per-call channel and deadline timer are reused instead of allocated.
-var syncCalls sync.Pool
-
-func getSyncCall() *pendingCall {
+func getCall() *PendingCall {
 	poolGets.Add(1)
-	if pc, ok := syncCalls.Get().(*pendingCall); ok {
+	if pc, ok := callPool.Get().(*PendingCall); ok {
 		return pc
 	}
 	poolMisses.Add(1)
-	return &pendingCall{ch: make(chan *Packet, 1)}
+	return &PendingCall{ch: make(chan *Packet, 1)}
 }
 
-// putSyncCall requires pc.ch drained and pc.timer stopped and drained.
-func putSyncCall(pc *pendingCall) {
+// putCall requires pc.ch drained and pc.timer stopped and drained.
+func putCall(pc *PendingCall) {
+	pc.c, pc.err = nil, nil
 	poolPuts.Add(1)
-	syncCalls.Put(pc)
+	callPool.Put(pc)
 }
 
-// armTimer starts (or re-arms) the call's reusable deadline timer.
-func (pc *pendingCall) armTimer(d time.Duration) {
+// armTimer starts (or re-arms) the call's reusable deadline timer. A
+// timeout <= 0 means no deadline.
+func (pc *PendingCall) armTimer(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	pc.armed = true
 	if pc.timer == nil {
 		pc.timer = time.NewTimer(d)
 		return
@@ -96,13 +88,14 @@ func (pc *pendingCall) armTimer(d time.Duration) {
 
 // disarmTimer stops the timer and drains a tick that already fired, so
 // the timer is safe to Reset on the next call.
-func (pc *pendingCall) disarmTimer() {
-	if pc.timer != nil && !pc.timer.Stop() {
+func (pc *PendingCall) disarmTimer() {
+	if pc.armed && !pc.timer.Stop() {
 		select {
 		case <-pc.timer.C:
 		default:
 		}
 	}
+	pc.armed = false
 }
 
 // lateDrops counts replies that arrived for tags nobody was waiting on
@@ -110,24 +103,16 @@ func (pc *pendingCall) disarmTimer() {
 // buffers are released, not leaked.
 var lateDrops atomic.Int64
 
-// NewConn wraps nc. The caller retains responsibility for closing via
-// Close exactly once.
-func NewConn(nc net.Conn) *Conn { return &Conn{nc: nc} }
-
-// Dial connects to addr over TCP with a bounded connect time. The paper
-// implemented connect timeouts with a forked watchdog and later setitimer;
-// Go's dialer deadline provides the same semantics portably.
-func Dial(addr string, timeout time.Duration) (*Conn, error) {
-	return DialOn(TCP, addr, timeout)
-}
-
-// DialOn connects to addr over an explicit transport.
+// DialOn connects to addr over tr with a bounded connect time. The paper
+// implemented connect timeouts with a forked watchdog and later
+// setitimer; a transport's dial deadline provides the same semantics
+// portably.
 func DialOn(tr Transport, addr string, timeout time.Duration) (*Conn, error) {
 	nc, err := tr.Dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return NewConn(nc), nil
+	return &Conn{nc: nc, winCh: make(chan struct{}, DefaultWindow)}, nil
 }
 
 // Close closes the underlying connection. Safe to call more than once.
@@ -140,9 +125,6 @@ func (c *Conn) Close() error {
 // RemoteAddr reports the remote endpoint.
 func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 
-// NextTag returns a fresh correlation tag, unique within this Conn.
-func (c *Conn) NextTag() uint64 { return c.tagSeq.Add(1) }
-
 // Broken reports the terminal error that killed this Conn's demux loop,
 // or nil while the connection is usable. Clients use it to discard a
 // cached connection before issuing async calls on it.
@@ -152,8 +134,9 @@ func (c *Conn) Broken() error {
 	return c.broken
 }
 
-// Send writes p with a write deadline of timeout (0 means no deadline).
-func (c *Conn) Send(p *Packet, timeout time.Duration) error {
+// send writes p with a write deadline of timeout (<= 0 means no
+// deadline).
+func (c *Conn) send(p *Packet, timeout time.Duration) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if timeout > 0 {
@@ -165,56 +148,24 @@ func (c *Conn) Send(p *Packet, timeout time.Duration) error {
 	return WritePacket(c.nc, p)
 }
 
-// Recv reads the next packet with a read deadline of timeout (0 means
-// block indefinitely). This is the portable receive-with-timeout the paper
-// built from select(); a deadline expiry surfaces as a net timeout error.
-func (c *Conn) Recv(timeout time.Duration) (*Packet, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if timeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-		defer c.nc.SetReadDeadline(time.Time{})
-	}
-	return ReadPacket(c.nc)
-}
-
-// window returns the in-flight admission channel, creating it on first
-// use with the Conn's configured bound.
-func (c *Conn) window() chan struct{} {
-	c.pmu.Lock()
-	if c.winCh == nil {
-		n := c.Window
-		if n <= 0 {
-			n = DefaultWindow
-		}
-		c.winCh = make(chan struct{}, n)
-	}
-	ch := c.winCh
-	c.pmu.Unlock()
-	return ch
-}
-
 // acquireWindow claims an in-flight slot, waiting up to timeout when the
-// window is full (0 blocks indefinitely).
+// window is full (<= 0 blocks indefinitely).
 func (c *Conn) acquireWindow(timeout time.Duration) error {
-	ch := c.window()
 	select {
-	case ch <- struct{}{}:
+	case c.winCh <- struct{}{}:
 		pipelineInflight.Add(1)
 		return nil
 	default:
 	}
 	if timeout <= 0 {
-		ch <- struct{}{}
+		c.winCh <- struct{}{}
 		pipelineInflight.Add(1)
 		return nil
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case ch <- struct{}{}:
+	case c.winCh <- struct{}{}:
 		pipelineInflight.Add(1)
 		return nil
 	case <-t.C:
@@ -233,66 +184,85 @@ func (c *Conn) releaseWindowLocked() {
 
 // register claims a window slot and a fresh tag, inserts pc into the
 // pending map, and starts the demux loop on first use.
-func (c *Conn) register(pc *pendingCall, timeout time.Duration) (uint64, error) {
+func (c *Conn) register(pc *PendingCall, timeout time.Duration) error {
 	if err := c.acquireWindow(timeout); err != nil {
-		return 0, err
+		return err
 	}
 	c.pmu.Lock()
+	defer c.pmu.Unlock()
 	if c.broken != nil {
-		err := c.broken
 		c.releaseWindowLocked()
-		c.pmu.Unlock()
-		return 0, err
+		return c.broken
 	}
-	tag := c.NextTag()
+	pc.tag = c.tagSeq.Add(1)
 	if c.pending == nil {
-		c.pending = make(map[uint64]*pendingCall)
+		c.pending = make(map[uint64]*PendingCall)
 	}
-	c.pending[tag] = pc
+	c.pending[pc.tag] = pc
 	if !c.demuxOn {
 		c.demuxOn = true
 		go c.demuxLoop()
 	}
-	c.pmu.Unlock()
-	return tag, nil
+	return nil
 }
 
-// Call performs one request/response exchange: it sends req with a fresh
-// tag and waits up to timeout for the packet bearing that tag. Replies are
-// demultiplexed by tag, so any number of goroutines may Call concurrently
-// on the same Conn without consuming each other's responses — calls
-// pipeline on the stream, bounded by Window; responses to calls that
-// already timed out are discarded (and their pooled buffers released). A
-// MsgError response is converted to a *RemoteError; a failure before the
-// request hit the wire (the request cannot have been processed remotely)
-// is wrapped in a *SendError so callers can retransmit safely.
+// Go issues a pipelined request/response exchange without waiting for
+// the reply: it claims a window slot (waiting up to timeout when the
+// pipeline is full), sends req with a fresh tag and arms the call's
+// deadline. Wait collects the reply. Responses to calls that already
+// timed out are discarded (and their pooled buffers released). A failure
+// before the request hit the wire (the request cannot have been
+// processed remotely) is reported by Wait as a *SendError so callers can
+// retransmit safely. A timeout <= 0 means no deadline.
 //
-// Call does NOT release req — ownership of pooled requests sits with
-// Client.Call, whose retry ladder may retransmit the same packet.
-func (c *Conn) Call(req *Packet, timeout time.Duration) (*Packet, error) {
-	pc := getSyncCall()
-	tag, err := c.register(pc, timeout)
-	if err != nil {
-		putSyncCall(pc)
-		return nil, &SendError{Err: err}
+// Go does NOT release req — ownership of pooled requests sits with
+// Client.Call and Client.Go; the retry ladder may retransmit the same
+// packet.
+func (c *Conn) Go(req *Packet, timeout time.Duration) *PendingCall {
+	pc := getCall()
+	if err := c.register(pc, timeout); err != nil {
+		pc.err = &SendError{Err: err}
+		return pc
 	}
-	req.Tag = tag
-	if err := c.Send(req, timeout); err != nil {
-		c.unregister(tag)
-		c.drainSync(pc)
-		putSyncCall(pc)
-		return nil, &SendError{Err: err}
+	pc.c = c
+	req.Tag = pc.tag
+	if err := c.send(req, timeout); err != nil {
+		c.unregister(pc)
+		pc.err = &SendError{Err: err}
+		return pc
 	}
 	pc.armTimer(timeout)
+	return pc
+}
+
+// Call performs one request/response exchange: Go followed by Wait. Any
+// number of goroutines may Call concurrently on the same Conn without
+// consuming each other's responses.
+func (c *Conn) Call(req *Packet, timeout time.Duration) (*Packet, error) {
+	return c.Go(req, timeout).Wait()
+}
+
+// Wait blocks until the call's reply arrives, its deadline passes, or
+// the connection fails, and returns the call to the pool. A MsgError
+// reply is converted to a *RemoteError; *SendError means the request
+// never hit the wire. The caller owns the returned packet and releases
+// it after decoding.
+func (pc *PendingCall) Wait() (*Packet, error) {
+	c, err := pc.c, pc.err
+	if err != nil {
+		putCall(pc)
+		return nil, err
+	}
+	var expired <-chan time.Time
+	if pc.armed {
+		expired = pc.timer.C
+	}
 	select {
 	case resp := <-pc.ch:
 		pc.disarmTimer()
-		putSyncCall(pc)
+		putCall(pc)
 		if resp == nil {
-			c.pmu.Lock()
-			err := c.broken
-			c.pmu.Unlock()
-			return nil, err
+			return nil, c.Broken()
 		}
 		if resp.Type == MsgError {
 			err := DecodeError(resp)
@@ -300,32 +270,26 @@ func (c *Conn) Call(req *Packet, timeout time.Duration) (*Packet, error) {
 			return nil, err
 		}
 		return resp, nil
-	case <-pc.timer.C:
-		c.unregister(tag)
-		// The reply may have been delivered between the timer firing and
-		// the unregister taking the lock; drop it so the pooled channel
-		// is clean for reuse and the payload buffer goes back.
-		c.drainSync(pc)
-		putSyncCall(pc)
+	case <-expired:
+		pc.armed = false
+		c.unregister(pc)
+		putCall(pc)
 		return nil, &TimeoutError{Op: "call", Addr: c.RemoteAddr()}
 	}
 }
 
-// unregister abandons the pending call for tag. If the call is still
-// registered its window slot is freed; a late reply bearing the tag is
-// then dropped (and released) by the demultiplexer.
-func (c *Conn) unregister(tag uint64) {
+// unregister abandons pc. If the call is still registered its window
+// slot is freed; a late reply bearing its tag is then dropped (and
+// released) by the demultiplexer. A reply that raced into pc.ch before
+// the unregister took the lock is dropped here, so the pooled channel is
+// clean for reuse and the payload buffer goes back.
+func (c *Conn) unregister(pc *PendingCall) {
 	c.pmu.Lock()
-	if _, ok := c.pending[tag]; ok {
-		delete(c.pending, tag)
+	if _, ok := c.pending[pc.tag]; ok {
+		delete(c.pending, pc.tag)
 		c.releaseWindowLocked()
 	}
 	c.pmu.Unlock()
-}
-
-// drainSync disposes of a reply that raced into an abandoned sync call's
-// channel, releasing its pooled payload.
-func (c *Conn) drainSync(pc *pendingCall) {
 	select {
 	case p := <-pc.ch:
 		if p != nil {
@@ -336,27 +300,22 @@ func (c *Conn) drainSync(pc *pendingCall) {
 	}
 }
 
-// demuxLoop owns all reads on the connection once the first Call starts
+// demuxLoop owns all reads on the connection once the first call starts
 // it: every inbound packet is routed, under the pending-map lock, to the
 // caller waiting on its tag. Replies to abandoned calls are dropped and
 // their pooled buffers released. A read error is terminal: every pending
-// and future Call on this Conn fails with it, and the owning Client
+// and future call on this Conn fails with it, and the owning Client
 // redials.
 func (c *Conn) demuxLoop() {
 	for {
-		p, err := c.Recv(0)
+		p, err := ReadPacket(c.nc)
 		if err != nil {
 			c.pmu.Lock()
 			c.broken = fmt.Errorf("wire: connection to %s broken: %w", c.RemoteAddr(), err)
 			for tag, pc := range c.pending {
 				delete(c.pending, tag)
 				c.releaseWindowLocked()
-				if pc.async != nil {
-					pc.stopAsyncTimer()
-					pc.async.complete(nil, c.broken)
-				} else {
-					pc.ch <- nil
-				}
+				pc.ch <- nil
 			}
 			c.pmu.Unlock()
 			return
@@ -369,128 +328,18 @@ func (c *Conn) demuxLoop() {
 		if ok {
 			delete(c.pending, tag)
 			c.releaseWindowLocked()
-			if pc.async != nil {
-				pc.stopAsyncTimer()
-				if p.Type == MsgError {
-					err := DecodeError(p)
-					p.Release()
-					pc.async.complete(nil, err)
-				} else {
-					pc.async.complete(p, nil)
-				}
-			} else {
-				// Capacity-1 channel, sole send for this tag: the send
-				// cannot block, so delivering under pmu is safe and makes
-				// delivery atomic with the map removal — no window where a
-				// timed-out caller's pooled channel could be reused while a
-				// reply is still in flight toward it.
-				pc.ch <- p
-			}
+			// Capacity-1 channel, sole send for this tag: the send cannot
+			// block, so delivering under pmu is safe and makes delivery
+			// atomic with the map removal — no window where a timed-out
+			// caller's pooled channel could be reused while a reply is
+			// still in flight toward it.
+			pc.ch <- p
 		}
 		c.pmu.Unlock()
 		if !ok {
 			lateDrops.Add(1)
 			p.Release()
 		}
-	}
-}
-
-// PendingCall is one in-flight asynchronous call issued with CallAsync
-// or Client.Go. When the call completes — reply, error, or timeout —
-// Resp/Err are filled and the call is delivered on Done. Resp, when
-// non-nil, is pooled: the receiver releases it after decoding.
-type PendingCall struct {
-	// Resp is the reply packet (nil on error).
-	Resp *Packet
-	// Err is the terminal error (nil on success). A *RemoteError is a
-	// definitive remote answer; *SendError means the request never hit
-	// the wire.
-	Err error
-	// Done receives the call itself exactly once, on completion.
-	Done chan *PendingCall
-}
-
-// complete finishes the call exactly once: the sole caller is whoever
-// removed the call's entry from the pending map (or the issuer before
-// the call was ever published), so completions cannot race. The Done
-// channel has capacity 1, so the send never blocks.
-func (ac *PendingCall) complete(resp *Packet, err error) {
-	ac.Resp, ac.Err = resp, err
-	ac.Done <- ac
-}
-
-// Wait blocks until the call completes and returns its result. The
-// caller owns the returned packet and releases it after decoding.
-func (ac *PendingCall) Wait() (*Packet, error) {
-	<-ac.Done
-	return ac.Resp, ac.Err
-}
-
-// failedCall returns an already-completed PendingCall carrying err.
-func failedCall(err error) *PendingCall {
-	ac := &PendingCall{Done: make(chan *PendingCall, 1)}
-	ac.complete(nil, err)
-	return ac
-}
-
-// CallAsync issues a pipelined request/response exchange without waiting
-// for the reply: it claims a window slot (waiting up to timeout when the
-// pipeline is full), sends req, and returns a PendingCall completed by
-// the demux loop when the correlated reply arrives, by the timeout, or
-// by connection failure. Any mix of CallAsync and Call shares one Conn.
-//
-// CallAsync takes ownership of req: the packet is released as soon as
-// its bytes are written (there is no retransmission on the async path —
-// quorum and fan-out layers own their own redundancy).
-func (c *Conn) CallAsync(req *Packet, timeout time.Duration) *PendingCall {
-	ac := &PendingCall{Done: make(chan *PendingCall, 1)}
-	pc := &pendingCall{async: ac}
-	tag, err := c.register(pc, timeout)
-	if err != nil {
-		req.Release()
-		ac.complete(nil, &SendError{Err: err})
-		return ac
-	}
-	req.Tag = tag
-	sendErr := c.Send(req, timeout)
-	req.Release()
-	if sendErr != nil {
-		c.failPending(tag, &SendError{Err: sendErr})
-		return ac
-	}
-	if timeout > 0 {
-		// The timeout timer lives on the map entry and is armed and
-		// stopped only under pmu: the reply may already be racing back
-		// through the demux, which reads the entry the instant it holds
-		// the lock.
-		c.pmu.Lock()
-		if c.pending[tag] == pc {
-			pc.timer = time.AfterFunc(timeout, func() {
-				c.failPending(tag, &TimeoutError{Op: "call", Addr: c.RemoteAddr()})
-			})
-		}
-		c.pmu.Unlock()
-	}
-	return ac
-}
-
-// failPending completes the async call registered under tag with err, if
-// it is still pending. Completion strictly follows map removal, so a
-// call completes exactly once even when the timeout, a send failure, and
-// the demux race.
-func (c *Conn) failPending(tag uint64, err error) {
-	c.pmu.Lock()
-	pc, ok := c.pending[tag]
-	if ok {
-		delete(c.pending, tag)
-		c.releaseWindowLocked()
-		if pc.async != nil {
-			pc.stopAsyncTimer()
-		}
-	}
-	c.pmu.Unlock()
-	if ok && pc.async != nil {
-		pc.async.complete(nil, err)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 //   - NewRequest(t, m) encodes m in place into a pooled Encoder and
 //     wraps it in a pooled Packet. Reply is the same constructor under
 //     the name handlers use.
-//   - Conn.Call / Client.Call / Conn.CallAsync take ownership of the
-//     request packet and release it once its bytes are on the wire (and,
-//     for Client.Call, once the retry ladder is done with it).
+//   - Client.Call / Client.Go take ownership of the request packet and
+//     release it once its bytes are on the wire (and, for Client.Call,
+//     once the retry ladder is done with it).
 //   - Responses handed back by Call (and requests handed to server
 //     handlers) carry pooled payload buffers; whoever finishes with the
 //     packet calls Release exactly once. The Server releases requests
@@ -62,8 +62,8 @@ func (m RawMessage) EncodeWire(e *Encoder) {
 
 // NewRequest builds a request packet of type t whose payload is m
 // encoded into a pooled buffer. The packet struct itself is pooled; the
-// call path that accepts it (Conn.Call, Client.Call, Conn.CallAsync, or
-// a Server writing it as a reply) owns it and returns it to the pools.
+// call path that accepts it (Client.Call, Client.Go, or a Server
+// writing it as a reply) owns it and returns it to the pools.
 // A nil m produces an empty payload.
 func NewRequest(t MsgType, m Message) *Packet {
 	p := getPacket()

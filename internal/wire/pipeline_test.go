@@ -3,14 +3,16 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 )
 
 // TestLateReplyAfterTimeout covers the pooled-buffer hazard on the
-// timeout path: a reply that arrives after its caller gave up must be
-// dropped and released by the demultiplexer — never delivered to a later
-// call on the same connection — and the drop must be counted.
+// timeout path, for Call and for Go alike: a reply that arrives after its
+// caller gave up must be dropped and released by the demultiplexer —
+// never delivered to a later call that reuses the pooled PendingCall —
+// and the drop must be counted.
 func TestLateReplyAfterTimeout(t *testing.T) {
 	release := make(chan struct{})
 	svc := NewService(ServiceConfig{ListenAddr: "127.0.0.1:0", Transport: NewMemTransport(), Silent: true})
@@ -31,22 +33,34 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 	}
 	defer svc.Close()
 	c := svc.Client()
+	gate := func(b uint8) *Packet {
+		return NewRequest(msgGate, MessageFunc(func(e *Encoder) { e.PutUint8(b) }))
+	}
 
 	drops := lateDrops.Load()
 
-	// First call: the handler stalls past the timeout.
-	slowReq := NewRequest(msgGate, MessageFunc(func(e *Encoder) { e.PutUint8(1) }))
-	if _, err := c.Call(addr, slowReq, 100*time.Millisecond); !IsTimeout(err) {
+	// A Call and a Go, each stalled in the handler past its timeout.
+	if _, err := c.Call(addr, gate(1), 100*time.Millisecond); !IsTimeout(err) {
 		t.Fatalf("slow call returned %v, want timeout", err)
 	}
+	if _, err := c.Go(addr, gate(1), 100*time.Millisecond).Wait(); !IsTimeout(err) {
+		t.Fatalf("slow go returned %v, want timeout", err)
+	}
 
-	// Unblock the stalled handler: its reply now races toward the client
-	// on the connection the timeout left cached. Subsequent calls reuse
-	// that connection with fresh tags; none of them may receive the late
-	// reply (payload byte 1) in place of its own echo (payload byte 0).
+	// Unblock the stalled handler: the late replies now race toward the
+	// client on the connection the timeouts left cached. Subsequent calls
+	// of both forms reuse that connection with fresh tags and reuse the
+	// pooled calls; none of them may receive a late reply (payload byte 1)
+	// in place of its own echo (payload byte 0).
 	close(release)
 	for i := 0; i < 50; i++ {
-		resp, err := c.Call(addr, NewRequest(msgGate, MessageFunc(func(e *Encoder) { e.PutUint8(0) })), time.Second)
+		var resp *Packet
+		var err error
+		if i%2 == 0 {
+			resp, err = c.Call(addr, gate(0), time.Second)
+		} else {
+			resp, err = c.Go(addr, gate(0), time.Second).Wait()
+		}
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -61,21 +75,106 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 		}
 	}
 
-	// The late reply was dropped through the release path (the counter
-	// increments after the pooled buffers go back), so waiting for it
-	// also proves the buffers were not leaked.
+	// Both late replies were dropped through the release path (the
+	// counter increments after the pooled buffers go back), so waiting
+	// for them also proves the buffers were not leaked.
 	deadline := time.Now().Add(2 * time.Second)
-	for lateDrops.Load() == drops && time.Now().Before(deadline) {
+	for lateDrops.Load() < drops+2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if lateDrops.Load() == drops {
-		t.Fatal("late reply was never counted as dropped")
+	if got := lateDrops.Load() - drops; got < 2 {
+		t.Fatalf("%d of 2 late replies counted as dropped", got)
+	}
+}
+
+// TestWaitReportsEveryFailure: a call that fails — on a connection that
+// breaks, on a send, or on Client.Go's dial — reports it from its one
+// Wait, and the pooled call comes back clean for the next one.
+func TestWaitReportsEveryFailure(t *testing.T) {
+	m := NewMemTransport()
+	l, err := m.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var sendErr *SendError
+
+	// The peer reads the request and hangs up without replying.
+	conn, err := DialOn(m, "peer", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := conn.Go(&Packet{Type: MsgPing}, time.Second)
+	if _, err := ReadPacket(peer); err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	if _, err := pc.Wait(); err == nil || IsTimeout(err) || errors.As(err, &sendErr) {
+		t.Fatalf("wait on a broken connection: err = %v, want the connection's error", err)
+	}
+	if conn.Broken() == nil {
+		t.Fatal("connection not marked broken")
+	}
+	if _, err := conn.Go(&Packet{Type: MsgPing}, time.Second).Wait(); !errors.As(err, &sendErr) {
+		t.Fatalf("go on a broken connection: err = %v, want *SendError", err)
+	}
+
+	// The request cannot be written: the local end is already closed.
+	conn, err = DialOn(m, "peer", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if _, err := conn.Go(&Packet{Type: MsgPing}, time.Second).Wait(); !errors.As(err, &sendErr) {
+		t.Fatalf("go on a closed connection: err = %v, want *SendError", err)
+	}
+
+	// Client.Go cannot dial.
+	addr, c := newEchoService(t, m)
+	if _, err := c.Go("nobody", NewRequest(MsgPing, nil), time.Second).Wait(); err == nil {
+		t.Fatal("go to an unbound address succeeded")
+	}
+
+	resp, err := c.Go(addr, NewRequest(benchEchoMsg, RawMessage("ok")), time.Second).Wait()
+	if err != nil || string(resp.Payload) != "ok" {
+		t.Fatalf("go after failures: %q, %v", resp.Payload, err)
+	}
+	resp.Release()
+}
+
+// TestZeroTimeoutMeansNoDeadline: a timeout <= 0 waits as long as the
+// reply takes, on both call forms.
+func TestZeroTimeoutMeansNoDeadline(t *testing.T) {
+	svc := NewService(ServiceConfig{ListenAddr: "127.0.0.1:0", Transport: NewMemTransport(), Silent: true})
+	svc.Handle(msgSlow, HandlerFunc(func(_ string, req *Packet) (*Packet, error) {
+		time.Sleep(20 * time.Millisecond)
+		return &Packet{Type: msgSlow}, nil
+	}))
+	addr, err := svc.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	c := svc.Client()
+	if _, err := c.Call(addr, &Packet{Type: msgSlow}, 0); err != nil {
+		t.Fatalf("call with timeout 0: %v", err)
+	}
+	for _, timeout := range []time.Duration{0, -time.Second} {
+		if _, err := c.Go(addr, &Packet{Type: msgSlow}, timeout).Wait(); err != nil {
+			t.Fatalf("go with timeout %v: %v", timeout, err)
+		}
 	}
 }
 
 // TestMemRoundTripAllocGate is the allocation regression gate for the
 // pooled hot path: a steady-state round trip over the in-memory
-// transport must stay at or below 2 allocations per operation, whole
+// transport — one Call, or a 3-way Client.Go fan-out collected with
+// Wait — must stay at or below 2 allocations per operation, whole
 // process (client, demux, server, handler). `make bench-wire` runs it so
 // a pooling regression fails wire CI, not just drifts a benchmark.
 func TestMemRoundTripAllocGate(t *testing.T) {
@@ -94,13 +193,31 @@ func TestMemRoundTripAllocGate(t *testing.T) {
 		}
 		resp.Release()
 	}
-	// Warm the pools and the connection's demux loop out of the
-	// measurement window.
-	for i := 0; i < 200; i++ {
-		call()
+	var calls [3]*PendingCall
+	fanOut := func() {
+		for i := range calls {
+			calls[i] = c.Go(addr, NewRequest(benchEchoMsg, msg), time.Second)
+		}
+		for _, pc := range calls {
+			resp, err := pc.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Release()
+		}
 	}
-	if avg := testing.AllocsPerRun(300, call); avg > 2 {
-		t.Fatalf("mem round trip allocates %.2f/op; the pooled-path gate is 2", avg)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{{"call", call}, {"go x3", fanOut}} {
+		// Warm the pools and the connection's demux loop out of the
+		// measurement window.
+		for i := 0; i < 200; i++ {
+			tc.op()
+		}
+		if avg := testing.AllocsPerRun(300, tc.op); avg > 2 {
+			t.Fatalf("mem round trip (%s) allocates %.2f/op; the pooled-path gate is 2", tc.name, avg)
+		}
 	}
 }
 
@@ -121,7 +238,7 @@ func deriveFrames(data []byte) []interopFrame {
 		data = data[1:]
 		fr := interopFrame{
 			typ: MsgType(uint32(b)%250 + 2),
-			// Tags stay below the reserved trace bit, as NextTag counters do.
+			// Tags stay below the reserved trace bit, as Conn tag counters do.
 			tag: (uint64(b)*1000003 + uint64(len(data))) &^ traceTagBit,
 		}
 		n := int(b) % 64

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,7 @@ func TestCallDiscardsStaleResponses(t *testing.T) {
 		return &Packet{Type: msgSlow, Payload: req.Payload}, nil
 	}))
 	addr, _ := s.Listen("127.0.0.1:0")
-	conn, err := Dial(addr, time.Second)
+	conn, err := DialOn(TCP, addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDialFailsFastOnNoListener(t *testing.T) {
-	_, err := Dial("127.0.0.1:1", 200*time.Millisecond)
+	_, err := DialOn(TCP, "127.0.0.1:1", 200*time.Millisecond)
 	if err == nil {
 		t.Fatal("expected dial error")
 	}
@@ -249,31 +250,45 @@ func TestIsTimeout(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutClosesQuietConnections: the server closes a connection
+// that stays quiet past IdleTimeout, over real sockets and over the mem
+// transport alike, and a Client redials transparently.
 func TestIdleTimeoutClosesQuietConnections(t *testing.T) {
-	s := silentServer(t)
-	s.IdleTimeout = 100 * time.Millisecond
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Call(&Packet{Type: MsgPing}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(300 * time.Millisecond) // exceed the idle limit
-	// The server dropped us; the raw Conn errors...
-	if _, err := conn.Call(&Packet{Type: MsgPing}, 500*time.Millisecond); err == nil {
-		t.Skip("connection survived idle timeout (scheduling variance)")
-	}
-	// ...but the pooled Client reconnects transparently.
-	c := NewClient(time.Second)
-	defer c.Close()
-	if _, err := c.Ping(addr, time.Second); err != nil {
-		t.Fatalf("client reconnect after idle close: %v", err)
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{{"tcp", TCP}, {"mem", NewMemTransport()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := silentServer(t)
+			s.Transport = tc.tr
+			s.IdleTimeout = 100 * time.Millisecond
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := DialOn(tc.tr, addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Call(&Packet{Type: MsgPing}, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// The server drops the quiet connection; the raw Conn's demux
+			// sees the close and marks it broken...
+			for deadline := time.Now().Add(2 * time.Second); conn.Broken() == nil; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("server never closed the idle connection")
+				}
+			}
+			// ...but the pooled Client reconnects transparently.
+			c := NewClient(time.Second)
+			c.Transport = tc.tr
+			defer c.Close()
+			if _, err := c.Ping(addr, time.Second); err != nil {
+				t.Fatalf("client reconnect after idle close: %v", err)
+			}
+		})
 	}
 }
 
@@ -290,16 +305,13 @@ func TestClientClosedStaysClosed(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c := NewClient(time.Second)
 	c.Retry = &RetryPolicy{MaxAttempts: 4}
-	var dials atomic.Int64
-	c.Dialer = func(addr string, timeout time.Duration) (*Conn, error) {
-		dials.Add(1)
-		return Dial(addr, timeout)
-	}
+	dials := &dialCounter{Transport: TCP}
+	c.Transport = dials
 	if _, err := c.Ping(addr, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	dialed := dials.Load()
+	dialed := dials.n.Load()
 
 	var sendErr *SendError
 	if _, err := c.Call(addr, &Packet{Type: MsgPing}, time.Second); !errors.As(err, &sendErr) || !errors.Is(err, ErrClientClosed) {
@@ -308,7 +320,7 @@ func TestClientClosedStaysClosed(t *testing.T) {
 	if _, err := c.Go(addr, &Packet{Type: MsgPing}, time.Second).Wait(); !errors.As(err, &sendErr) || !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Go on a closed client: err = %v, want *SendError wrapping ErrClientClosed", err)
 	}
-	if got := dials.Load(); got != dialed {
+	if got := dials.n.Load(); got != dialed {
 		t.Fatalf("closed client dialed %d more times", got-dialed)
 	}
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
@@ -316,4 +328,15 @@ func TestClientClosedStaysClosed(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
+}
+
+// dialCounter is a Transport that counts the dials made through it.
+type dialCounter struct {
+	Transport
+	n atomic.Int64
+}
+
+func (t *dialCounter) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	t.n.Add(1)
+	return t.Transport.Dial(addr, timeout)
 }

@@ -16,16 +16,13 @@ type ServiceConfig struct {
 	// ListenAddr is the bind address (":0" for ephemeral).
 	ListenAddr string
 	// Transport selects the substrate for both the server's listener and
-	// the client's dials. Nil means TCP.
+	// the client's dials. Nil means TCP. Fault injection wraps it.
 	Transport Transport
 	// Metrics is the shared telemetry registry for the server, the
 	// client, and the owning daemon. Nil creates a fresh one.
 	Metrics *telemetry.Registry
 	// DialTimeout bounds the client's connection attempts (default 2s).
 	DialTimeout time.Duration
-	// Dialer overrides outbound connection setup (fault injection). When
-	// set it takes precedence over Transport for dials.
-	Dialer DialFunc
 	// Retry is the client's retransmission policy (nil = historical
 	// single-redial behaviour).
 	Retry *RetryPolicy
@@ -35,9 +32,6 @@ type ServiceConfig struct {
 	// Silent discards server diagnostics unconditionally — the option
 	// daemons use instead of assigning an empty Logf by hand.
 	Silent bool
-	// IdleTimeout closes server connections idle for this long (0 = no
-	// limit).
-	IdleTimeout time.Duration
 	// Tracer, when set, enables causal distributed tracing for this
 	// daemon: the server records a continuation span for every inbound
 	// request carrying a trace context, and the client records call and
@@ -46,9 +40,6 @@ type ServiceConfig struct {
 	// traces it roots. Nil disables tracing (contexts from peers are still
 	// stripped from payloads, just not recorded).
 	Tracer Tracer
-	// Window bounds pipelined in-flight calls per outbound connection
-	// (0 means DefaultWindow).
-	Window int
 }
 
 // Service is the unified daemon runtime: one constructor bundling the
@@ -79,7 +70,6 @@ func NewService(cfg ServiceConfig) *Service {
 	srv := NewServer()
 	srv.SetMetrics(reg)
 	srv.Transport = cfg.Transport
-	srv.IdleTimeout = cfg.IdleTimeout
 	switch {
 	case cfg.Silent:
 		srv.Logf = func(string, ...any) {}
@@ -89,11 +79,9 @@ func NewService(cfg ServiceConfig) *Service {
 	srv.Tracer = cfg.Tracer
 	client := NewClient(cfg.DialTimeout)
 	client.Transport = cfg.Transport
-	client.Dialer = cfg.Dialer
 	client.Retry = cfg.Retry
 	client.Metrics = reg
 	client.Tracer = cfg.Tracer
-	client.Window = cfg.Window
 	return &Service{
 		name:       cfg.Name,
 		listenAddr: cfg.ListenAddr,

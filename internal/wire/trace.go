@@ -30,7 +30,7 @@ import "encoding/binary"
 // request direction, and each side records its own spans.
 const (
 	// traceTagBit marks a correlation tag whose packet carries a
-	// trace-context trailer. NextTag counters never reach this bit.
+	// trace-context trailer. Conn tag counters never reach this bit.
 	traceTagBit = uint64(1) << 63
 	// traceTrailerLen is the encoded envelope size:
 	// trace id(8) + span id(8) + parent span id(8) + flags(1) + magic(4).

@@ -233,6 +233,7 @@ func (b *memBuf) read(p []byte) (int, error) {
 		if b.rdl.reached() {
 			return 0, &net.OpError{Op: "read", Net: "mem", Err: os.ErrDeadlineExceeded}
 		}
+		b.arm(&b.rdl)
 		b.cond.Wait()
 	}
 }
@@ -266,6 +267,7 @@ func (b *memBuf) write(p []byte) (int, error) {
 			b.cond.Broadcast()
 			continue
 		}
+		b.arm(&b.wdl)
 		b.cond.Wait()
 	}
 	return n, nil

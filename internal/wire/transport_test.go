@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,51 @@ func TestMemTransportDoubleCloseErrs(t *testing.T) {
 	}
 	if err := l.Close(); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("second close: %v, want net.ErrClosed", err)
+	}
+}
+
+// memPipe returns both ends of a fresh mem connection.
+func memPipe(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	m := NewMemTransport()
+	l, err := m.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err = m.Dial("svc", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if server, err = l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close(); server.Close(); l.Close() })
+	return client, server
+}
+
+// TestMemDeadlineFiresWhileBlocked: a read deadline on an idle mem conn,
+// and a write deadline on a writer blocked behind a full buffer, end the
+// blocked call when they pass — not when the peer finally closes.
+func TestMemDeadlineFiresWhileBlocked(t *testing.T) {
+	client, _ := memPipe(t)
+	start := time.Now()
+	client.SetReadDeadline(start.Add(50 * time.Millisecond))
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("idle read: err = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("idle read with a 50ms deadline returned after %v", d)
+	}
+
+	client, _ = memPipe(t)
+	start = time.Now()
+	client.SetWriteDeadline(start.Add(50 * time.Millisecond))
+	n, err := client.Write(make([]byte, memBufMax+1))
+	if !errors.Is(err, os.ErrDeadlineExceeded) || n != memBufMax {
+		t.Fatalf("write into a full buffer: n = %d, err = %v; want %d, os.ErrDeadlineExceeded", n, err, memBufMax)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("blocked write with a 50ms deadline returned after %v", d)
 	}
 }
 
