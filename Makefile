@@ -16,7 +16,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Dead-code gates, two of them.
+# Dead-code gates, three of them: two for functions, one for settings.
 #
 # Linkage: a program is every main package under cmd/, examples/ and
 # bench/. ew-unlinked builds them all with inlining off and lists, into
@@ -34,8 +34,8 @@ test-race:
 #     ParcelResult, clique Message, ctrl Heartbeat and Status, dtrace
 #     Spans, gossip Registrations, logsvc Entry;
 #   - client halves of live messages, each the only decoder of its reply:
-#     legion.NewClient/Client.Invoke, nws.Client.Forecast/Report,
-#     globus MDSClient.Register and GASSClient.Put;
+#     legion.NewClient/Client.Invoke, nws.Client.Forecast, globus
+#     MDSClient.Register and GASSClient.Put;
 #   - ROADMAP's Decided list (pstate.Server.Delete, nws.Memory.Series,
 #     globus Gatekeeper.Job) and reference oracles (ramsey
 #     IsCounterExample, CountMonoCliquesThroughEdge, Coloring.Equal);
@@ -55,12 +55,51 @@ test-race:
 # message, satisfies net.Conn / net.Addr / wire.ActiveSpan / a default
 # hook, or is the control plane's untested actuation path (ROADMAP item
 # 6); a new entry needs a caller, a test, or deleting.
-UNLINKED_MAX = 83
+#
+# Settings: the same ew-unlinked run type-checks the module and lists,
+# into deadcode.unset, every field of a *Config struct under internal/
+# that no non-test file writes (a composite-literal key or an
+# assignment; a default, assigned inside an if that reads the field,
+# does not count). It also prints how many fields the *Config structs
+# declare in all.
+# The gate fails above UNSET_MAX. A field nothing sets becomes a
+# constant; a field only tests set goes when those tests pass at its
+# default. Every entry at the ceiling is in one of these classes; a new
+# entry needs a program that sets it, a class, or deleting:
+#   - Decided (ROADMAP): the autoscale trio, core.DeploymentConfig's
+#     SchedulerMin/SchedulerMax/SchedulerTargetLoad;
+#   - deployment setting: core.ComponentConfig.ListenAddr;
+#   - clock/registry test seam, and the other substitutes a test hands
+#     in: ctrl.DetectorConfig.Now, dtrace.Config.Now/Rand,
+#     ctrl.ServerConfig.Metrics/Load, applet.GatewayConfig.Transport,
+#     globus.GatekeeperConfig.Transport, nws.SensorConfig.CPU/DisableCPU,
+#     logsvc.ServerConfig.Tracer;
+#   - chaos-harness sizing: faults.ScenarioConfig's Gossips/Schedulers/
+#     Components/Cycles/PStates/Ctrls/StandbyPStates/Kills,
+#     core.DeploymentConfig's Controllers/StandbyPStateDirs/Observatory,
+#     and the buffers eviction tests fill: logsvc.ServerConfig.MaxSpans,
+#     dtrace.TailConfig.MaxSpans, dtrace.ExporterConfig.Buffer;
+#   - test speed-up: clique.Config.ProbeInterval,
+#     core.ComponentConfig.CallTimeout, core.DeploymentConfig's
+#     SyncInterval/HeartbeatInterval/ObsInterval, ctrl.DetectorConfig's
+#     MinStdDev/Bootstrap, ctrl.ServerConfig's BackoffBase/BackoffMax/
+#     CrashLoopReset/DownStreak/ScaleCooldown, dtrace.ExporterConfig.Timeout,
+#     dtrace.TailConfig.HoldFor, grid.CondorPlacementConfig.Duration,
+#     sweep.Config.Duration;
+#   - a policy a unit test isolates: sched.ServerConfig's
+#     StepsByHeuristic/StopWhenFound, grid.ScenarioConfig's
+#     Profiles/DisableJudging/DisableTestWindow,
+#     grid.NetLoadConfig.SCINetEpisodes, condor.PoolConfig.ClaimDelay,
+#     pstate.ReplicaSetConfig.WriteQuorum (ROADMAP owes a decision).
+UNLINKED_MAX = 82
 DEADCODE_MAX = 17
+UNSET_MAX = 52
 deadcode:
 	$(GO) run ./cmd/ew-unlinked ./cmd/... ./examples/... ./bench > deadcode.unlinked
 	awk -v max=$(UNLINKED_MAX) '{ print; n++ } \
 		END { printf "%d unlinked functions under internal/ (ceiling %d)\n", n, max; exit n > max }' deadcode.unlinked
+	awk -v max=$(UNSET_MAX) '{ print; n++ } \
+		END { printf "%d *Config fields under internal/ set by no non-test file (ceiling %d)\n", n, max; exit n > max }' deadcode.unset
 	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=deadcode.cover ./...
 	$(GO) tool cover -func=deadcode.cover | awk -v max=$(DEADCODE_MAX) \
 		'$$1 ~ /\/internal\// && $$NF == "0.0%" { print; n++ } \
@@ -184,4 +223,4 @@ examples:
 
 # Untracked outputs only: the BENCH_*.json files are committed records.
 clean:
-	rm -rf figures/ test_output.txt bench_output.txt deadcode.cover deadcode.unlinked .bench_build/ bench/out/
+	rm -rf figures/ test_output.txt bench_output.txt deadcode.cover deadcode.unlinked deadcode.unset .bench_build/ bench/out/

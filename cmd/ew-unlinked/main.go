@@ -7,6 +7,11 @@
 // linker keeps a method whose name and signature match an interface method
 // some program calls, so the listing errs toward "linked".
 //
+// It then writes a second listing to deadcode.unset: every field of a
+// struct type named *Config under internal/ that no non-test file in the
+// module writes (see writeUnset), and prints to standard error how many
+// fields those *Config structs declare in all.
+//
 // Usage, from the module root (as `make deadcode` runs it):
 //
 //	ew-unlinked ./cmd/... ./examples/... ./bench
@@ -64,6 +69,7 @@ func main() {
 			}
 		}
 	}
+	fmt.Fprintf(os.Stderr, "%d *Config fields under internal/\n", writeUnset("deadcode.unset"))
 }
 
 // goCmd runs the go command and returns its standard output. On failure

@@ -101,7 +101,7 @@ func bootEveryDaemon(tb testing.TB) (wire.Transport, []daemonUnderFuzz) {
 
 	gk := globus.NewGatekeeper(globus.GatekeeperConfig{
 		Name: "fuzz-site", Arch: "x86", Nodes: 2, Credential: "secret",
-		StageTimeout: time.Second, Transport: tr,
+		Transport: tr,
 	})
 	addr, err = gk.Start("mem-gram:0")
 	started("gram", addr, err, gk.Close)
@@ -114,7 +114,7 @@ func bootEveryDaemon(tb testing.TB) (wire.Transport, []daemonUnderFuzz) {
 	started("legion", addr, err, lt.Close)
 
 	gw, err := applet.NewGateway(applet.GatewayConfig{
-		ListenAddr: "mem-applet:0", Transport: tr, Schedulers: []string{schedAddr}, CallTimeout: time.Second,
+		ListenAddr: "mem-applet:0", Transport: tr, Schedulers: []string{schedAddr},
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -180,15 +180,12 @@ type GatewayConfig struct {
 	// Schedulers are the scheduling servers the gateway reports to on the
 	// applets' behalf.
 	Schedulers []string
-	// CallTimeout bounds scheduler calls (default 2s).
-	CallTimeout time.Duration
 	// Transport selects the wire substrate (nil = TCP).
 	Transport wire.Transport
-	// Region labels this gateway's region (ew-top's region column).
-	Region int
-	// Metrics, if set, records gateway and aggregation telemetry.
-	Metrics *telemetry.Registry
 }
+
+// callTimeout bounds a gateway's scheduler calls.
+const callTimeout = 2 * time.Second
 
 // Gateway bridges browser applets to the EveryWare scheduling service.
 type Gateway struct {
@@ -209,15 +206,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Schedulers) == 0 {
 		return nil, fmt.Errorf("applet: gateway needs at least one scheduler")
 	}
-	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
 	svc := wire.NewService(wire.ServiceConfig{
 		Name:        "applet-gw",
 		ListenAddr:  cfg.ListenAddr,
 		Transport:   cfg.Transport,
-		DialTimeout: cfg.CallTimeout,
-		Metrics:     cfg.Metrics,
+		DialTimeout: callTimeout,
 		Silent:      true,
 	})
 	g := &Gateway{
@@ -227,8 +220,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		metrics:  svc.Metrics(),
 		assigned: make(map[string]sched.WorkUnit),
 	}
-	// ew-top's region column keys off this gauge's presence.
-	g.metrics.Gauge("scale.region").Set(int64(cfg.Region))
+	// ew-top's region column keys off this gauge's presence; every
+	// gateway serves region 0.
+	g.metrics.Gauge("scale.region").Set(0)
 	svc.Handle(MsgFetchParcel, wire.HandlerFunc(g.handleFetch))
 	svc.Handle(MsgReturnParcel, wire.HandlerFunc(g.handleReturn))
 	return g, nil
@@ -257,7 +251,7 @@ func (g *Gateway) reportToScheduler(r sched.Report) (sched.Directive, error) {
 	for _, addr := range g.cfg.Schedulers {
 		// Call takes ownership of the request, so each fail-over attempt
 		// encodes afresh into a pooled buffer.
-		resp, err := g.wc.Call(addr, wire.NewRequest(sched.MsgReport, r), g.cfg.CallTimeout)
+		resp, err := g.wc.Call(addr, wire.NewRequest(sched.MsgReport, r), callTimeout)
 		if err != nil {
 			lastErr = err
 			continue

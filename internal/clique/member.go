@@ -40,13 +40,13 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.HeartbeatInterval == 0 {
+	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
 	}
-	if c.ProbeInterval == 0 {
+	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 3 * c.HeartbeatInterval
 	}
-	if c.TokenTimeout == 0 {
+	if c.TokenTimeout <= 0 {
 		c.TokenTimeout = 4 * c.HeartbeatInterval
 	}
 }

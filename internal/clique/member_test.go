@@ -182,6 +182,21 @@ func TestSingletonCliqueIsItsOwnLeader(t *testing.T) {
 	}
 }
 
+// A negative interval is unset, like zero: the member runs on the
+// defaults instead of panicking in time.NewTicker.
+func TestNegativeIntervalsMeanDefault(t *testing.T) {
+	net := newTestNet(t)
+	m := New(Config{HeartbeatInterval: -time.Second, ProbeInterval: -time.Second, TokenTimeout: -time.Second}, net.Endpoint("neg"))
+	m.Start()
+	defer m.Stop()
+	if m.cfg.HeartbeatInterval != time.Second || m.cfg.ProbeInterval != 3*time.Second || m.cfg.TokenTimeout != 4*time.Second {
+		t.Fatalf("intervals = %v, %v, %v", m.cfg.HeartbeatInterval, m.cfg.ProbeInterval, m.cfg.TokenTimeout)
+	}
+	if !m.IsLeader() {
+		t.Fatal("singleton must lead itself")
+	}
+}
+
 func TestCliqueForms(t *testing.T) {
 	_, members, ids := startClique(t, 5)
 	eventually(t, 3*time.Second, func() bool { return agreeOn(members, ids) },

@@ -41,24 +41,23 @@ type DeploymentConfig struct {
 	// Transport selects the wire substrate every service binds on
 	// (nil = TCP). Components must be given the same transport.
 	Transport wire.Transport
-	// Controller starts the self-healing control plane: every daemon is
+	// Controllers, when positive, starts the self-healing control plane
+	// with that many controller replicas (0 means none): every daemon is
 	// shadowed by a heartbeat sidecar, the controller's failure detector
 	// declares silent daemons dead, dead daemons are recreated in place
 	// at the same address, and a dead persistent state replica is
-	// replaced by promoting a standby into the quorum roster.
-	Controller bool
-	// Controllers is the control-plane replica count (default 1; needs
-	// Controller). With more than one, the controllers form a replicated
-	// group: all of them ingest every heartbeat (beaters broadcast), a
-	// clique election picks the acting leader, and the leader fences its
-	// reconcile actions through the pstate epoch register — kill the
-	// leader and a warm follower takes over.
+	// replaced by promoting a standby into the quorum roster. With more
+	// than one, the controllers form a replicated group: all of them
+	// ingest every heartbeat (beaters broadcast), a clique election picks
+	// the acting leader, and the leader fences its reconcile actions
+	// through the pstate epoch register — kill the leader and a warm
+	// follower takes over.
 	Controllers int
 	// SchedulerMin/SchedulerMax, when Max > 0, enable forecast-driven
 	// autoscaling of the scheduler role between those bounds: the leader
 	// polls shard queue depths and admission-shed rates, forecasts the
 	// load, and grows or shrinks the scheduler fleet one daemon at a
-	// time. Requires Controller and a persistent state quorum (the fleet
+	// time. Requires Controllers and a persistent state quorum (the fleet
 	// spec lives there).
 	SchedulerMin, SchedulerMax int
 	// SchedulerTargetLoad is the per-shard load the autoscaler sizes the
@@ -67,7 +66,7 @@ type DeploymentConfig struct {
 	// StandbyPStateDirs starts additional persistent state managers that
 	// are deliberately OUTSIDE the active quorum roster — promotion
 	// candidates the controller drafts when a roster replica dies.
-	// Requires Controller.
+	// Requires Controllers.
 	StandbyPStateDirs []string
 	// HeartbeatInterval is the beater cadence and the controller's
 	// reconcile period (default 200ms for local runs).
@@ -76,7 +75,7 @@ type DeploymentConfig struct {
 	// service in the constellation into per-metric time series, with
 	// forecast-anomaly alert rules over the fleet's health gauges. The
 	// scrape set follows the scheduler roster as the fleet scales. With
-	// Controller, firing alerts feed the autoscaler's load forecast
+	// Controllers, firing alerts feed the autoscaler's load forecast
 	// (ctrl.ServerConfig.AlertFiring); with a persistent state quorum,
 	// the alert table survives observatory restarts.
 	Observatory bool
@@ -95,7 +94,7 @@ type Deployment struct {
 	StandbyPStateAddrs []string
 	LogAddr            string
 	// CtrlAddr is the first control-plane daemon's address ("" without
-	// Controller); CtrlAddrs lists the whole replicated group.
+	// Controllers); CtrlAddrs lists the whole replicated group.
 	CtrlAddr  string
 	CtrlAddrs []string
 	// ObsAddr is the observatory's introspection address ("" without
@@ -140,9 +139,6 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 200 * time.Millisecond
-	}
-	if cfg.Controllers <= 0 {
-		cfg.Controllers = 1
 	}
 	d := &Deployment{cfg: cfg, transport: cfg.Transport, members: new(MemberTable)}
 	ok := false
@@ -229,7 +225,7 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		ps.SetPeers(Without(d.PStateAddrs, ps.Addr()))
 	}
 
-	if cfg.Controller {
+	if cfg.Controllers > 0 {
 		if err := d.startControllers(); err != nil {
 			return nil, err
 		}
@@ -498,7 +494,7 @@ func (d *Deployment) LogServer() *logsvc.Server {
 }
 
 // Controller exposes the first control-plane daemon (nil without
-// Controller).
+// Controllers).
 func (d *Deployment) Controller() *ctrl.Server {
 	if cs := d.Controllers(); len(cs) > 0 {
 		return cs[0]

@@ -18,7 +18,7 @@ func TestDeploymentSelfHeals(t *testing.T) {
 		PStateDir:         t.TempDir(),
 		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
 		StandbyPStateDirs: []string{t.TempDir()},
-		Controller:        true,
+		Controllers:       1,
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	if d.CtrlAddr == "" || d.Controller() == nil {
@@ -80,7 +80,6 @@ func TestDeploymentControlPlaneFailover(t *testing.T) {
 		Schedulers:        1,
 		PStateDir:         t.TempDir(),
 		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
-		Controller:        true,
 		Controllers:       3,
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
@@ -131,7 +130,7 @@ func TestDeploymentAddAndRetireScheduler(t *testing.T) {
 	d := startDeployment(t, DeploymentConfig{
 		Schedulers:        1,
 		PStateDir:         t.TempDir(),
-		Controller:        true,
+		Controllers:       1,
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	probe := wire.NewClient(time.Second)
@@ -178,7 +177,7 @@ func TestDeploymentAddAndRetireScheduler(t *testing.T) {
 func TestDeploymentCloseIdempotent(t *testing.T) {
 	d, err := StartDeployment(DeploymentConfig{
 		PStateDir:         t.TempDir(),
-		Controller:        true,
+		Controllers:       1,
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -200,7 +199,7 @@ func TestRestartedReplicaResumesAntiEntropy(t *testing.T) {
 	d := startDeployment(t, DeploymentConfig{
 		PStateDir:         t.TempDir(),
 		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
-		Controller:        true,
+		Controllers:       1,
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	probe := wire.NewClient(time.Second)

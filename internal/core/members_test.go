@@ -108,7 +108,6 @@ func TestMemberKillRestartEveryRole(t *testing.T) {
 		PStateDir:         t.TempDir(),
 		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
 		StandbyPStateDirs: []string{t.TempDir()},
-		Controller:        true,
 		Controllers:       3,
 		Transport:         wire.NewMemTransport(),
 	})
@@ -259,7 +258,6 @@ func TestDeploymentCloseLeavesNothingRunning(t *testing.T) {
 		PStateDir:         t.TempDir(),
 		ExtraPStateDirs:   []string{t.TempDir(), t.TempDir()},
 		StandbyPStateDirs: []string{t.TempDir()},
-		Controller:        true,
 		Controllers:       3,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})

@@ -16,7 +16,7 @@ import (
 // default), feeds it to the NWS forecasting battery, and converts the
 // prediction into a desired replica count within the role's [Min, Max]
 // bounds. Two safety properties bound the blast radius: hysteresis (a
-// count only moves after UpStreak/DownStreak consecutive decisions
+// count only moves after upStreak/DownStreak consecutive decisions
 // agree, with shrinking demanding a much longer streak than growing)
 // and one-change-at-a-time (at most one role's count moves per decision
 // round, and at most one daemon is started or retired per reconcile
@@ -84,7 +84,7 @@ func (s *Server) decideCounts(spec *FleetSpec) {
 		case desired > svc.Count:
 			s.upN[svc.Role]++
 			s.downN[svc.Role] = 0
-			if changed < 0 && s.upN[svc.Role] >= s.cfg.UpStreak {
+			if changed < 0 && s.upN[svc.Role] >= upStreak {
 				changed, step = i, 1
 			}
 		case desired < svc.Count:

@@ -19,12 +19,8 @@ type BeaterConfig struct {
 	Ctrls []string
 	// Interval is the beat period (default 1s).
 	Interval time.Duration
-	// Timeout bounds each probe/beat RPC (default Interval, capped at 2s).
-	Timeout time.Duration
-	// Client carries the beats (shared with the harness when set). When
-	// nil a private client is built over Transport and closed with
-	// the beater.
-	Client    *wire.Client
+	// Transport carries the beats, over a client of the beater's own that
+	// closes with it.
 	Transport wire.Transport
 	// Logf receives beat diagnostics.
 	Logf func(format string, args ...any)
@@ -39,15 +35,15 @@ type BeaterConfig struct {
 // own wire port stops being attested even though the beater process is
 // healthy: a hung daemon cannot fake liveness.
 type Beater struct {
-	cfg       BeaterConfig
-	client    *wire.Client
-	ownClient bool
-	seq       atomic.Uint64
-	cfgVer    atomic.Uint64
-	version   atomic.Value // string
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	once      sync.Once
+	cfg     BeaterConfig
+	client  *wire.Client
+	timeout time.Duration // bounds each probe/beat RPC: Interval, at most 2s
+	seq     atomic.Uint64
+	cfgVer  atomic.Uint64
+	version atomic.Value // string
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
 }
 
 // NewBeater assembles a beater; Start launches the beat loop.
@@ -55,18 +51,9 @@ func NewBeater(cfg BeaterConfig) *Beater {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval
-		if cfg.Timeout > 2*time.Second {
-			cfg.Timeout = 2 * time.Second
-		}
-	}
-	b := &Beater{cfg: cfg, client: cfg.Client, stop: make(chan struct{})}
-	if b.client == nil {
-		b.client = wire.NewClient(cfg.Timeout)
-		b.client.Transport = cfg.Transport
-		b.ownClient = true
-	}
+	b := &Beater{cfg: cfg, timeout: min(cfg.Interval, 2*time.Second), stop: make(chan struct{})}
+	b.client = wire.NewClient(b.timeout)
+	b.client.Transport = cfg.Transport
 	b.cfgVer.Store(cfg.Member.ConfigVer)
 	b.version.Store(cfg.Member.Version)
 	return b
@@ -106,7 +93,7 @@ func (b *Beater) Start() {
 // whole controller group is down.
 func (b *Beater) BeatOnce() error {
 	if b.cfg.Member.Addr != "" {
-		resp, err := b.client.Call(b.cfg.Member.Addr, wire.NewRequest(wire.MsgPing, nil), b.cfg.Timeout)
+		resp, err := b.client.Call(b.cfg.Member.Addr, wire.NewRequest(wire.MsgPing, nil), b.timeout)
 		if err != nil {
 			return err // member not answering: stay silent
 		}
@@ -124,7 +111,7 @@ func (b *Beater) BeatOnce() error {
 	var firstErr error
 	delivered := false
 	for _, addr := range b.cfg.Ctrls {
-		if err := SendHeartbeat(b.client, addr, hb, b.cfg.Timeout); err != nil {
+		if err := SendHeartbeat(b.client, addr, hb, b.timeout); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -146,8 +133,6 @@ func (b *Beater) Close() {
 	b.once.Do(func() {
 		close(b.stop)
 		b.wg.Wait()
-		if b.ownClient {
-			b.client.Close()
-		}
+		b.client.Close()
 	})
 }

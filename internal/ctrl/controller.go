@@ -393,7 +393,7 @@ func (s *Server) nextStale(svc ServiceSpec) (Member, bool) {
 
 // healthGate checks a member end to end: it must answer a ping and its
 // served-error fraction (from its telemetry snapshot) must not exceed
-// MaxErrorRate. A member without telemetry passes on the ping alone.
+// maxErrorRate. A member without telemetry passes on the ping alone.
 func (s *Server) healthGate(m Member) bool {
 	if m.Addr == "" {
 		return true
@@ -420,7 +420,7 @@ func (s *Server) healthGate(m Member) bool {
 	if total == 0 {
 		return true
 	}
-	return float64(errs)/float64(total) <= s.cfg.MaxErrorRate
+	return float64(errs)/float64(total) <= maxErrorRate
 }
 
 // publish pushes the membership table (when its stable part changed)

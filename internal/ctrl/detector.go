@@ -8,12 +8,6 @@ import (
 
 // DetectorConfig tunes the phi-accrual failure detector.
 type DetectorConfig struct {
-	// Threshold is the phi level at which a member is declared dead
-	// (default 8 — roughly "the odds this silence is ordinary jitter are
-	// one in 10^8 given the observed arrival history").
-	Threshold float64
-	// Window is how many inter-arrival samples feed the model (default 64).
-	Window int
 	// MinStdDev floors the modelled jitter so a perfectly regular beat
 	// stream does not declare death microseconds past its mean interval
 	// (default: max(10ms, mean/10)).
@@ -29,6 +23,14 @@ type DetectorConfig struct {
 	// unit tests.
 	Now func() time.Time
 }
+
+// phiThreshold is the phi level at which a member is declared dead:
+// roughly "the odds this silence is ordinary jitter are one in 10^8 given
+// the observed arrival history".
+const phiThreshold = 8
+
+// arrivalWindow is how many inter-arrival samples feed the model.
+const arrivalWindow = 64
 
 // phiCap bounds reported suspicion when the survival probability
 // underflows to zero.
@@ -93,12 +95,6 @@ type Detector struct {
 
 // NewDetector builds a detector with defaults applied.
 func NewDetector(cfg DetectorConfig) *Detector {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 8
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
 	if cfg.Bootstrap <= 0 {
 		cfg.Bootstrap = 10 * time.Second
 	}
@@ -116,7 +112,7 @@ func (d *Detector) Observe(id string) {
 	defer d.mu.Unlock()
 	a := d.members[id]
 	if a == nil {
-		a = &memberArrivals{intervals: make([]float64, d.cfg.Window)}
+		a = &memberArrivals{intervals: make([]float64, arrivalWindow)}
 		d.members[id] = a
 	} else if iv := now.Sub(a.last).Seconds(); iv >= 0 {
 		a.push(iv)
@@ -176,7 +172,7 @@ func (d *Detector) verdict(id string) (float64, bool) {
 	if floor <= 0 {
 		floor = time.Duration(2 * mean * float64(time.Second))
 	}
-	alive := phi < d.cfg.Threshold || elapsed < floor
+	alive := phi < phiThreshold || elapsed < floor
 	return phi, alive
 }
 

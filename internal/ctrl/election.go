@@ -66,7 +66,6 @@ func (s *Server) joinGroup(addr string, peers []string) {
 		Peers:             peers,
 		HeartbeatInterval: s.cfg.ElectionInterval,
 		Metrics:           s.metrics,
-		Tracer:            s.cfg.Tracer,
 		OnChange:          s.onView,
 	}, ep)
 	// Until the first committed view says otherwise, a grouped controller

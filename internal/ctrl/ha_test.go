@@ -332,7 +332,6 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 			return nil
 		},
 		TargetLoad:    100,
-		UpStreak:      2,
 		DownStreak:    3,
 		ScaleCooldown: time.Millisecond,
 		Logf:          t.Logf,
@@ -363,11 +362,11 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 
 	establish()
 	// Overload: desired = ceil(250/100) = 3, but growth is one replica
-	// per round and only after UpStreak rounds agree.
+	// per round and only after upStreak rounds agree.
 	beatAll()
 	srv.Tick() // streak 1: no change yet
 	if got := count(); got != 1 {
-		t.Fatalf("count moved before UpStreak: %d", got)
+		t.Fatalf("count moved before upStreak: %d", got)
 	}
 	beatAll()
 	srv.Tick() // streak 2: grow to 2, actuate one start

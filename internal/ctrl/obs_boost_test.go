@@ -39,7 +39,6 @@ func TestAutoscalerObsAlertBoost(t *testing.T) {
 			return firing
 		},
 		TargetLoad:    100,
-		UpStreak:      2,
 		DownStreak:    2,
 		ScaleCooldown: time.Millisecond,
 		Logf:          t.Logf,

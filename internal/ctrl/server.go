@@ -20,16 +20,12 @@ type ServerConfig struct {
 	ListenAddr string
 	// Transport selects the wire substrate (nil = TCP).
 	Transport wire.Transport
-	// Retry is the outbound retry policy.
-	Retry *wire.RetryPolicy
 	// Metrics is the daemon registry (nil creates one). Its clock is the
 	// controller's clock: hand in a registry on virtual time (SetNow) to
 	// run the controller, its detector and its forecaster on it.
 	Metrics *telemetry.Registry
 	// Logf receives controller diagnostics.
 	Logf func(format string, args ...any)
-	// Tracer enables causal tracing for controller RPCs.
-	Tracer wire.Tracer
 
 	// Interval is the reconcile/publish period (default 500ms). Negative
 	// disables the background loop — tests drive Tick directly.
@@ -73,11 +69,11 @@ type ServerConfig struct {
 	// TargetLoad is the per-replica load the autoscaler sizes roles for
 	// (default 100).
 	TargetLoad float64
-	// UpStreak / DownStreak are how many consecutive autoscale decisions
-	// must agree before the count moves (defaults 2 and 5 — shrinking
-	// demands sustained quiet, growing reacts faster). One count change
-	// at most per decision round, fleet-wide.
-	UpStreak, DownStreak int
+	// DownStreak is how many consecutive autoscale decisions must agree
+	// before a role's count shrinks (default 5: shrinking demands
+	// sustained quiet, while growing reacts after upStreak). One count
+	// change at most per decision round, fleet-wide.
+	DownStreak int
 	// ScaleCooldown is the minimum gap between actuations of the same
 	// role (default 5s) — long enough for a started daemon to begin
 	// heartbeating before the live count is re-judged.
@@ -119,10 +115,15 @@ type ServerConfig struct {
 	// CrashLoopReset is how long a member must stay alive before its
 	// restart history is forgiven (default 1 minute).
 	CrashLoopReset time.Duration
-	// MaxErrorRate is the health-gate ceiling on a member's served-error
-	// fraction during rollouts (default 0.5).
-	MaxErrorRate float64
 }
+
+// upStreak is how many consecutive autoscale decisions must agree before
+// a role's count grows.
+const upStreak = 2
+
+// maxErrorRate is the health-gate ceiling on a member's served-error
+// fraction during rollouts.
+const maxErrorRate = 0.5
 
 // Server is the control-plane daemon: it accumulates heartbeats into a
 // membership table, runs the failure detector over them, and — when it
@@ -195,17 +196,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CrashLoopReset <= 0 {
 		cfg.CrashLoopReset = time.Minute
 	}
-	if cfg.MaxErrorRate <= 0 {
-		cfg.MaxErrorRate = 0.5
-	}
 	if cfg.ElectionInterval <= 0 {
 		cfg.ElectionInterval = 200 * time.Millisecond
 	}
 	if cfg.TargetLoad <= 0 {
 		cfg.TargetLoad = 100
-	}
-	if cfg.UpStreak <= 0 {
-		cfg.UpStreak = 2
 	}
 	if cfg.DownStreak <= 0 {
 		cfg.DownStreak = 5
@@ -218,9 +213,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ListenAddr: cfg.ListenAddr,
 		Transport:  cfg.Transport,
 		Metrics:    cfg.Metrics,
-		Retry:      cfg.Retry,
 		Logf:       cfg.Logf,
-		Tracer:     cfg.Tracer,
 	})
 	if cfg.Detector.Now == nil {
 		cfg.Detector.Now = svc.Metrics().Now
@@ -277,7 +270,6 @@ func (s *Server) Start() (string, error) {
 			Addrs:   s.cfg.PStates,
 			Timeout: s.cfg.CallTimeout,
 			Metrics: s.metrics,
-			Tracer:  s.cfg.Tracer,
 		})
 		if err != nil {
 			s.svc.Close()

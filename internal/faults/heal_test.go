@@ -21,22 +21,22 @@ func TestCtrlHeal(t *testing.T) {
 	// A kill that cannot resolve through the member table is refused
 	// before any fault is scheduled, not discovered when it fires.
 	for _, bad := range []struct {
-		kill KillSpec
-		ctrl bool
-		want string
+		kill  KillSpec
+		ctrls int
+		want  string
 	}{
-		{KillSpec{Target: "sched9"}, true, `faults: kill target "sched9" is not a registered daemon`},
-		{KillSpec{Target: "ctrl-leader"}, false, `faults: kill target "ctrl-leader" requires the control plane`},
+		{KillSpec{Target: "sched9"}, 1, `faults: kill target "sched9" is not a registered daemon`},
+		{KillSpec{Target: "ctrl-leader"}, 0, `faults: kill target "ctrl-leader" requires the control plane`},
 	} {
 		_, err := RunScenario(ScenarioConfig{
 			Gossips: 1, Schedulers: 1, Components: 1, PStates: 1,
-			Ctrl:      bad.ctrl,
+			Ctrls:     bad.ctrls,
 			Dir:       t.TempDir(),
 			Transport: wire.NewMemTransport(),
 			Kills:     []KillSpec{bad.kill},
 		})
 		if err == nil || err.Error() != bad.want {
-			t.Errorf("kill %q (ctrl=%v): error %v, want %s", bad.kill.Target, bad.ctrl, err, bad.want)
+			t.Errorf("kill %q (ctrls=%d): error %v, want %s", bad.kill.Target, bad.ctrls, err, bad.want)
 		}
 	}
 	res, err := RunScenario(ScenarioConfig{
@@ -53,7 +53,7 @@ func TestCtrlHeal(t *testing.T) {
 		Cycles:         6,
 		PStates:        3,
 		StandbyPStates: 1,
-		Ctrl:           true,
+		Ctrls:          1,
 		WriteLoad:      true,
 		Dir:            t.TempDir(),
 		Kills: []KillSpec{

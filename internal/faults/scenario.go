@@ -89,13 +89,10 @@ type ScenarioConfig struct {
 	// acked-write audit) without the crash-point machinery. PStateCrash
 	// implies it.
 	WriteLoad bool
-	// Ctrl starts the self-healing control plane: a controller daemon,
-	// one heartbeat sidecar per service daemon, restart hooks that
-	// recreate dead daemons in place, and standby promotion for dead
-	// roster replicas.
-	Ctrl bool
-	// Ctrls sizes the replicated controller group (default 1 when Ctrl
-	// is set; setting it above zero implies Ctrl). The controllers form
+	// Ctrls, when positive, starts the self-healing control plane with
+	// that many controllers (0 means none): one heartbeat sidecar per
+	// service daemon, restart hooks that recreate dead daemons in place,
+	// and standby promotion for dead roster replicas. The controllers form
 	// a sub-clique, elect the min-address leader, and fence reconcile
 	// actions through the pstate epoch register. Beaters broadcast every
 	// heartbeat to the whole group, so followers hold warm detector
@@ -109,7 +106,7 @@ type ScenarioConfig struct {
 	// labelled pstate<PStates+1>... and carry no peers until promoted.
 	StandbyPStates int
 	// Kills schedules daemon deaths mid-run (any labelled daemon — a
-	// scheduler, a Gossip, a replica). With Ctrl on and KillSpec.Restart
+	// scheduler, a Gossip, a replica). With Ctrls > 0 and KillSpec.Restart
 	// zero, healing is the controller's job.
 	Kills []KillSpec
 	// Logf receives progress diagnostics (defaults to discard).
@@ -126,7 +123,7 @@ type KillSpec struct {
 	At time.Duration
 	// Restart, when positive, recreates the daemon (same address, same
 	// state directory) that long after the kill. Zero leaves the corpse
-	// alone — under Ctrl the control plane notices and heals.
+	// alone — under Ctrls the control plane notices and heals.
 	Restart time.Duration
 }
 
@@ -186,10 +183,10 @@ type ScenarioResult struct {
 	// so callers can point ew-trace at a still-running scenario.
 	CollectorAddr string
 	// Restarts, Promotions, Backoffs are the controller's final action
-	// counters (Ctrl runs only).
+	// counters (Ctrls runs only).
 	Restarts, Promotions, Backoffs int64
 	// MTTRRestart is the mean detector-declared-dead-to-recovered time;
-	// MTTRPromote the mean dead-to-standby-promoted time (Ctrl runs with
+	// MTTRPromote the mean dead-to-standby-promoted time (Ctrls runs with
 	// at least one such repair; zero otherwise).
 	MTTRRestart, MTTRPromote time.Duration
 	// LeaderFailoverMTTR is the observed control-plane takeover time
@@ -220,12 +217,6 @@ func (c *ScenarioConfig) fill() {
 	}
 	if c.PStateCrash {
 		c.WriteLoad = true
-	}
-	if c.Ctrls > 0 {
-		c.Ctrl = true
-	}
-	if c.Ctrl && c.Ctrls == 0 {
-		c.Ctrls = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -440,7 +431,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		return tot
 	}
-	if cfg.Ctrl {
+	if cfg.Ctrls > 0 {
 		for i := 0; i < cfg.Ctrls; i++ {
 			label := fmt.Sprintf("ctrl%d", i+1)
 			err := add(label, ctrl.RoleCtrl, func(listen string) (core.Daemon, error) {
@@ -589,7 +580,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// Scheduled kills: each fires At after chaos-on and resolves its
 	// target through the member table. A positive Restart has the harness
 	// resurrect the daemon itself; zero leaves the corpse for the control
-	// plane (or permanently dead in a no-Ctrl run). The "ctrl-leader"
+	// plane (or permanently dead in a no-Ctrls run). The "ctrl-leader"
 	// target is dynamic — resolved when the kill fires, it takes down
 	// whichever controller is leading right then and times the group's
 	// recovery to a successor under a strictly higher epoch.
@@ -597,7 +588,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var failoverNanos atomic.Int64
 	for _, k := range cfg.Kills {
 		leaderKill := k.Target == "ctrl-leader"
-		if leaderKill && !cfg.Ctrl {
+		if leaderKill && cfg.Ctrls == 0 {
 			return nil, fmt.Errorf("faults: kill target %q requires the control plane", k.Target)
 		}
 		if _, ok := fleet.Get(k.Target); !ok && !leaderKill {
@@ -679,7 +670,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				// quorum writes land on the promoted standby, not the
 				// corpse. Only the acting leader's roster is authoritative
 				// — followers adopt the durable roster when they take over.
-				if cfg.Ctrl && seq%16 == 0 {
+				if cfg.Ctrls > 0 && seq%16 == 0 {
 					if _, cs := ctrlLeader(); cs != nil {
 						rs.SetAddrs(cs.Roster())
 					}
@@ -842,7 +833,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// still pounding, chaos still armed) until the controller reports no
 	// dead members — restarts finished, promotions absorbed, quorum
 	// writes landing on the final roster.
-	if cfg.Ctrl && len(cfg.Kills) > 0 {
+	if cfg.Ctrls > 0 && len(cfg.Kills) > 0 {
 		// A kill the harness does not undo must be healed by the
 		// controller: a roster replica by standby promotion (when a
 		// standby exists), everything else by restart-in-place. Requiring
@@ -922,7 +913,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		// Forced sync rounds ride the wire protocol, addressed by roster
 		// entry, so a promoted standby participates like any replica.
 		finalAddrs := append([]string(nil), rosterAddrs...)
-		if cfg.Ctrl {
+		if cfg.Ctrls > 0 {
 			if _, cs := ctrlLeader(); cs != nil {
 				finalAddrs = cs.Roster()
 			}
@@ -979,7 +970,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	for i, comp := range comps {
 		collect(fmt.Sprintf("c%d", i+1), comp.Addr())
 	}
-	if cfg.Ctrl {
+	if cfg.Ctrls > 0 {
 		// Action counters sum across the whole group (a since-killed
 		// leader's repairs still happened); the MTTR histograms live on
 		// whichever controller performed the repair, so take the largest

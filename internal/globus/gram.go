@@ -88,11 +88,12 @@ type GatekeeperConfig struct {
 	Credential string
 	// Launch runs staged jobs (default: inert process).
 	Launch Launcher
-	// StageTimeout bounds GASS fetches (default 5s).
-	StageTimeout time.Duration
 	// Transport selects the wire substrate (nil = TCP).
 	Transport wire.Transport
 }
+
+// stageTimeout bounds a gatekeeper's GASS fetches.
+const stageTimeout = 5 * time.Second
 
 // Gatekeeper is a GRAM process-creation endpoint.
 type Gatekeeper struct {
@@ -110,9 +111,6 @@ type Gatekeeper struct {
 func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.StageTimeout == 0 {
-		cfg.StageTimeout = 5 * time.Second
 	}
 	if cfg.Launch == nil {
 		cfg.Launch = func(*Job) (Process, error) { return inertProcess{}, nil }
@@ -206,7 +204,7 @@ func (g *Gatekeeper) Submit(req JobRequest) (*Job, error) {
 	// Stage the binary through GASS, substituting platform variables —
 	// the "grappling hook" that loads the right image automatically.
 	path := strings.ReplaceAll(req.BinaryPath, "$(ARCH)", g.cfg.Arch)
-	gass := NewGASSClient(g.wc, req.GASSAddr, g.cfg.StageTimeout)
+	gass := NewGASSClient(g.wc, req.GASSAddr, stageTimeout)
 	bin, found, err := gass.Get(path)
 	if err != nil || !found {
 		g.mu.Lock()

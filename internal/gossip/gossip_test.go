@@ -62,6 +62,20 @@ func newTestGossip(t *testing.T, wellKnown ...string) *Server {
 	return g
 }
 
+// A negative interval is unset, like zero: the daemon runs on the
+// defaults instead of panicking in time.NewTicker.
+func TestNegativeIntervalsMeanDefault(t *testing.T) {
+	g := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", SyncInterval: -time.Second, Heartbeat: -time.Second})
+	if _, err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.cfg.SyncInterval != time.Second || g.cfg.Heartbeat != time.Second {
+		t.Fatalf("intervals = %v, %v", g.cfg.SyncInterval, g.cfg.Heartbeat)
+	}
+	g.SyncRound()
+}
+
 func TestStampedRoundTrip(t *testing.T) {
 	s := Stamped{Key: "k", Counter: 9, Unix: 123456789, Origin: "a:1", Data: []byte("payload")}
 	got, err := DecodeStamped(EncodeStamped(s))

@@ -29,9 +29,9 @@ type ServerConfig struct {
 	// MaxFailures is how many consecutive poll failures evict a component
 	// registration.
 	MaxFailures int
-	// Heartbeat and TokenTimeout tune the underlying clique protocol.
-	Heartbeat    time.Duration
-	TokenTimeout time.Duration
+	// Heartbeat is the underlying clique protocol's token period
+	// (defaults to SyncInterval).
+	Heartbeat time.Duration
 	// CallTimeout bounds peer and clique calls (default 2s).
 	CallTimeout time.Duration
 	// Transport selects the wire substrate for the listener and all
@@ -53,26 +53,17 @@ type ServerConfig struct {
 }
 
 func (c *ServerConfig) fill() {
-	if c.SyncInterval == 0 {
+	if c.SyncInterval <= 0 {
 		c.SyncInterval = time.Second
 	}
 	if c.MaxFailures == 0 {
 		c.MaxFailures = 3
 	}
-	if c.Heartbeat == 0 {
+	if c.Heartbeat <= 0 {
 		c.Heartbeat = c.SyncInterval
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 2 * time.Second
-	}
-	if c.TokenTimeout == 0 {
-		c.TokenTimeout = 4 * c.Heartbeat
-	}
-	// A token circulation legitimately stalls for a full call timeout when
-	// one hop is slow or dead; a follower that declares partition sooner
-	// than that churns the clique through false splits and re-merges.
-	if c.TokenTimeout < 2*c.CallTimeout {
-		c.TokenTimeout = 2 * c.CallTimeout
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -159,10 +150,14 @@ func (s *Server) Start() (string, error) {
 		s.metrics.SetID("gossip@" + s.addr)
 	}
 	s.tr = clique.NewEndpoint(s.srv, s.addr, s.client, s.cfg.CallTimeout)
+	// A member waits four heartbeats for the token, but never less than
+	// two call timeouts: a circulation legitimately stalls for a full call
+	// timeout when one hop is slow or dead, and a follower that declares
+	// partition sooner churns the clique through false splits and merges.
 	s.member = clique.New(clique.Config{
 		Peers:             s.cfg.WellKnown,
 		HeartbeatInterval: s.cfg.Heartbeat,
-		TokenTimeout:      s.cfg.TokenTimeout,
+		TokenTimeout:      max(4*s.cfg.Heartbeat, 2*s.cfg.CallTimeout),
 		Metrics:           s.metrics,
 		Tracer:            s.cfg.Tracer,
 	}, s.tr)

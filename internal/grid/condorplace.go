@@ -22,47 +22,31 @@ type CondorPlacementConfig struct {
 	Seed int64
 	// Duration of the run (default 6h).
 	Duration time.Duration
-	// Clients in the Condor pool (default 100).
-	Clients int
 	// SchedulerInPool selects the placement under test: true runs the
 	// scheduler on a Condor-managed host that gets reclaimed (killing the
 	// scheduler); false stations it outside the pool.
 	SchedulerInPool bool
-	// SchedulerMeanUp/MeanDown model the in-pool scheduler's lifetime and
-	// the gap until a replacement scheduler is up and announced via the
-	// Gossip protocol (defaults 15m / 2m).
-	SchedulerMeanUp, SchedulerMeanDown time.Duration
-	// LocateCost is the time a client wastes per failed contact before
-	// learning (via Gossip circulation) of the currently viable scheduler
-	// (default 90s: repeated adaptive time-outs plus a Gossip circulation round).
-	LocateCost time.Duration
-	// CycleTime is the client report period (default 60s).
-	CycleTime time.Duration
-	// OpsPerSec is the per-client work rate (default Condor profile's).
-	OpsPerSec float64
 }
+
+// The placement experiment's pool: placementClients clients, each
+// reporting every placementCycle at a work rate drawn around the Condor
+// profile's placementOpsPerSec. The in-pool scheduler lives
+// schedulerMeanUp on average, and a replacement is up and announced via
+// the Gossip protocol schedulerMeanDown later. A client wastes
+// locateCost per failed contact before learning of the viable scheduler:
+// repeated adaptive time-outs plus a Gossip circulation round.
+const (
+	placementClients   = 100
+	placementCycle     = 60 * time.Second
+	placementOpsPerSec = 3.5e6
+	schedulerMeanUp    = 15 * time.Minute
+	schedulerMeanDown  = 2 * time.Minute
+	locateCost         = 90 * time.Second
+)
 
 func (c *CondorPlacementConfig) fill() {
 	if c.Duration == 0 {
 		c.Duration = 6 * time.Hour
-	}
-	if c.Clients == 0 {
-		c.Clients = 100
-	}
-	if c.SchedulerMeanUp == 0 {
-		c.SchedulerMeanUp = 15 * time.Minute
-	}
-	if c.SchedulerMeanDown == 0 {
-		c.SchedulerMeanDown = 2 * time.Minute
-	}
-	if c.LocateCost == 0 {
-		c.LocateCost = 90 * time.Second
-	}
-	if c.CycleTime == 0 {
-		c.CycleTime = 60 * time.Second
-	}
-	if c.OpsPerSec == 0 {
-		c.OpsPerSec = 3.5e6
 	}
 }
 
@@ -99,40 +83,40 @@ func RunCondorPlacement(cfg CondorPlacementConfig) *CondorPlacementResult {
 			}
 			var d time.Duration
 			if schedUp {
-				d = simgrid.Exp(schedRNG, cfg.SchedulerMeanUp, time.Minute)
+				d = simgrid.Exp(schedRNG, schedulerMeanUp, time.Minute)
 			} else {
-				d = simgrid.Exp(schedRNG, cfg.SchedulerMeanDown, 15*time.Second)
+				d = simgrid.Exp(schedRNG, schedulerMeanDown, 15*time.Second)
 			}
 			schedToggle = eng.Now().Add(d)
 			eng.Schedule(schedToggle, toggle)
 		}
-		first := simgrid.Exp(schedRNG, cfg.SchedulerMeanUp, time.Minute)
+		first := simgrid.Exp(schedRNG, schedulerMeanUp, time.Minute)
 		eng.Schedule(start.Add(first), toggle)
 	}
 
 	// Clients: compute a cycle, then contact the scheduler. If the
-	// scheduler is dead, the client pays LocateCost (it discovers the
+	// scheduler is dead, the client pays locateCost (it discovers the
 	// death only at contact time, then hunts for a viable server).
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < placementClients; i++ {
 		rng := rand.New(rand.NewSource(simgrid.SubSeed(cfg.Seed, i)))
-		speed := cfg.OpsPerSec * simgrid.LogNormal(rng, 0.25)
+		speed := placementOpsPerSec * simgrid.LogNormal(rng, 0.25)
 		var cycle func()
 		cycle = func() {
 			t := eng.Now()
 			if !t.Before(end) {
 				return
 			}
-			ops := speed * cfg.CycleTime.Seconds()
+			ops := speed * placementCycle.Seconds()
 			wait := time.Duration(0)
 			if cfg.SchedulerInPool && !schedUp {
 				res.LocateEvents++
-				wait = time.Duration(float64(cfg.LocateCost) * simgrid.LogNormal(rng, 0.3))
+				wait = time.Duration(float64(locateCost) * simgrid.LogNormal(rng, 0.3))
 				res.WastedSeconds += wait.Seconds()
 			}
 			res.UsefulOps += ops
-			eng.After(cfg.CycleTime+wait, cycle)
+			eng.After(placementCycle+wait, cycle)
 		}
-		eng.Schedule(start.Add(time.Duration(rng.Float64()*float64(cfg.CycleTime))), cycle)
+		eng.Schedule(start.Add(time.Duration(rng.Float64()*float64(placementCycle))), cycle)
 	}
 	eng.Run(end)
 	return res

@@ -37,18 +37,16 @@ type NetLoadConfig struct {
 	// into the window, i.e. 11:00 when starting at 23:36). Negative
 	// disables the spike.
 	JudgingAt time.Duration
-	// JudgingPeakFactor is the load multiplier at the height of the spike
-	// (default 8).
-	JudgingPeakFactor float64
 }
+
+// judgingPeakFactor is the load multiplier at the height of the judging
+// spike.
+const judgingPeakFactor = 8
 
 // NewNetLoad builds the load timeline from cfg using rng.
 func NewNetLoad(cfg NetLoadConfig, rng *rand.Rand) *NetLoad {
 	if cfg.SCINetEpisodes == 0 {
 		cfg.SCINetEpisodes = 6
-	}
-	if cfg.JudgingPeakFactor == 0 {
-		cfg.JudgingPeakFactor = 8
 	}
 	nl := &NetLoad{start: cfg.Start}
 	// Random SCINet reconfiguration episodes: 2-4x for 8-25 minutes.
@@ -66,7 +64,7 @@ func NewNetLoad(cfg NetLoadConfig, rng *rand.Rand) *NetLoad {
 	if cfg.JudgingAt >= 0 {
 		at := cfg.Start.Add(cfg.JudgingAt)
 		nl.episodes = append(nl.episodes,
-			episode{from: at, to: at.Add(8 * time.Minute), factor: cfg.JudgingPeakFactor},
+			episode{from: at, to: at.Add(8 * time.Minute), factor: judgingPeakFactor},
 			episode{from: at.Add(8 * time.Minute), to: at.Add(20 * time.Minute), factor: 2},
 			episode{from: at.Add(20 * time.Minute), to: at.Add(40 * time.Minute), factor: 1.5},
 		)

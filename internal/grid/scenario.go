@@ -11,7 +11,6 @@ import (
 	"everyware/internal/simgrid"
 	"everyware/internal/telemetry"
 	"everyware/internal/trace"
-	"everyware/internal/wire"
 )
 
 // SC98Start is the beginning of the evaluation window: 23:36:56 PST on
@@ -36,54 +35,37 @@ const (
 
 // ScenarioConfig parameterizes one SC98 replay.
 type ScenarioConfig struct {
-	// Seed drives every stochastic process; same seed, same figures.
+	// Seed drives every stochastic process; same seed, same figures. The
+	// replay starts at SC98Start and buckets its series trace.BucketWidth
+	// wide.
 	Seed int64
-	// Start defaults to SC98Start.
-	Start time.Time
 	// Duration defaults to SC98Duration.
 	Duration time.Duration
 	// Profiles defaults to SC98Profiles().
 	Profiles []Profile
 	// AdaptiveTimeouts selects the paper's dynamic time-out discovery;
-	// false replays with statically configured time-outs (the E7
+	// false replays with the static report time-out staticTimeout (the E7
 	// ablation).
 	AdaptiveTimeouts bool
-	// StaticTimeout is the fixed report time-out used when
-	// AdaptiveTimeouts is false (default 1s).
-	StaticTimeout time.Duration
-	// BucketWidth defaults to trace.BucketWidth (5 minutes).
-	BucketWidth time.Duration
 	// DisableJudging removes the 11:00 judging spike.
 	DisableJudging bool
 	// DisableTestWindow removes the 09:45 all-resources test run.
 	DisableTestWindow bool
-	// MaxReportAttempts bounds report retries per cycle (default 3).
-	MaxReportAttempts int
-	// Tracer, if set, records causal spans from the replay's real
-	// scheduling policy object. Build it with a dtrace.Config whose Now is
-	// the engine's virtual clock (see RunSC98's engine) so span times are
-	// virtual-time quantities spanning the replayed window.
-	Tracer wire.Tracer
 }
 
+// A replayed client makes at most maxReportAttempts report attempts per
+// cycle. Without adaptive time-outs each attempt waits staticTimeout.
+const (
+	maxReportAttempts = 3
+	staticTimeout     = time.Second
+)
+
 func (c *ScenarioConfig) fill() {
-	if c.Start.IsZero() {
-		c.Start = SC98Start
-	}
 	if c.Duration == 0 {
 		c.Duration = SC98Duration
 	}
 	if len(c.Profiles) == 0 {
 		c.Profiles = SC98Profiles()
-	}
-	if c.StaticTimeout == 0 {
-		c.StaticTimeout = time.Second
-	}
-	if c.BucketWidth == 0 {
-		c.BucketWidth = trace.BucketWidth
-	}
-	if c.MaxReportAttempts == 0 {
-		c.MaxReportAttempts = 3
 	}
 }
 
@@ -242,18 +224,18 @@ func RunSC98(cfg ScenarioConfig) *Result {
 	cfg.fill()
 	s := &scenario{
 		cfg: cfg,
-		eng: simgrid.NewEngine(cfg.Start),
+		eng: simgrid.NewEngine(SC98Start),
 		res: &Result{
-			Start:       cfg.Start,
-			BucketWidth: cfg.BucketWidth,
-			Perf:        trace.NewCollection(cfg.Start, cfg.BucketWidth),
-			Hosts:       trace.NewCollection(cfg.Start, cfg.BucketWidth),
-			Total:       trace.NewSeries(cfg.Start, cfg.BucketWidth),
+			Start:       SC98Start,
+			BucketWidth: trace.BucketWidth,
+			Perf:        trace.NewCollection(SC98Start, trace.BucketWidth),
+			Hosts:       trace.NewCollection(SC98Start, trace.BucketWidth),
+			Total:       trace.NewSeries(SC98Start, trace.BucketWidth),
 		},
-		end:     cfg.Start.Add(cfg.Duration),
-		testLo:  cfg.Start.Add(TestWindowAt),
-		testHi:  cfg.Start.Add(TestWindowAt + TestWindowLen),
-		judging: cfg.Start.Add(JudgingAt),
+		end:     SC98Start.Add(cfg.Duration),
+		testLo:  SC98Start.Add(TestWindowAt),
+		testHi:  SC98Start.Add(TestWindowAt + TestWindowLen),
+		judging: SC98Start.Add(JudgingAt),
 	}
 	rootRNG := rand.New(rand.NewSource(cfg.Seed))
 	judgingOffset := JudgingAt
@@ -261,7 +243,7 @@ func RunSC98(cfg ScenarioConfig) *Result {
 		judgingOffset = -1
 	}
 	s.net = NewNetLoad(NetLoadConfig{
-		Start:     cfg.Start,
+		Start:     SC98Start,
 		Duration:  cfg.Duration,
 		JudgingAt: judgingOffset,
 	}, rootRNG)
@@ -275,7 +257,6 @@ func RunSC98(cfg ScenarioConfig) *Result {
 		StaleAfter:    20 * time.Minute,
 		MedianRefresh: time.Minute,
 		Metrics:       reg,
-		Tracer:        cfg.Tracer,
 	})
 	s.state = ramsey.NewColoring(17).Encode()
 
@@ -297,13 +278,13 @@ func RunSC98(cfg ScenarioConfig) *Result {
 				speed:      speed,
 				claimRank:  rng.Float64(),
 				up:         rng.Float64() < upFraction(p),
-				nextToggle: cfg.Start,
+				nextToggle: SC98Start,
 				fkey:       forecast.Key{Resource: string(p.Name) + "-" + itoa(i), Event: "report"},
 			}
 			if h.up {
-				h.nextToggle = cfg.Start.Add(simgrid.Exp(rng, p.MeanUp, time.Minute))
+				h.nextToggle = SC98Start.Add(simgrid.Exp(rng, p.MeanUp, time.Minute))
 			} else if p.MeanUp > 0 {
-				h.nextToggle = cfg.Start.Add(simgrid.Exp(rng, p.MeanDown, time.Minute))
+				h.nextToggle = SC98Start.Add(simgrid.Exp(rng, p.MeanDown, time.Minute))
 			}
 			if cfg.AdaptiveTimeouts {
 				h.policy = forecast.NewTimeoutPolicy(forecast.NewRegistry())
@@ -312,7 +293,7 @@ func RunSC98(cfg ScenarioConfig) *Result {
 			s.hosts = append(s.hosts, h)
 			// Stagger first cycles so report load spreads (the paper's
 			// randomized client start-up sleep).
-			start := cfg.Start.Add(time.Duration(rng.Float64() * float64(p.CycleTime)))
+			start := SC98Start.Add(time.Duration(rng.Float64() * float64(p.CycleTime)))
 			hh := h
 			s.eng.Schedule(start, func() { s.cycle(hh) })
 		}
@@ -334,7 +315,7 @@ func RunSC98(cfg ScenarioConfig) *Result {
 			s.eng.After(time.Minute, sample)
 		}
 	}
-	s.eng.Schedule(cfg.Start, sample)
+	s.eng.Schedule(SC98Start, sample)
 
 	s.eng.Run(s.end)
 	s.res.SchedulerReports, s.res.SchedulerMigrations, _ = s.sch.Stats()
@@ -371,7 +352,7 @@ func (s *scenario) cycle(h *host) {
 	waited := time.Duration(0)
 	success := false
 	attempts := 0
-	for attempts < s.cfg.MaxReportAttempts {
+	for attempts < maxReportAttempts {
 		attempts++
 		s.res.ReportAttempts++
 		at := t.Add(computeT + waited)
@@ -381,7 +362,7 @@ func (s *scenario) cycle(h *host) {
 		if s.cfg.AdaptiveTimeouts {
 			to = h.policy.Timeout(h.fkey)
 		} else {
-			to = s.cfg.StaticTimeout
+			to = staticTimeout
 		}
 		if resp <= to {
 			waited += resp

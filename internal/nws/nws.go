@@ -186,17 +186,11 @@ func encodeKey(e *wire.Encoder, k forecast.Key) {
 
 // Report stores one measurement.
 func (c *Client) Report(key forecast.Key, v float64) error {
-	return c.ReportCtx(wire.TraceContext{}, key, v)
-}
-
-// ReportCtx stores one measurement under an existing trace context (the
-// sensor passes its sweep's root span so every report lands in one tree).
-func (c *Client) ReportCtx(tc wire.TraceContext, key forecast.Key, v float64) error {
 	msg := wire.MessageFunc(func(e *wire.Encoder) {
 		encodeKey(e, key)
 		e.PutFloat64(v)
 	})
-	return c.wc.CallMsgTraced(c.addr, MsgReport, tc, msg, nil, c.timeout)
+	return c.wc.CallMsg(c.addr, MsgReport, msg, nil, c.timeout)
 }
 
 // Forecast fetches the best current prediction for key.

@@ -118,11 +118,10 @@ func TestSensorMeasuresCPUAndRTT(t *testing.T) {
 func TestSensorSkipsUnreachablePeers(t *testing.T) {
 	m := startMemory(t)
 	s := NewSensor(SensorConfig{
-		Name:        "hostB",
-		MemoryAddr:  m.Addr(),
-		Peers:       []string{"127.0.0.1:1"},
-		DisableCPU:  true,
-		PingTimeout: 200 * time.Millisecond,
+		Name:       "hostB",
+		MemoryAddr: m.Addr(),
+		Peers:      []string{"127.0.0.1:1"},
+		DisableCPU: true,
 	})
 	defer s.Close()
 	s.MeasureOnce()
@@ -149,6 +148,30 @@ func TestSensorPeriodicLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("sensor only completed %d cycles", s.Cycles())
+}
+
+// A negative period is unset, like zero: the sensor measures on the
+// default period instead of panicking in time.NewTicker.
+func TestSensorNegativePeriodMeansDefault(t *testing.T) {
+	m := startMemory(t)
+	s := NewSensor(SensorConfig{
+		Name:       "hostD",
+		MemoryAddr: m.Addr(),
+		Period:     -time.Second,
+		CPU:        func() float64 { return 1 },
+	})
+	s.Start()
+	defer s.Close()
+	if s.cfg.Period != 10*time.Second {
+		t.Fatalf("period = %v", s.cfg.Period)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for s.Cycles() < 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if s.Cycles() < 1 {
+		t.Fatal("sensor completed no measurement")
+	}
 }
 
 func TestCPUProbeReturnsPositive(t *testing.T) {

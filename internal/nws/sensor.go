@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"everyware/internal/forecast"
-	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -49,16 +48,11 @@ type SensorConfig struct {
 	// network-only sensors by setting DisableCPU).
 	CPU        Prober
 	DisableCPU bool
-	// PingTimeout bounds each RTT probe (default 2s).
-	PingTimeout time.Duration
-	// Metrics, if set, counts probe outcomes (nws.ping.ok / nws.ping.timeout
-	// / nws.ping.fail). Nil discards.
-	Metrics *telemetry.Registry
-	// Tracer, if set, roots a causal trace at every measurement sweep, so
-	// each report to the measurement memory (and its retries) links back
-	// to the sweep that produced it. Nil disables.
-	Tracer wire.Tracer
 }
+
+// pingTimeout bounds each RTT probe and each report to the measurement
+// memory.
+const pingTimeout = 2 * time.Second
 
 // Sensor periodically measures local CPU availability and network RTTs to
 // peers, reporting each series to the measurement memory.
@@ -75,20 +69,17 @@ type Sensor struct {
 
 // NewSensor constructs a sensor.
 func NewSensor(cfg SensorConfig) *Sensor {
-	if cfg.Period == 0 {
+	if cfg.Period <= 0 {
 		cfg.Period = 10 * time.Second
-	}
-	if cfg.PingTimeout == 0 {
-		cfg.PingTimeout = 2 * time.Second
 	}
 	if cfg.CPU == nil {
 		cfg.CPU = CPUProbe
 	}
-	wc := wire.NewClient(cfg.PingTimeout)
+	wc := wire.NewClient(pingTimeout)
 	return &Sensor{
 		cfg:  cfg,
 		wc:   wc,
-		mc:   NewClient(wc, cfg.MemoryAddr, cfg.PingTimeout),
+		mc:   NewClient(wc, cfg.MemoryAddr, pingTimeout),
 		done: make(chan struct{}),
 	}
 }
@@ -114,32 +105,24 @@ func (s *Sensor) Start() {
 
 // MeasureOnce performs one measurement sweep (also used by tests).
 func (s *Sensor) MeasureOnce() {
-	sweep := wire.StartSpan(s.cfg.Tracer, "nws.measure", wire.TraceContext{})
-	sweep.Annotate("sensor", s.cfg.Name)
-	tc := sweep.Context()
 	if !s.cfg.DisableCPU {
 		v := s.cfg.CPU()
-		_ = s.mc.ReportCtx(tc, forecast.Key{Resource: s.cfg.Name, Event: "cpu_ops"}, v)
+		_ = s.mc.Report(forecast.Key{Resource: s.cfg.Name, Event: "cpu_ops"}, v)
 	}
 	for _, peer := range s.cfg.Peers {
 		key := forecast.Key{Resource: s.cfg.Name + "->" + peer, Event: "rtt"}
-		rtt, err := s.wc.Ping(peer, s.cfg.PingTimeout)
+		rtt, err := s.wc.Ping(peer, pingTimeout)
 		if err != nil {
 			if wire.IsTimeout(err) {
-				s.cfg.Metrics.Counter("nws.ping.timeout").Inc()
 				// The ping took at least the full timeout: report that as
 				// the sample so forecasts (and the time-outs derived from
 				// them) adapt upward instead of staying optimistic.
-				_ = s.mc.ReportCtx(tc, key, s.cfg.PingTimeout.Seconds())
-			} else {
-				s.cfg.Metrics.Counter("nws.ping.fail").Inc()
+				_ = s.mc.Report(key, pingTimeout.Seconds())
 			}
 			continue // fast failures (refused, reset) produce no sample
 		}
-		s.cfg.Metrics.Counter("nws.ping.ok").Inc()
-		_ = s.mc.ReportCtx(tc, key, rtt.Seconds())
+		_ = s.mc.Report(key, rtt.Seconds())
 	}
-	sweep.End("ok")
 	s.mu.Lock()
 	s.cycles++
 	s.mu.Unlock()

@@ -14,16 +14,18 @@ import (
 // table under, in the "obs" class.
 const AlertsKey = "everyware/obs/alerts"
 
+// callTimeout bounds each per-target scrape RPC and each alert-table
+// read or write to the replica set.
+const callTimeout = 2 * time.Second
+
 // Config parameterizes an observatory daemon.
 type Config struct {
 	// Name is the daemon's telemetry identity (default "obs").
 	Name string
 	// ListenAddr binds the introspection endpoint (default ":0").
 	ListenAddr string
-	// Transport, Metrics, Silent follow wire.ServiceConfig. The
-	// registry's clock is the observatory's: alert timestamps come from it.
+	// Transport and Silent follow wire.ServiceConfig.
 	Transport wire.Transport
-	Metrics   *telemetry.Registry
 	Silent    bool
 
 	// Targets is the static scrape list (telemetry addresses).
@@ -36,8 +38,6 @@ type Config struct {
 	// Interval is the scrape period (default 5s). Negative disables the
 	// background loop entirely; tests drive rounds with Tick.
 	Interval time.Duration
-	// Timeout bounds each per-target scrape RPC (default 2s).
-	Timeout time.Duration
 	// Points is the ring capacity per series (default 128).
 	Points int
 
@@ -82,9 +82,6 @@ func New(cfg Config) *Server {
 	if cfg.Interval == 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
 	s := &Server{
 		cfg:  cfg,
 		set:  NewSeriesSet(cfg.Points),
@@ -95,7 +92,6 @@ func New(cfg Config) *Server {
 		Name:       cfg.Name,
 		ListenAddr: cfg.ListenAddr,
 		Transport:  cfg.Transport,
-		Metrics:    cfg.Metrics,
 		Silent:     cfg.Silent,
 	})
 	reg := s.svc.Metrics()
@@ -130,7 +126,7 @@ func (s *Server) Start() (string, error) {
 	if len(s.cfg.PStates) > 0 {
 		s.rs, err = pstate.NewReplicaSet(s.svc.Client(), pstate.ReplicaSetConfig{
 			Addrs:   s.cfg.PStates,
-			Timeout: s.cfg.Timeout,
+			Timeout: callTimeout,
 			Metrics: s.svc.Metrics(),
 		})
 		if err != nil {
@@ -195,7 +191,7 @@ func (s *Server) scrape() {
 	ch := make(chan res, len(targets))
 	for _, addr := range targets {
 		go func(addr string) {
-			snap, err := wire.FetchSnapshot(s.svc.Client(), addr, "", s.cfg.Timeout)
+			snap, err := wire.FetchSnapshot(s.svc.Client(), addr, "", callTimeout)
 			ch <- res{addr, snap, err}
 		}(addr)
 	}

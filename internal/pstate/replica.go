@@ -28,9 +28,10 @@ type ReplicaSetConfig struct {
 	// Addrs lists the replica managers (N). Order does not matter for
 	// correctness — every operation contacts all of them in parallel.
 	Addrs []string
-	// WriteQuorum (W) and ReadQuorum (R) default to a majority of N.
-	// W+R > N makes reads see the latest acknowledged write.
-	WriteQuorum, ReadQuorum int
+	// WriteQuorum (W) defaults to a majority of N. The read quorum (R) is
+	// always a majority of the current roster, so W+R > N makes reads see
+	// the latest acknowledged write.
+	WriteQuorum int
 	// Timeout bounds each per-replica call (default 2s).
 	Timeout time.Duration
 	// Health, if set, records per-replica successes/failures so other
@@ -59,10 +60,9 @@ type ReplicaSet struct {
 	wc  *wire.Client
 
 	mu    sync.Mutex
-	addrs []string // current roster (mutable: SetAddrs follows promotions)
-	w, r  int      // current quorum sizes
-	autoW bool     // WriteQuorum was defaulted: recompute majority on roster change
-	autoR bool
+	addrs []string           // current roster (mutable: SetAddrs follows promotions)
+	w     int                // current write quorum size
+	autoW bool               // WriteQuorum was defaulted: recompute majority on roster change
 	spool map[string]*Object // name -> freshest unflushed write
 }
 
@@ -73,16 +73,13 @@ func NewReplicaSet(wc *wire.Client, cfg ReplicaSetConfig) (*ReplicaSet, error) {
 		return nil, fmt.Errorf("pstate: replica set needs at least one manager address")
 	}
 	majority := len(cfg.Addrs)/2 + 1
-	autoW, autoR := cfg.WriteQuorum <= 0, cfg.ReadQuorum <= 0
-	if autoW {
-		cfg.WriteQuorum = majority
+	autoW := false
+	if cfg.WriteQuorum <= 0 {
+		cfg.WriteQuorum, autoW = majority, true
 	}
-	if autoR {
-		cfg.ReadQuorum = majority
-	}
-	if cfg.WriteQuorum > len(cfg.Addrs) || cfg.ReadQuorum > len(cfg.Addrs) {
-		return nil, fmt.Errorf("pstate: quorum W=%d R=%d impossible with %d replicas",
-			cfg.WriteQuorum, cfg.ReadQuorum, len(cfg.Addrs))
+	if cfg.WriteQuorum > len(cfg.Addrs) {
+		return nil, fmt.Errorf("pstate: quorum W=%d impossible with %d replicas",
+			cfg.WriteQuorum, len(cfg.Addrs))
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
@@ -92,9 +89,7 @@ func NewReplicaSet(wc *wire.Client, cfg ReplicaSetConfig) (*ReplicaSet, error) {
 		wc:    wc,
 		addrs: append([]string(nil), cfg.Addrs...),
 		w:     cfg.WriteQuorum,
-		r:     cfg.ReadQuorum,
 		autoW: autoW,
-		autoR: autoR,
 		spool: make(map[string]*Object),
 	}, nil
 }
@@ -108,9 +103,9 @@ func (r *ReplicaSet) Addrs() []string {
 
 // SetAddrs repoints the replica set at a new roster — the control
 // plane's promotion path: clients learn the post-promotion quorum over
-// Gossip and follow it without restarting. Defaulted quorum sizes are
-// recomputed as a majority of the new roster; explicitly configured
-// ones are kept (clamped to the roster size). An empty or unchanged
+// Gossip and follow it without restarting. A defaulted write quorum is
+// recomputed as a majority of the new roster; an explicitly configured
+// one is kept (clamped to the roster size). An empty or unchanged
 // roster is a no-op.
 func (r *ReplicaSet) SetAddrs(addrs []string) {
 	if len(addrs) == 0 {
@@ -137,21 +132,17 @@ func (r *ReplicaSet) SetAddrs(addrs []string) {
 	} else if r.w > len(addrs) {
 		r.w = len(addrs)
 	}
-	if r.autoR {
-		r.r = majority
-	} else if r.r > len(addrs) {
-		r.r = len(addrs)
-	}
 	r.mu.Unlock()
 	r.cfg.Metrics.Counter("pstate.replica.roster_changes").Inc()
 }
 
 // quorums snapshots the roster and quorum sizes for one operation, so a
-// concurrent SetAddrs cannot split an operation across two rosters.
+// concurrent SetAddrs cannot split an operation across two rosters. The
+// read quorum is a majority of the roster.
 func (r *ReplicaSet) quorums() (addrs []string, w, rq int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.addrs, r.w, r.r
+	return r.addrs, r.w, len(r.addrs)/2 + 1
 }
 
 // replicaResult is one replica's answer to a fan-out operation.

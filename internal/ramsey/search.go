@@ -38,12 +38,6 @@ type SearchConfig struct {
 	Heuristic Heuristic
 	// Seed makes the stochastic search reproducible.
 	Seed int64
-	// TabuTenure is the number of iterations a flipped edge stays tabu
-	// (HeurTabu only; default 2*N).
-	TabuTenure int
-	// InitTemp and CoolRate parameterize annealing (defaults 2.0, 0.9995).
-	InitTemp float64
-	CoolRate float64
 	// SampleEdges bounds how many candidate edges a min-conflicts /tabu
 	// step evaluates (0 = all edges). Sampling keeps per-step cost bounded
 	// on large graphs.
@@ -64,17 +58,15 @@ func (c *SearchConfig) fill() error {
 	default:
 		return fmt.Errorf("ramsey: unknown heuristic %q", c.Heuristic)
 	}
-	if c.TabuTenure <= 0 {
-		c.TabuTenure = 2 * c.N
-	}
-	if c.InitTemp <= 0 {
-		c.InitTemp = 2.0
-	}
-	if c.CoolRate <= 0 || c.CoolRate >= 1 {
-		c.CoolRate = 0.9995
-	}
 	return nil
 }
+
+// Annealing starts at initTemp and multiplies the temperature by coolRate
+// every step, reheating to initTemp once it falls below 0.01.
+const (
+	initTemp = 2.0
+	coolRate = 0.9995
+)
 
 // Searcher runs one heuristic search incrementally. Clients call Step in a
 // loop, reporting progress to their scheduler between batches; the
@@ -107,7 +99,7 @@ func NewSearcher(cfg SearchConfig, ops *OpCounter) (*Searcher, error) {
 		cfg:      cfg,
 		rng:      rng,
 		coloring: col,
-		temp:     cfg.InitTemp,
+		temp:     initTemp,
 		tabu:     make(map[int]int64),
 		ops:      ops,
 	}
@@ -238,7 +230,7 @@ func (s *Searcher) stepGreedy(useTabu bool) {
 	s.coloring.Flip(i, j)
 	s.current += bestDelta
 	if useTabu {
-		s.tabu[idx] = s.iters + int64(s.cfg.TabuTenure)
+		s.tabu[idx] = s.iters + int64(2*s.cfg.N) // a flipped edge stays tabu for 2N iterations
 	}
 }
 
@@ -258,8 +250,8 @@ func (s *Searcher) stepAnneal() {
 		s.coloring.Flip(i, j)
 		s.current += d
 	}
-	s.temp *= s.cfg.CoolRate
+	s.temp *= coolRate
 	if s.temp < 0.01 {
-		s.temp = s.cfg.InitTemp // reheat
+		s.temp = initTemp // reheat
 	}
 }

@@ -38,15 +38,15 @@ type AdmitterConfig struct {
 	Rate float64
 	// Burst is the bucket capacity (defaults to Rate, min 1).
 	Burst float64
-	// LowReserve is the bucket fraction below which PriLow is shed and
-	// below half of which PriNorm is shed, keeping headroom for PriHigh.
-	// Defaults to 0.2.
-	LowReserve float64
 	// Metrics records scale.admit.* / scale.shed.* counters and is the
 	// clock the bucket refills on (virtual time under simulation). Nil
 	// discards the counts and reads real time.
 	Metrics *telemetry.Registry
 }
+
+// lowReserve is the bucket fraction below which PriLow is shed and below
+// half of which PriNorm is shed, keeping headroom for PriHigh.
+const lowReserve = 0.2
 
 // Admitter is a priority-aware token bucket: one per shard, consulted
 // before any report mutates scheduler state. When the bucket runs low the
@@ -71,9 +71,6 @@ func NewAdmitter(cfg AdmitterConfig) *Admitter {
 	}
 	if cfg.Burst < 1 {
 		cfg.Burst = 1
-	}
-	if cfg.LowReserve <= 0 {
-		cfg.LowReserve = 0.2
 	}
 	a := &Admitter{cfg: cfg, tokens: cfg.Burst, last: cfg.Metrics.Now()}
 	a.admitted = cfg.Metrics.Counter("scale.admit.ok")
@@ -133,14 +130,14 @@ func (a *Admitter) AdmitN(pri Priority, n int) int {
 }
 
 // floorFor returns the token level a priority must leave in reserve:
-// PriLow only draws from the top (1-LowReserve) of the bucket, PriNorm
-// from the top (1-LowReserve/2), PriHigh down to empty.
+// PriLow only draws from the top (1-lowReserve) of the bucket, PriNorm
+// from the top (1-lowReserve/2), PriHigh down to empty.
 func (a *Admitter) floorFor(pri Priority) float64 {
 	switch pri {
 	case PriLow:
-		return a.cfg.Burst * a.cfg.LowReserve
+		return a.cfg.Burst * lowReserve
 	case PriNorm:
-		return a.cfg.Burst * a.cfg.LowReserve / 2
+		return a.cfg.Burst * lowReserve / 2
 	default:
 		return 0
 	}

@@ -18,7 +18,7 @@ func TestAdmitterShedsLowFirst(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	m := telemetry.NewRegistry()
 	m.SetNow(clk.now)
-	a := NewAdmitter(AdmitterConfig{Rate: 10, Burst: 10, LowReserve: 0.2, Metrics: m})
+	a := NewAdmitter(AdmitterConfig{Rate: 10, Burst: 10, Metrics: m})
 
 	// Drain below the low-priority floor (0.2*10 = 2 tokens).
 	for i := 0; i < 9; i++ {

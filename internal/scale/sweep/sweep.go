@@ -32,61 +32,38 @@ type Config struct {
 	Clients int
 	// Shards is the scheduling shard count.
 	Shards int
-	// RegionSize is how many clients one region gateway fronts
-	// (default 4096).
-	RegionSize int
-	// ReportInterval is each client's report cadence (default 10s).
-	ReportInterval time.Duration
-	// FlushInterval is the gateway batch flush cadence (default 250ms).
-	FlushInterval time.Duration
 	// Duration is the virtual horizon (default 30s).
 	Duration time.Duration
 	// AdmitRate/AdmitBurst parameterize each shard's token bucket
 	// (reports/sec; 0 disables shedding).
 	AdmitRate  float64
 	AdmitBurst float64
-	// RTT models the gateway->shard round trip (default 2ms).
-	RTT time.Duration
-	// Service models per-report decision time at the shard (default 20µs).
-	Service time.Duration
 	// Seed makes the run reproducible.
 	Seed int64
 	// KillAt, if positive, marks shard KillShard dead at that virtual
-	// time — the chaos experiment. ReshardAfter later (default two flush
-	// intervals) the re-sharded ring is published, as the Gossip pool
-	// would after detecting the death.
-	KillAt       time.Duration
-	KillShard    int
-	ReshardAfter time.Duration
-	// Metrics, if set, receives the scale.* counters the real components
-	// emit. Nil uses a private registry.
-	Metrics *telemetry.Registry
+	// time — the chaos experiment. reshardAfter later the re-sharded ring
+	// is published, as the Gossip pool would after detecting the death.
+	KillAt    time.Duration
+	KillShard int
 }
 
+// The modelled fleet: one region gateway fronts regionSize clients, each
+// reporting every reportInterval; gateways flush batches every
+// flushInterval; a gateway->shard round trip takes rtt and a shard spends
+// serviceTime deciding each report. The re-sharded ring is published
+// reshardAfter (two flush intervals) after a kill.
+const (
+	regionSize     = 4096
+	reportInterval = 10 * time.Second
+	flushInterval  = 250 * time.Millisecond
+	rtt            = 2 * time.Millisecond
+	serviceTime    = 20 * time.Microsecond
+	reshardAfter   = 2 * flushInterval
+)
+
 func (c *Config) fill() {
-	if c.RegionSize <= 0 {
-		c.RegionSize = 4096
-	}
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = 10 * time.Second
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 250 * time.Millisecond
-	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.RTT <= 0 {
-		c.RTT = 2 * time.Millisecond
-	}
-	if c.Service <= 0 {
-		c.Service = 20 * time.Microsecond
-	}
-	if c.ReshardAfter <= 0 {
-		c.ReshardAfter = 2 * c.FlushInterval
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
 	}
 }
 
@@ -213,7 +190,9 @@ func Run(cfg Config) Result {
 	runtime.ReadMemStats(&msBefore)
 
 	eng := simgrid.NewEngine(time.Unix(0, 0).UTC())
-	cfg.Metrics.SetNow(eng.Now)
+	// The real components' scale.* counters, on the virtual clock.
+	metrics := telemetry.NewRegistry()
+	metrics.SetNow(eng.Now)
 
 	shards := make([]*shard, cfg.Shards)
 	names := make([]string, cfg.Shards)
@@ -229,19 +208,19 @@ func Run(cfg Config) Result {
 			shards[i].admit = scale.NewAdmitter(scale.AdmitterConfig{
 				Rate:    cfg.AdmitRate,
 				Burst:   cfg.AdmitBurst,
-				Metrics: cfg.Metrics,
+				Metrics: metrics,
 			})
 		}
 		byName[names[i]] = shards[i]
 	}
 	ring := scale.NewRing(names, 0)
-	router := scale.NewRouter(ring, cfg.Metrics)
+	router := scale.NewRouter(ring, metrics)
 
-	nRegions := (cfg.Clients + cfg.RegionSize - 1) / cfg.RegionSize
+	nRegions := (cfg.Clients + regionSize - 1) / regionSize
 	gws := make([]*gateway, nRegions)
 	for i := range gws {
-		first := uint32(i * cfg.RegionSize)
-		n := uint32(cfg.RegionSize)
+		first := uint32(i * regionSize)
+		n := uint32(regionSize)
 		if rem := uint32(cfg.Clients) - first; rem < n {
 			n = rem
 		}
@@ -274,10 +253,10 @@ func Run(cfg Config) Result {
 	}
 
 	// reportsPerTick: each gateway advances a rotating cursor so every
-	// client reports exactly once per ReportInterval, phase-spread across
+	// client reports exactly once per reportInterval, phase-spread across
 	// the population.
 	perTick := func(g *gateway) uint32 {
-		n := uint64(g.clients) * uint64(cfg.FlushInterval) / uint64(cfg.ReportInterval)
+		n := uint64(g.clients) * uint64(flushInterval) / uint64(reportInterval)
 		if n == 0 {
 			n = 1
 		}
@@ -289,7 +268,7 @@ func Run(cfg Config) Result {
 			return
 		}
 		now := eng.Now()
-		g := gws[int(items[0].client)/cfg.RegionSize]
+		g := gws[int(items[0].client)/regionSize]
 		dst := byName[dest]
 		if dst == nil || !dst.alive {
 			// Owner dead: fail over along the ring successors of the
@@ -323,7 +302,7 @@ func Run(cfg Config) Result {
 			dst.records[it.client]++
 			dst.acked++
 			res.Acked++
-			sample(now.Sub(it.enq) + cfg.RTT + time.Duration(i+1)*cfg.Service)
+			sample(now.Sub(it.enq) + rtt + time.Duration(i+1)*serviceTime)
 		}
 	}
 
@@ -349,7 +328,7 @@ func Run(cfg Config) Result {
 			// Arrival is jittered across the elapsed flush interval: the
 			// tick collapses the interval's arrivals into one event, but
 			// the clients did not all report at the tick instant.
-			enq := now.Add(-time.Duration(rng.Int63n(int64(cfg.FlushInterval))))
+			enq := now.Add(-time.Duration(rng.Int63n(int64(flushInterval))))
 			dest := router.Ring().Lookup(key)
 			if n := g.buffer(dest, report{client: c, pri: pri, enq: enq}, now, &res.Coalesced); n >= outbox.MaxBatch {
 				delete(g.oldest, dest)
@@ -357,21 +336,21 @@ func Run(cfg Config) Result {
 			}
 		}
 		g.cursor = (g.cursor + n) % g.clients
-		for _, b := range g.aged(now, cfg.FlushInterval/2) {
+		for _, b := range g.aged(now, flushInterval/2) {
 			deliver(b.Dest, b.Items)
 		}
-		eng.After(cfg.FlushInterval, func() { tick(g) })
+		eng.After(flushInterval, func() { tick(g) })
 	}
 	for i, g := range gws {
 		g := g
-		offset := cfg.FlushInterval * time.Duration(i) / time.Duration(nRegions)
+		offset := flushInterval * time.Duration(i) / time.Duration(nRegions)
 		eng.Schedule(eng.Now().Add(offset), func() { tick(g) })
 	}
 
 	if cfg.KillAt > 0 && cfg.KillShard >= 0 && cfg.KillShard < len(shards) {
 		victim := shards[cfg.KillShard]
 		eng.After(cfg.KillAt, func() { victim.alive = false })
-		eng.After(cfg.KillAt+cfg.ReshardAfter, func() {
+		eng.After(cfg.KillAt+reshardAfter, func() {
 			router.SetRing(router.Ring().Remove(victim.name))
 		})
 	}
@@ -414,7 +393,7 @@ func Run(cfg Config) Result {
 	}
 	res.HeapPerClient = float64(res.HeapBytes) / float64(cfg.Clients)
 
-	flat, hier := scale.GossipTraffic(cfg.Clients, cfg.RegionSize)
+	flat, hier := scale.GossipTraffic(cfg.Clients, regionSize)
 	res.GossipFlat, res.GossipHier = float64(flat), float64(hier)
 	res.RingVersion = router.Ring().Version
 	res.VirtualSeconds = cfg.Duration.Seconds()

@@ -34,9 +34,6 @@ type RunnerConfig struct {
 	// before it is reported (the hook the core package uses to checkpoint
 	// through Gossip and persistent state).
 	OnFound func(*ramsey.CounterExample)
-	// ReportTimeoutPolicy adapts report time-outs; a default policy is
-	// created if nil.
-	ReportTimeoutPolicy *forecast.TimeoutPolicy
 	// MaxSchedulerFailures marks a scheduler dead after this many
 	// consecutive report failures (default 3); dead schedulers are skipped
 	// while any alternative is alive and re-probed after
@@ -46,12 +43,6 @@ type RunnerConfig struct {
 	// (default 10s). A roster update via SetSchedulers clears the marks —
 	// the rejoin path when scheduler birth/death circulates over Gossip.
 	SchedulerCooldown time.Duration
-	// RingFailover is how many distinct shards (owner first) make up a
-	// report's whole candidate list once a scheduler ring is installed
-	// (see SetRing; default 3). When all of them fail the report fails:
-	// the Gossip roster and the static list are consulted only while no
-	// ring is installed.
-	RingFailover int
 	// Metrics, if set, records report outcomes, scheduler fail-overs, and
 	// health-tracker transitions. Nil discards.
 	Metrics *telemetry.Registry
@@ -61,6 +52,12 @@ type RunnerConfig struct {
 	// span. Nil disables tracing for this runner.
 	Tracer wire.Tracer
 }
+
+// ringFailover is how many distinct shards (owner first) make up a
+// report's whole candidate list once a scheduler ring is installed (see
+// SetRing). When all of them fail the report fails: the Gossip roster and
+// the static list are consulted only while no ring is installed.
+const ringFailover = 3
 
 // Runner is the client-side scheduling loop: it requests work, runs the
 // assigned heuristic for the budgeted number of steps, reports progress
@@ -77,6 +74,7 @@ type Runner struct {
 	lastReportDur time.Duration
 	health        *wire.HealthTracker
 	router        *scale.Router
+	timeouts      *forecast.TimeoutPolicy // adapts report time-outs
 
 	rosterMu sync.Mutex
 	roster   []string // overrides cfg.Schedulers when non-nil
@@ -116,7 +114,7 @@ func (r *Runner) Router() *scale.Router { return r.router }
 // for this client when a ring is installed, else the gossip roster, else
 // the configured static list.
 func (r *Runner) schedulers() []string {
-	if order := r.router.Route(r.cfg.ClientID, r.cfg.RingFailover); len(order) > 0 {
+	if order := r.router.Route(r.cfg.ClientID, ringFailover); len(order) > 0 {
 		return order
 	}
 	r.rosterMu.Lock()
@@ -135,20 +133,15 @@ func NewRunner(cfg RunnerConfig, wc *wire.Client) (*Runner, error) {
 	if len(cfg.Schedulers) == 0 {
 		return nil, fmt.Errorf("sched: at least one scheduler address required")
 	}
-	if cfg.ReportTimeoutPolicy == nil {
-		cfg.ReportTimeoutPolicy = forecast.NewTimeoutPolicy(forecast.NewRegistry())
-	}
-	if cfg.RingFailover <= 0 {
-		cfg.RingFailover = 3
-	}
 	health := wire.NewHealthTracker(cfg.MaxSchedulerFailures, cfg.SchedulerCooldown)
 	health.Metrics = cfg.Metrics
 	return &Runner{
-		cfg:    cfg,
-		wc:     wc,
-		ops:    &ramsey.OpCounter{},
-		health: health,
-		router: scale.NewRouter(nil, cfg.Metrics),
+		cfg:      cfg,
+		wc:       wc,
+		ops:      &ramsey.OpCounter{},
+		health:   health,
+		router:   scale.NewRouter(nil, cfg.Metrics),
+		timeouts: forecast.NewTimeoutPolicy(forecast.NewRegistry()),
 	}, nil
 }
 
@@ -179,7 +172,7 @@ func (r *Runner) report(rep Report) (Directive, error) {
 	for attempt := 0; attempt < len(scheds); attempt++ {
 		addr := scheds[(r.curSched+attempt)%len(scheds)]
 		key := forecast.Key{Resource: addr, Event: "report"}
-		to := r.cfg.ReportTimeoutPolicy.Timeout(key)
+		to := r.timeouts.Timeout(key)
 		start := time.Now()
 		// Call takes ownership of the request packet (it returns the
 		// buffer to the pool), so every fail-over attempt encodes afresh.
@@ -192,12 +185,12 @@ func (r *Runner) report(rep Report) (Directive, error) {
 			// Fast failures (refused connection, broken pipe) say nothing
 			// about response time and are recorded only as health strikes.
 			if wire.IsTimeout(err) {
-				r.cfg.ReportTimeoutPolicy.Observe(key, to)
+				r.timeouts.Observe(key, to)
 			}
 			r.health.Failure(addr)
 			continue
 		}
-		r.cfg.ReportTimeoutPolicy.Observe(key, time.Since(start))
+		r.timeouts.Observe(key, time.Since(start))
 		r.health.Success(addr)
 		r.curSched = (r.curSched + attempt) % len(scheds)
 		r.cfg.Metrics.Counter("sched.client.report.ok").Inc()

@@ -141,7 +141,7 @@ func TestSchedulerVerifiesFoundCounterExamples(t *testing.T) {
 }
 
 func TestSchedulerMigratesSlowClientWork(t *testing.T) {
-	s := NewServer(ServerConfig{N: 9, K: 3, MinClientsForMigration: 3, MigrateBelowFraction: 0.25})
+	s := NewServer(ServerConfig{N: 9, K: 3, MigrateBelowFraction: 0.25})
 	// Three clients get work.
 	var works [3]WorkUnit
 	for i := range works {

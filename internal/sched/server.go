@@ -36,9 +36,6 @@ type ServerConfig struct {
 	// fraction of the pool median has its workload migrated (default
 	// 0.25; 0 disables migration).
 	MigrateBelowFraction float64
-	// MinClientsForMigration is the smallest pool that triggers migration
-	// decisions (default 3).
-	MinClientsForMigration int
 	// StaleAfter expires clients that stop reporting (default 30s).
 	StaleAfter time.Duration
 	// MedianRefresh bounds how often the pool median rate is recomputed
@@ -54,8 +51,6 @@ type ServerConfig struct {
 	// Transport selects the wire substrate for the listener and outbound
 	// calls (log forwarding). Nil means TCP.
 	Transport wire.Transport
-	// SampleEdges is passed through to work units (bounds per-step cost).
-	SampleEdges int
 	// AdmitRate, if positive, enables admission control: the sustained
 	// report rate (reports/second) this shard accepts before shedding,
 	// priority-aware (transient applet traffic sheds first). Shed reports
@@ -74,6 +69,10 @@ type ServerConfig struct {
 	Tracer wire.Tracer
 }
 
+// minClientsForMigration is the smallest pool that triggers migration
+// decisions.
+const minClientsForMigration = 3
+
 func (c *ServerConfig) fill() {
 	if c.N == 0 {
 		c.N = 17
@@ -89,9 +88,6 @@ func (c *ServerConfig) fill() {
 	}
 	if c.MigrateBelowFraction == 0 {
 		c.MigrateBelowFraction = 0.25
-	}
-	if c.MinClientsForMigration == 0 {
-		c.MinClientsForMigration = 3
 	}
 	if c.StaleAfter == 0 {
 		c.StaleAfter = 30 * time.Second
@@ -376,7 +372,7 @@ func (s *Server) handle(tc wire.TraceContext, r Report) Directive {
 	// it is predicted slow relative to the pool, move its workload to a
 	// faster machine (by stashing the in-progress state for reassignment)
 	// and give the slow client a fresh exploratory unit.
-	if s.cfg.MigrateBelowFraction > 0 && len(s.clients) >= s.cfg.MinClientsForMigration {
+	if s.cfg.MigrateBelowFraction > 0 && len(s.clients) >= minClientsForMigration {
 		myForecast := rate
 		fsp := wire.StartSpan(s.cfg.Tracer, "sched.forecast.read", tc)
 		fsp.Annotate("resource", r.ClientID)
