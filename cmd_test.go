@@ -1,6 +1,6 @@
 package everyware
 
-// Binary-level smoke test: builds the actual daemons and runs them as OS
+// Binary-level smoke test: builds the ew binary and runs its daemons as OS
 // processes wired together on localhost — the deployment story a
 // downstream user follows, executed end to end.
 
@@ -16,20 +16,16 @@ import (
 	"time"
 )
 
-// buildBinaries compiles the daemons under test into dir.
-func buildBinaries(t *testing.T, dir string, names ...string) map[string]string {
+// buildEW compiles the ew binary into dir.
+func buildEW(t *testing.T, dir string) string {
 	t.Helper()
-	out := make(map[string]string, len(names))
-	for _, name := range names {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, b)
-		}
-		out[name] = bin
+	bin := filepath.Join(dir, "ew")
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/ew")
+	cmd.Env = os.Environ()
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("building ew: %v\n%s", err, b)
 	}
-	return out
+	return bin
 }
 
 // daemon starts a binary and scans its stdout for the "serving on <addr>"
@@ -92,14 +88,14 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Skip("binary smoke test skipped in short mode")
 	}
 	dir := t.TempDir()
-	bins := buildBinaries(t, dir, "ew-logd", "ew-pstate", "ew-sched", "ew-gossip", "ew-client")
+	ew := buildEW(t, dir)
 
-	logd := startDaemon(t, bins["ew-logd"], "serving on", "-listen", "127.0.0.1:0")
+	logd := startDaemon(t, ew, "serving on", "logd", "-listen", "127.0.0.1:0")
 	stateDir := filepath.Join(dir, "state")
-	pstate := startDaemon(t, bins["ew-pstate"], "serving on", "-listen", "127.0.0.1:0", "-dir", stateDir)
-	gossip := startDaemon(t, bins["ew-gossip"], "serving on", "-listen", "127.0.0.1:0")
-	sched := startDaemon(t, bins["ew-sched"], "serving on",
-		"-listen", "127.0.0.1:0", "-n", "5", "-k", "3", "-steps", "3000", "-log", logd.addr)
+	pstate := startDaemon(t, ew, "serving on", "pstate", "-listen", "127.0.0.1:0", "-dir", stateDir)
+	gossip := startDaemon(t, ew, "serving on", "gossip", "-listen", "127.0.0.1:0")
+	sched := startDaemon(t, ew, "serving on",
+		"sched", "-listen", "127.0.0.1:0", "-n", "5", "-k", "3", "-steps", "3000", "-log", logd.addr)
 
 	for name, d := range map[string]*daemon{"logd": logd, "pstate": pstate, "gossip": gossip, "sched": sched} {
 		if d.addr == "" || !strings.Contains(d.addr, ":") {
@@ -108,14 +104,14 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// Run a client for a bounded number of cycles against the daemons.
-	client := exec.Command(bins["ew-client"],
+	client := exec.Command(ew, "client",
 		"-id", "smoke-client", "-infra", "unix",
 		"-sched", sched.addr, "-gossip", gossip.addr,
 		"-pstate", pstate.addr, "-log", logd.addr,
 		"-cycles", "40")
 	out, err := client.CombinedOutput()
 	if err != nil {
-		t.Fatalf("ew-client: %v\n%s", err, out)
+		t.Fatalf("ew client: %v\n%s", err, out)
 	}
 	// The K5 R(3) search finds a counter-example almost immediately; the
 	// client reports the replicated best bound on exit.
@@ -144,10 +140,9 @@ func TestRamseyBinaryVerifiesPaley(t *testing.T) {
 		t.Skip("binary smoke test skipped in short mode")
 	}
 	dir := t.TempDir()
-	bins := buildBinaries(t, dir, "ew-ramsey")
-	out, err := exec.Command(bins["ew-ramsey"], "-paley", "17", "-k", "4").CombinedOutput()
+	out, err := exec.Command(buildEW(t, dir), "ramsey", "-paley", "17", "-k", "4").CombinedOutput()
 	if err != nil {
-		t.Fatalf("ew-ramsey: %v\n%s", err, out)
+		t.Fatalf("ew ramsey: %v\n%s", err, out)
 	}
 	want := fmt.Sprintf("counter-example: R(%d) > %d", 4, 17)
 	if !strings.Contains(string(out), want) {

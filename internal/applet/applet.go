@@ -220,7 +220,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		metrics:  svc.Metrics(),
 		assigned: make(map[string]sched.WorkUnit),
 	}
-	// ew-top's region column keys off this gauge's presence; every
+	// ew top's region column keys off this gauge's presence; every
 	// gateway serves region 0.
 	g.metrics.Gauge("scale.region").Set(0)
 	svc.Handle(MsgFetchParcel, wire.HandlerFunc(g.handleFetch))

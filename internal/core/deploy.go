@@ -98,7 +98,7 @@ type Deployment struct {
 	CtrlAddr  string
 	CtrlAddrs []string
 	// ObsAddr is the observatory's introspection address ("" without
-	// Observatory) — point ew-obs and ew-top -obs here.
+	// Observatory) — point ew obs-watch and ew top -obs here.
 	ObsAddr string
 
 	cfg DeploymentConfig

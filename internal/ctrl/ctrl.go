@@ -37,7 +37,7 @@ const (
 	// liveness verdicts and phi values.
 	MsgMembers wire.MsgType = 121
 	// MsgStatus returns the controller's roster, spec version, and action
-	// counters — the ew-ctrl viewer's poll target.
+	// counters — the ew ctrl-watch viewer's poll target.
 	MsgStatus wire.MsgType = 122
 )
 

@@ -11,23 +11,18 @@ import (
 // tracer stamped with service, sampling one root trace in every
 // sampleEvery (<=1 records all), exporting batches to the collector (a
 // logsvc daemon) at collector. Export metrics land in metrics (nil-safe,
-// like every telemetry registry use).
+// like every telemetry registry use). When slow is non-zero,
+// head-unsampled spans are buffered and whole traces promoted to the
+// collector on an error outcome or a span at least slow long — the
+// traces a 1-in-N head policy would have dropped; a zero slow keeps
+// plain head sampling.
 //
 // An empty collector address disables tracing entirely — the returned
 // tracer is nil, which every instrumentation site accepts — so daemons
 // call this unconditionally. The returned stop function flushes and
 // closes the exporter (a no-op when disabled); defer it next to the
 // server's own Close.
-func ForDaemon(service, collector string, sampleEvery int, metrics *telemetry.Registry) (*Tracer, func()) {
-	return ForDaemonTail(service, collector, sampleEvery, 0, metrics)
-}
-
-// ForDaemonTail is ForDaemon with tail-based sampling: when slow is
-// non-zero, head-unsampled spans are buffered and whole traces promoted
-// to the collector on an error outcome or a span at least slow long —
-// the traces a 1-in-N head policy would have dropped. A zero slow keeps
-// plain head sampling.
-func ForDaemonTail(service, collector string, sampleEvery int, slow time.Duration, metrics *telemetry.Registry) (*Tracer, func()) {
+func ForDaemon(service, collector string, sampleEvery int, slow time.Duration, metrics *telemetry.Registry) (*Tracer, func()) {
 	if collector == "" {
 		return nil, func() {}
 	}

@@ -272,7 +272,7 @@ func TestRender(t *testing.T) {
 
 // TestExporterCollectorRoundTrip ships spans through a real Exporter to a
 // real logsvc collector over the in-memory transport and reads them back
-// with Fetch — the full export path ew-trace depends on.
+// with Fetch — the full export path ew trace depends on.
 func TestExporterCollectorRoundTrip(t *testing.T) {
 	tp := wire.NewMemTransport()
 	ls, err := logsvc.NewServer(logsvc.ServerConfig{ListenAddr: "127.0.0.1:0", Transport: tp})

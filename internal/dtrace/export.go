@@ -106,7 +106,7 @@ func (ex *Exporter) Close() {
 
 // Fetch retrieves up to max spans from the collector at addr, filtered
 // to one trace when traceID is non-zero (0 = all traces). It is the
-// client half of MsgTraceFetch, shared by ew-trace, tests, and the chaos
+// client half of MsgTraceFetch, shared by ew trace, tests, and the chaos
 // scenario.
 func Fetch(wc *wire.Client, addr string, max int, traceID uint64, timeout time.Duration) ([]Span, error) {
 	req := wire.NewRequest(MsgTraceFetch, wire.MessageFunc(func(e *wire.Encoder) {

@@ -54,7 +54,7 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 	// Victim daemon: echo service, handler wrapped by the injector so
 	// Slow lands inside the request (visible to histograms and spans).
 	vreg := telemetry.NewRegistry()
-	vtr, stopVTr := dtrace.ForDaemonTail("victim", collectorAddr, sampleEvery, slowAt, vreg)
+	vtr, stopVTr := dtrace.ForDaemon("victim", collectorAddr, sampleEvery, slowAt, vreg)
 	victim := wire.NewService(wire.ServiceConfig{
 		Name: "victim", ListenAddr: "127.0.0.1:0",
 		Metrics: vreg, Tracer: vtr, Silent: true,
@@ -71,7 +71,7 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 	in.RegisterName(victimAddr, "victim")
 
 	// Driver: roots a trace per call, same head policy and tail net.
-	dtr, stopDTr := dtrace.ForDaemonTail("driver", collectorAddr, sampleEvery, slowAt, nil)
+	dtr, stopDTr := dtrace.ForDaemon("driver", collectorAddr, sampleEvery, slowAt, nil)
 	wc := wire.NewClient(2 * time.Second)
 	wc.Tracer = dtr
 	defer wc.Close()

@@ -180,7 +180,7 @@ type ScenarioResult struct {
 	TraceSpans []dtrace.Span
 	Traces     []*dtrace.Tree
 	// CollectorAddr is the trace collector's address (Trace runs only),
-	// so callers can point ew-trace at a still-running scenario.
+	// so callers can point ew trace at a still-running scenario.
 	CollectorAddr string
 	// Restarts, Promotions, Backoffs are the controller's final action
 	// counters (Ctrls runs only).

@@ -70,7 +70,7 @@ type Process interface {
 
 // Launcher turns a staged job into a running process. The default
 // launcher runs a no-op process (the client binary is simulated); the
-// ew-switch demo installs a launcher that starts real in-process EveryWare
+// ew switch demo installs a launcher that starts real in-process EveryWare
 // clients.
 type Launcher func(job *Job) (Process, error)
 

@@ -194,7 +194,7 @@ func (s *Server) Close() {
 // Append records one entry directly (in-process use). The ring is
 // bounded: once full, each new entry evicts the oldest one and the
 // eviction is counted ("logsvc.dropped"), so log loss under pressure is
-// visible in ew-top rather than silent.
+// visible in ew top rather than silent.
 func (s *Server) Append(en Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -154,7 +154,7 @@ func (q *QueryRequest) DecodeWire(d *wire.Decoder) error {
 
 // QuerySeries is one series in a query answer, with the slowest
 // exemplar of the backing histogram (if any) so a latency series leads
-// straight to a trace ID that ew-trace can fetch.
+// straight to a trace ID that ew trace can fetch.
 type QuerySeries struct {
 	Daemon string
 	Metric string

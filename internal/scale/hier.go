@@ -5,7 +5,7 @@ package scale
 // sync within their region, and one leader per region syncs a top pool of
 // leaders). The regions are the sweep's gateways: ⌊n/regionSize⌋ full
 // regions plus one holding the remainder. No daemon runs the hierarchy;
-// the sweep and ew-sc98 -fig scale record both counts so that the scaling
+// the sweep and ew sc98 -fig scale record both counts so that the scaling
 // claim is checkable.
 func GossipTraffic(n, regionSize int) (flat, hier int) {
 	if n <= 0 {

@@ -21,7 +21,7 @@ const (
 )
 
 // Exemplar links one histogram bucket to a recent traced observation
-// that landed there: the trace ID to hand to ew-trace, and the observed
+// that landed there: the trace ID to hand to ew trace, and the observed
 // duration. Exemplars ride the snapshot codec as a backwards-compatible
 // extension, so old pollers simply never see them.
 type Exemplar struct {
@@ -223,7 +223,7 @@ func count(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// standardColumns is the curated ew-top column set: one column per
+// standardColumns is the curated ew top column set: one column per
 // subsystem signal, populated only where a daemon exposes the metric.
 var standardColumns = []tableColumn{
 	{"served", func(s Snapshot) string { return count(s.SumPrefix("wire.server.handle.")) }},
@@ -308,7 +308,7 @@ var standardColumns = []tableColumn{
 	// trace path (exporter queue/batch drops plus collector ring
 	// evictions).
 	// Observatory health: alerts currently firing. The obs daemon reports
-	// its fleet-wide total; other rows populate when ew-top is pointed at
+	// its fleet-wide total; other rows populate when ew top is pointed at
 	// an observatory (-obs), which folds per-daemon firing counts into the
 	// polled snapshots.
 	{"alerts", func(s Snapshot) string { return count(s.Value("obs.alerts.firing")) }},
@@ -344,8 +344,8 @@ var standardColumns = []tableColumn{
 }
 
 // RenderTable renders one row per polled daemon with the curated column
-// set, omitting columns empty across every daemon — the ew-top display and
-// the ew-sc98 telemetry figure share this renderer.
+// set, omitting columns empty across every daemon — the ew top display and
+// the ew sc98 telemetry figure share this renderer.
 func RenderTable(w io.Writer, snaps []NamedSnapshot) {
 	cols := make([]tableColumn, 0, len(standardColumns))
 	for _, c := range standardColumns {

@@ -111,7 +111,7 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // ObserveTraced records one duration and, when traceID is non-zero,
 // retains it as the exemplar for the bucket the observation lands in —
-// the link that lets a p99 spike in ew-obs jump straight to the trace
+// the link that lets a p99 spike in ew obs-watch jump straight to the trace
 // that caused it. A zero traceID is exactly Observe.
 func (h *Histogram) ObserveTraced(d time.Duration, traceID uint64) {
 	if d < 0 {
@@ -212,7 +212,7 @@ func (r *Registry) Uptime() time.Duration {
 }
 
 // SetID labels the registry with the owning daemon's identity; the label
-// travels with snapshots so pollers like ew-top can title their rows.
+// travels with snapshots so pollers like ew top can title their rows.
 func (r *Registry) SetID(id string) {
 	if r == nil {
 		return

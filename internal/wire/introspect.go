@@ -11,7 +11,7 @@ import (
 // request carries an optional metric-name prefix; the reply carries the
 // daemon's encoded metrics snapshot. Every Server answers it
 // automatically, so any daemon built on the lingua franca can be polled by
-// ew-top without per-service code.
+// ew top without per-service code.
 const (
 	MsgTelemetry MsgType = 110
 )

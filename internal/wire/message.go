@@ -110,7 +110,7 @@ func (p *Packet) Decode(m Decodable) error {
 // buffer pool (write buffers, read payload buffers, encoders, packet
 // structs). A miss is a Get that found the pool empty and allocated.
 // Surfaced as wire.pool.get/put/miss gauges by the MsgTelemetry handler
-// and as columns in ew-top.
+// and as columns in ew top.
 var (
 	poolGets   atomic.Int64
 	poolPuts   atomic.Int64

@@ -18,7 +18,7 @@ import (
 type MessageInfo struct {
 	Type MsgType
 	// Name is "pkg.verb" for a live message — the label span names and
-	// ew-trace print — and "was pkg.verb" for a reserved one.
+	// ew trace print — and "was pkg.verb" for a reserved one.
 	Name string
 	// Idempotent marks a type safe to retransmit when a response was
 	// never observed: re-executing the request yields the same remote

@@ -108,7 +108,7 @@ func NewServer() *Server {
 			prefix = p
 		}
 		// Refresh the pool/pipeline gauges at snapshot time so every
-		// MsgTelemetry poll (and thus ew-top) sees current values. The
+		// MsgTelemetry poll (and thus ew top) sees current values. The
 		// stats are process-wide; each daemon reports the same totals.
 		reg := s.Metrics()
 		gets, puts, misses := PoolStats()
