@@ -29,7 +29,7 @@ test-race:
 #     ScheduleFor/WrapEndpoint and the clique.Endpoint send filter
 #     WrapEndpoint installs; dtrace.Capture and Tracer.Root;
 #     pstate.CrashSites; wire.NewRawRequest and Messages (the msgtable
-#     listing); forecast.Registry.StartEvent;
+#     listing);
 #   - encode halves whose decoder a program links: applet Parcel and
 #     ParcelResult, clique Message, ctrl Heartbeat and Status, dtrace
 #     Spans, gossip Registrations, logsvc Entry;
@@ -64,35 +64,39 @@ test-race:
 # declare in all.
 # The gate fails above UNSET_MAX. A field nothing sets becomes a
 # constant; a field only tests set goes when those tests pass at its
-# default. Every entry at the ceiling is in one of these classes; a new
-# entry needs a program that sets it, a class, or deleting:
+# default. A test reaches a default by moving the registry clock
+# (telemetry.Registry.SetNow, the one clock seam a daemon keeps) or by
+# doing the work at full size, not by shrinking the setting. Every entry
+# at the ceiling is in one of these classes; a new entry needs a program
+# that sets it, a class, or deleting:
 #   - Decided (ROADMAP): the autoscale trio, core.DeploymentConfig's
 #     SchedulerMin/SchedulerMax/SchedulerTargetLoad;
-#   - clock/registry test seam, and the other substitutes a test hands
-#     in: ctrl.DetectorConfig.Now, dtrace.Config.Now/Rand,
-#     ctrl.ServerConfig.Metrics/Load, applet.GatewayConfig.Transport,
+#   - the registry a test hands in (its clock is the daemon's clock), and
+#     the other substitutes a test hands in: ctrl.ServerConfig.Metrics/
+#     Load, dtrace.Config.Rand, applet.GatewayConfig.Transport,
 #     globus.GatekeeperConfig.Transport, nws.SensorConfig.CPU/DisableCPU,
 #     logsvc.ServerConfig.Tracer;
 #   - chaos-harness sizing: faults.ScenarioConfig's Gossips/Schedulers/
 #     Components/Cycles/PStates/Ctrls/StandbyPStates/Kills,
-#     core.DeploymentConfig's Controllers/StandbyPStateDirs/Observatory,
-#     and the buffers eviction tests fill: logsvc.ServerConfig.MaxSpans,
-#     dtrace.TailConfig.MaxSpans, dtrace.ExporterConfig.Buffer;
-#   - test speed-up: clique.Config.ProbeInterval,
-#     core.ComponentConfig.CallTimeout, core.DeploymentConfig's
-#     SyncInterval/HeartbeatInterval/ObsInterval, ctrl.DetectorConfig's
-#     MinStdDev/Bootstrap, ctrl.ServerConfig's BackoffBase/BackoffMax/
-#     CrashLoopReset/DownStreak/ScaleCooldown, dtrace.ExporterConfig.Timeout,
-#     dtrace.TailConfig.HoldFor, grid.CondorPlacementConfig.Duration,
-#     sweep.Config.Duration;
+#     core.DeploymentConfig's Controllers/StandbyPStateDirs/Observatory;
+#   - test speed-up, each for a test that waits on a wall-clock timer,
+#     which moving the registry clock does not advance (until ROADMAP
+#     item 5 step B puts timers on a virtual clock):
+#     clique.Config.ProbeInterval (the probe ticker),
+#     core.ComponentConfig.CallTimeout (the call deadline a dead
+#     scheduler runs out), core.DeploymentConfig's SyncInterval (gossip's
+#     sync ticker), HeartbeatInterval (the beaters' ticker) and
+#     ObsInterval (the observatory's scrape ticker);
+#   - a virtual-time horizon whose test at the default costs seconds of
+#     CPU: sweep.Config.Duration (TestSweepAdmissionSheds, 3.4 s at 15 s);
 #   - a policy a unit test isolates: sched.ServerConfig's
 #     StepsByHeuristic/StopWhenFound, grid.ScenarioConfig's
 #     Profiles/DisableJudging/DisableTestWindow,
 #     grid.NetLoadConfig.SCINetEpisodes, condor.PoolConfig.ClaimDelay,
 #     pstate.ReplicaSetConfig.WriteQuorum (ROADMAP owes a decision).
-UNLINKED_MAX = 80
+UNLINKED_MAX = 79
 DEADCODE_MAX = 15
-UNSET_MAX = 51
+UNSET_MAX = 36
 deadcode:
 	$(GO) run ./cmd/ew-unlinked ./cmd/... ./examples/... ./bench > deadcode.unlinked
 	awk -v max=$(UNLINKED_MAX) '{ print; n++ } \

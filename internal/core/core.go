@@ -44,13 +44,6 @@ const CounterExampleClass = "ramsey/counterexample"
 // counter-example found so far.
 const BestStateKey = "ramsey/best"
 
-// SchedulerRosterKey is the Gossip key under which scheduler birth and
-// death information circulates (section 5.4 of the paper): clients learn
-// the currently viable scheduling servers from the Gossip service instead
-// of a static list. Its value is a ctrl.EncodeRoster address list, the
-// codec the pstate roster also rides.
-const SchedulerRosterKey = "everyware/schedulers"
-
 func init() {
 	err := pstate.RegisterValidator(CounterExampleClass, func(name string, data []byte) error {
 		ce, err := ramsey.DecodeCounterExample(data)
@@ -217,8 +210,8 @@ func (c *Component) Start() (string, error) {
 	if c.replicas != nil {
 		// Subscribe to the persistent state roster the control plane
 		// republishes after a standby promotion: the quorum client follows
-		// the active membership without a restart, the same way scheduler
-		// birth/death circulates below.
+		// the active membership without a restart, the same way the
+		// scheduler ring circulates below.
 		err := c.OnReplicated(ctrl.PStateRosterKey, gossip.CmpCounter, func(s gossip.Stamped) {
 			if roster, err := ctrl.DecodeRoster(s.Data); err == nil && len(roster) > 0 {
 				c.replicas.SetAddrs(roster)
@@ -244,19 +237,10 @@ func (c *Component) Start() (string, error) {
 			return "", err
 		}
 		c.runner = runner
-		// Subscribe to scheduler birth/death circulated via Gossip: a
-		// fresher roster replaces the static list.
-		err = c.OnReplicated(SchedulerRosterKey, gossip.CmpCounter, func(s gossip.Stamped) {
-			if roster, err := ctrl.DecodeRoster(s.Data); err == nil && len(roster) > 0 {
-				runner.SetSchedulers(roster)
-			}
-		})
-		if err != nil && len(c.cfg.Gossips) > 0 {
-			return "", err
-		}
-		// Subscribe to the scheduler ring: once a ring arrives, reports
-		// route to the shard owning this client's key instead of walking
-		// the flat roster.
+		// Subscribe to scheduler birth/death circulated via Gossip as the
+		// scheduler ring (section 5.4): once a ring arrives, reports route
+		// to the shard owning this client's key instead of walking the
+		// static list.
 		err = c.OnReplicated(scale.RingKey, gossip.CmpCounter, func(s gossip.Stamped) {
 			if ring, err := scale.DecodeRing(s.Data); err == nil && len(ring.Nodes) > 0 {
 				runner.SetRing(ring)

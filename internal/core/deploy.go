@@ -170,7 +170,7 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		}
 	}
 
-	// Publish the scheduler roster through the Gossip service so clients
+	// Publish the scheduler ring through the Gossip service so clients
 	// can learn the viable schedulers dynamically (section 5.4).
 	d.rosterSvc = wire.NewService(wire.ServiceConfig{
 		ListenAddr: bootAddr,
@@ -182,12 +182,6 @@ func StartDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		return nil, err
 	}
 	d.rosterAgent = gossip.NewAgent(d.rosterSvc.Server(), rosterAddr)
-	if err := d.rosterAgent.Track(SchedulerRosterKey, gossip.CmpCounter, nil); err != nil {
-		return nil, err
-	}
-	if err := d.rosterAgent.Register(d.rosterSvc.Client(), d.GossipAddrs[0], SchedulerRosterKey, gossip.CmpCounter, 2*time.Second); err != nil {
-		return nil, fmt.Errorf("core: roster registration: %w", err)
-	}
 	if err := d.rosterAgent.Track(scale.RingKey, gossip.CmpCounter, nil); err != nil {
 		return nil, err
 	}
@@ -536,14 +530,12 @@ func (d *Deployment) NewComponentConfig(id, infra string) ComponentConfig {
 
 // PublishRoster re-announces the current scheduler list through the
 // Gossip service (called automatically at start; call again after adding
-// or removing schedulers). The consistent-hash ring over the same
-// membership is published alongside it: the roster is the flat failover
-// list for old-style clients, the ring is the sharded routing table.
+// or removing schedulers), as the consistent-hash ring over it: the
+// sharded routing table every component follows.
 func (d *Deployment) PublishRoster() {
 	if d.rosterAgent == nil {
 		return
 	}
-	d.rosterAgent.Set(SchedulerRosterKey, ctrl.EncodeRoster(d.SchedAddrs))
 	if d.ring == nil {
 		d.ring = scale.NewRing(d.SchedAddrs, 0)
 	} else {

@@ -16,7 +16,7 @@ import (
 // default), feeds it to the NWS forecasting battery, and converts the
 // prediction into a desired replica count within the role's [Min, Max]
 // bounds. Two safety properties bound the blast radius: hysteresis (a
-// count only moves after upStreak/DownStreak consecutive decisions
+// count only moves after upStreak/downStreak consecutive decisions
 // agree, with shrinking demanding a much longer streak than growing)
 // and one-change-at-a-time (at most one role's count moves per decision
 // round, and at most one daemon is started or retired per reconcile
@@ -90,7 +90,7 @@ func (s *Server) decideCounts(spec *FleetSpec) {
 		case desired < svc.Count:
 			s.downN[svc.Role]++
 			s.upN[svc.Role] = 0
-			if changed < 0 && s.downN[svc.Role] >= s.cfg.DownStreak {
+			if changed < 0 && s.downN[svc.Role] >= downStreak {
 				changed, step = i, -1
 			}
 		default:
@@ -181,7 +181,7 @@ func (s *Server) reconcileCounts() {
 // setScaleWait arms the per-role actuation cooldown.
 func (s *Server) setScaleWait(role string, now time.Time) {
 	s.mu.Lock()
-	s.scaleWait[role] = now.Add(s.cfg.ScaleCooldown)
+	s.scaleWait[role] = now.Add(scaleCooldown)
 	s.mu.Unlock()
 }
 

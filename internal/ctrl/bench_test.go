@@ -14,7 +14,7 @@ import (
 // cost the controller pays for every member in the fleet.
 func BenchmarkDetectorObserve(b *testing.B) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Observe("m")
@@ -26,7 +26,7 @@ func BenchmarkDetectorObserve(b *testing.B) {
 // arrival model — the per-member cost of each reconcile sweep.
 func BenchmarkDetectorVerdict(b *testing.B) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	beatRegularly(d, c, "m", 100*time.Millisecond, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,7 +119,6 @@ func BenchmarkFailoverMTTR(b *testing.B) {
 		Metrics:     clock.registry(),
 		CallTimeout: time.Second,
 		PStates:     addrs[:3],
-		Detector:    DetectorConfig{MinStdDev: 5 * time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)

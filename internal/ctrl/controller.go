@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -108,7 +107,7 @@ func (s *Server) sweep() {
 		}
 		if alive {
 			live++
-			if t0, ok := s.aliveSince[id]; ok && now.Sub(t0) > s.cfg.CrashLoopReset {
+			if t0, ok := s.aliveSince[id]; ok && now.Sub(t0) > crashLoopReset {
 				delete(s.restartN, id)
 				delete(s.restartNext, id)
 			}
@@ -184,7 +183,7 @@ func (s *Server) promoteDeadReplicas() {
 		changed = true
 	}
 	if changed {
-		s.publishRoster()
+		s.publish()
 	}
 }
 
@@ -266,9 +265,9 @@ func (s *Server) restartDead() {
 		}
 		s.mu.Lock()
 		n := s.restartN[m.ID]
-		delay := s.cfg.BackoffBase << uint(n)
-		if delay > s.cfg.BackoffMax || delay <= 0 {
-			delay = s.cfg.BackoffMax
+		delay := backoffBase << uint(n)
+		if delay > backoffMax || delay <= 0 {
+			delay = backoffMax
 		}
 		s.restartN[m.ID] = n + 1
 		s.restartNext[m.ID] = now.Add(delay)
@@ -423,30 +422,8 @@ func (s *Server) healthGate(m Member) bool {
 	return float64(errs)/float64(total) <= maxErrorRate
 }
 
-// publish pushes the membership table (when its stable part changed)
-// and keeps the roster key fresh through the controller's Gossip agent.
+// publish pushes the pstate roster through Gossip when changed.
 func (s *Server) publish() {
-	if s.agent == nil {
-		return
-	}
-	table := s.membershipTable()
-	var b strings.Builder
-	for _, m := range table {
-		fmt.Fprintf(&b, "%s|%s|%s|%d|%t;", m.ID, m.Role, m.Addr, m.ConfigVer, m.Alive)
-	}
-	stable := b.String()
-	s.mu.Lock()
-	tableChanged := stable != s.lastTable
-	s.lastTable = stable
-	s.mu.Unlock()
-	if tableChanged {
-		s.agent.Set(MembershipKey, EncodeMembership(table))
-	}
-	s.publishRoster()
-}
-
-// publishRoster pushes the pstate roster through Gossip when changed.
-func (s *Server) publishRoster() {
 	if s.agent == nil {
 		return
 	}

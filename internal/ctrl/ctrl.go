@@ -49,15 +49,10 @@ func init() {
 	wire.Define(MsgStatus, "ctrl.status", true)
 }
 
-// Gossip keys the controller publishes under.
-const (
-	// MembershipKey carries the encoded membership table (EncodeMembership).
-	MembershipKey = "everyware/membership"
-	// PStateRosterKey carries the active persistent state manager roster
-	// (EncodeRoster, the codec the scheduler roster also rides).
-	// Republished on every promotion.
-	PStateRosterKey = "everyware/pstates"
-)
+// PStateRosterKey is the Gossip key the controller publishes the active
+// persistent state manager roster under (EncodeRoster). Republished on
+// every promotion.
+const PStateRosterKey = "everyware/pstates"
 
 // Well-known roles daemons report in their heartbeats. Role strings are
 // free-form — these are the ones the stock deployment uses; RolePState is
@@ -186,7 +181,7 @@ func DecodeHeartbeat(p []byte) (Heartbeat, error) {
 }
 
 // Membership is a membership table as a wire message (the MsgMembers
-// response and the gossip-published MembershipKey value).
+// response).
 type Membership []MemberStatus
 
 // EncodeWire implements wire.Message.
@@ -199,13 +194,6 @@ func (ms Membership) EncodeWire(e *wire.Encoder) {
 		e.PutInt64(m.LastSeenUnixNanos)
 		e.PutUint64(m.Beats)
 	}
-}
-
-// EncodeMembership lays out a membership table.
-func EncodeMembership(ms []MemberStatus) []byte {
-	var e wire.Encoder
-	Membership(ms).EncodeWire(&e)
-	return e.Bytes()
 }
 
 // DecodeMembership parses a membership table.
@@ -238,9 +226,8 @@ func DecodeMembership(p []byte) ([]MemberStatus, error) {
 	return out, nil
 }
 
-// EncodeRoster lays out an address list: count then addresses. Both
-// rosters that circulate over Gossip — pstate managers and schedulers —
-// use it.
+// EncodeRoster lays out an address list: count then addresses. The
+// pstate roster rides it, both over Gossip and in the replicated store.
 func EncodeRoster(addrs []string) []byte {
 	var e wire.Encoder
 	e.PutUint32(uint32(len(addrs)))

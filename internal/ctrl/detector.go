@@ -4,25 +4,25 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"everyware/internal/telemetry"
 )
 
 // DetectorConfig tunes the phi-accrual failure detector.
 type DetectorConfig struct {
-	// MinStdDev floors the modelled jitter so a perfectly regular beat
-	// stream does not declare death microseconds past its mean interval
-	// (default: max(10ms, mean/10)).
-	MinStdDev time.Duration
 	// Floor is the minimum silence before any death verdict regardless of
 	// phi — the flap suppressor (default: 2 observed mean intervals).
 	Floor time.Duration
-	// Bootstrap is the grace period for members with too few samples to
-	// model (default 10s): they stay alive until Bootstrap of silence.
-	Bootstrap time.Duration
-	// Now is the detector clock (default time.Now). Injectable so the
-	// detector runs in virtual time under simgrid and in frozen-clock
-	// unit tests.
-	Now func() time.Time
 }
+
+// minStdDev floors the modelled jitter (at max(minStdDev, mean/10)) so a
+// perfectly regular beat stream does not declare death microseconds past
+// its mean interval.
+const minStdDev = 10 * time.Millisecond
+
+// bootstrapGrace is the grace period for members with too few samples to
+// model: they stay alive until bootstrapGrace of silence.
+const bootstrapGrace = 10 * time.Second
 
 // phiThreshold is the phi level at which a member is declared dead:
 // roughly "the odds this silence is ordinary jitter are one in 10^8 given
@@ -87,27 +87,24 @@ func (a *memberArrivals) meanStd() (mean, std float64) {
 // evidence, and the Floor forbids death verdicts before a minimum
 // silence however confident the model is.
 type Detector struct {
-	cfg DetectorConfig
+	cfg   DetectorConfig
+	clock *telemetry.Registry
 
 	mu      sync.Mutex
 	members map[string]*memberArrivals
 }
 
-// NewDetector builds a detector with defaults applied.
-func NewDetector(cfg DetectorConfig) *Detector {
-	if cfg.Bootstrap <= 0 {
-		cfg.Bootstrap = 10 * time.Second
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Detector{cfg: cfg, members: make(map[string]*memberArrivals)}
+// NewDetector builds a detector that reads the clock of the registry
+// it is handed — the owning daemon's, so the detector runs on virtual
+// time whenever that registry does.
+func NewDetector(cfg DetectorConfig, clock *telemetry.Registry) *Detector {
+	return &Detector{cfg: cfg, clock: clock, members: make(map[string]*memberArrivals)}
 }
 
 // Observe records a heartbeat arrival from id at the detector clock's
 // current time.
 func (d *Detector) Observe(id string) {
-	now := d.cfg.Now()
+	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	a := d.members[id]
@@ -144,7 +141,7 @@ func (d *Detector) Alive(id string) bool {
 
 // verdict computes (phi, alive) for one member under the lock.
 func (d *Detector) verdict(id string) (float64, bool) {
-	now := d.cfg.Now()
+	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	a := d.members[id]
@@ -154,16 +151,13 @@ func (d *Detector) verdict(id string) (float64, bool) {
 	elapsed := now.Sub(a.last)
 	if a.filled < 2 {
 		// Too little history to model: bootstrap grace.
-		if elapsed <= d.cfg.Bootstrap {
+		if elapsed <= bootstrapGrace {
 			return 0, true
 		}
 		return phiCap, false
 	}
 	mean, std := a.meanStd()
-	minStd := math.Max(mean/10, 0.010)
-	if d.cfg.MinStdDev > 0 {
-		minStd = d.cfg.MinStdDev.Seconds()
-	}
+	minStd := math.Max(mean/10, minStdDev.Seconds())
 	if std < minStd {
 		std = minStd
 	}

@@ -38,7 +38,7 @@ func beatRegularly(d *Detector, c *vclock, id string, interval time.Duration, n 
 // and must be declared dead within a small number of missed intervals.
 func TestDetectorDeclareDeadBounds(t *testing.T) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	const interval = 100 * time.Millisecond
 	for i := 0; i < 30; i++ {
 		d.Observe("m")
@@ -71,7 +71,7 @@ func TestDetectorDeclareDeadBounds(t *testing.T) {
 // the verdict cannot oscillate without fresh evidence.
 func TestDetectorFlapSuppression(t *testing.T) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	const interval = 100 * time.Millisecond
 	beatRegularly(d, c, "m", interval, 20)
 	// A 1s stall: declared dead mid-silence...
@@ -104,7 +104,7 @@ func TestDetectorFlapSuppression(t *testing.T) {
 // its variance instead of crossing the threshold.
 func TestDetectorNoFalsePositiveUnderDelayOnlyChaos(t *testing.T) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	const interval = 100 * time.Millisecond
 	rng := rand.New(rand.NewSource(42))
 	// Sender beats every interval; delivery is delayed by up to one full
@@ -136,12 +136,12 @@ func TestDetectorNoFalsePositiveUnderDelayOnlyChaos(t *testing.T) {
 }
 
 // Members with too little history ride the bootstrap grace: alive until
-// Bootstrap of silence, dead after.
+// bootstrapGrace of silence, dead after.
 func TestDetectorBootstrapGrace(t *testing.T) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now, Bootstrap: 2 * time.Second})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	d.Observe("m")
-	c.advance(1900 * time.Millisecond)
+	c.advance(bootstrapGrace - 100*time.Millisecond)
 	if !d.Alive("m") {
 		t.Fatal("dead inside bootstrap grace")
 	}
@@ -157,7 +157,7 @@ func TestDetectorBootstrapGrace(t *testing.T) {
 // Forget drops history: the member reads dead until it beats again.
 func TestDetectorForget(t *testing.T) {
 	c := newVClock()
-	d := NewDetector(DetectorConfig{Now: c.now})
+	d := NewDetector(DetectorConfig{}, c.registry())
 	beatRegularly(d, c, "m", 50*time.Millisecond, 10)
 	if !d.Alive("m") {
 		t.Fatal("dead while beating")

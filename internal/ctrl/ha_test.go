@@ -22,9 +22,6 @@ func newHACtrl(t *testing.T, tr wire.Transport, clock *vclock, id string, pstate
 	cfg.CallTimeout = time.Second
 	cfg.ID = id
 	cfg.PStates = pstates
-	if cfg.Detector.MinStdDev == 0 {
-		cfg.Detector.MinStdDev = 5 * time.Millisecond
-	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +292,7 @@ func TestRolloutResumesAfterLeaderFailover(t *testing.T) {
 // TestAutoscalerGrowsAndShrinksWithHysteresis drives the forecast-fed
 // autoscaler with a synthetic load signal: sustained overload grows the
 // worker role one replica per decision round (never jumping straight to
-// the target), and a load drop shrinks it only after DownStreak
+// the target), and a load drop shrinks it only after downStreak
 // consecutive quiet rounds — transient dips must not retire daemons.
 func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 	tr := wire.NewMemTransport()
@@ -331,12 +328,12 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		TargetLoad:    100,
-		DownStreak:    3,
-		ScaleCooldown: time.Millisecond,
-		Logf:          t.Logf,
+		TargetLoad: 100,
+		Logf:       t.Logf,
 	})
 
+	// Members beat once a second, so establishing a member's arrival
+	// model outlasts scaleCooldown: every actuation below is clear of it.
 	live := []Member{{ID: "w1", Role: "worker"}}
 	var seq uint64
 	beatAll := func() {
@@ -347,7 +344,7 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		clock.advance(50 * time.Millisecond)
+		clock.advance(time.Second)
 	}
 	establish := func() {
 		for i := 0; i < 10; i++ {
@@ -391,11 +388,11 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 	live = append(live, Member{ID: "w3", Role: "worker"})
 	establish()
 
-	// Load collapses. Shrinking waits out the full DownStreak.
+	// Load collapses. Shrinking waits out the full downStreak.
 	mu.Lock()
 	load = 10
 	mu.Unlock()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < downStreak-1; i++ {
 		beatAll()
 		srv.Tick()
 		if got := count(); got != 3 {
@@ -404,12 +401,12 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 		mu.Lock()
 		if downs != 0 {
 			mu.Unlock()
-			t.Fatalf("scale-down before DownStreak: %d", downs)
+			t.Fatalf("scale-down before downStreak: %d", downs)
 		}
 		mu.Unlock()
 	}
 	beatAll()
-	srv.Tick() // third quiet round: shrink to 2, retire the newest member
+	srv.Tick() // downStreak-th quiet round: shrink to 2, retire the newest member
 	if got := count(); got != 2 {
 		t.Fatalf("count after shrink = %d, want 2", got)
 	}
@@ -424,17 +421,14 @@ func TestAutoscalerGrowsAndShrinksWithHysteresis(t *testing.T) {
 }
 
 // TestBackoffCapAndResetAfterSustainedHealth pins the crash-loop
-// back-off edges: the retry delay saturates at BackoffMax instead of
-// doubling forever, and a member that stays healthy past CrashLoopReset
+// back-off edges: the retry delay saturates at backoffMax instead of
+// doubling forever, and a member that stays healthy past crashLoopReset
 // has its restart history forgiven — the next failure starts from the
 // base delay again.
 func TestBackoffCapAndResetAfterSustainedHealth(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
 	f := newCtrlFixture(t, ServerConfig{
-		BackoffBase:    100 * time.Millisecond,
-		BackoffMax:     200 * time.Millisecond,
-		CrashLoopReset: 300 * time.Millisecond,
 		Restart: func(m Member) error {
 			mu.Lock()
 			attempts++
@@ -451,36 +445,37 @@ func TestBackoffCapAndResetAfterSustainedHealth(t *testing.T) {
 	seq := f.establish(m, 50*time.Millisecond, 10)
 	f.clock.advance(time.Second) // declared dead
 
-	// Cap: with delays 100 -> 200 -> 200 -> ... the register keeps
-	// retrying every BackoffMax. Over 1.5s of dead time that is ~8
-	// attempts; uncapped exponential growth would manage ~5.
-	for i := 0; i < 30; i++ {
+	// Cap: with delays 1s -> 2s -> ... -> 16s -> 30s -> 30s -> ... the
+	// controller keeps retrying every backoffMax. Over 300s of dead time
+	// that is 14 attempts (at 0, 1, 3, 7, 15, 31, 61, ..., 271);
+	// uncapped exponential growth would manage 9.
+	for i := 0; i < 300; i++ {
 		f.srv.Tick()
-		f.clock.advance(50 * time.Millisecond)
+		f.clock.advance(backoffBase)
 	}
-	if got := count(); got < 7 {
-		t.Fatalf("back-off cap not applied: only %d attempts in 1.5s", got)
+	if got := count(); got < 13 {
+		t.Fatalf("back-off cap not applied: only %d attempts in 300s", got)
 	}
 	if got := f.srv.Metrics().Counter("ctrl.backoffs").Value(); got == 0 {
 		t.Fatal("ctrl.backoffs never incremented")
 	}
 
-	// Recovery held past CrashLoopReset forgives the history.
-	for i := 0; i < 10; i++ {
+	// Recovery held past crashLoopReset forgives the history. A beat a
+	// second for more than a full arrival window also pushes the outage
+	// out of the arrival model, so a 10s silence kills the member again.
+	for i := 0; i < arrivalWindow+10; i++ {
 		seq++
 		f.beat(m, seq)
 		f.srv.Tick()
-		f.clock.advance(50 * time.Millisecond)
+		f.clock.advance(time.Second)
 	}
-	// The recovery gap widened the arrival model's variance, so a much
-	// longer silence is needed to cross the phi threshold again.
 	f.clock.advance(10 * time.Second) // dead again
 	base := count()
 	f.srv.Tick() // forgiven: restarts immediately at the base delay
-	f.clock.advance(100 * time.Millisecond)
+	f.clock.advance(backoffBase)
 	f.srv.Tick() // and again one base delay later
 	if got := count() - base; got != 2 {
-		t.Fatalf("attempts after reset = %d in 100ms, want 2 (base-delay spacing)", got)
+		t.Fatalf("attempts after reset = %d in %v, want 2 (base-delay spacing)", got, backoffBase)
 	}
 }
 

@@ -38,10 +38,8 @@ func TestAutoscalerObsAlertBoost(t *testing.T) {
 			defer mu.Unlock()
 			return firing
 		},
-		TargetLoad:    100,
-		DownStreak:    2,
-		ScaleCooldown: time.Millisecond,
-		Logf:          t.Logf,
+		TargetLoad: 100,
+		Logf:       t.Logf,
 	})
 
 	var seq uint64

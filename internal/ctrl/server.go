@@ -32,8 +32,8 @@ type ServerConfig struct {
 	Interval time.Duration
 	// CallTimeout bounds controller RPCs (default 2s).
 	CallTimeout time.Duration
-	// Detector tunes the failure detector (its Now defaults to the
-	// registry's clock).
+	// Detector tunes the failure detector, which reads the registry's
+	// clock.
 	Detector DetectorConfig
 
 	// ID names this controller in the replicated group — the epoch
@@ -69,15 +69,6 @@ type ServerConfig struct {
 	// TargetLoad is the per-replica load the autoscaler sizes roles for
 	// (default 100).
 	TargetLoad float64
-	// DownStreak is how many consecutive autoscale decisions must agree
-	// before a role's count shrinks (default 5: shrinking demands
-	// sustained quiet, while growing reacts after upStreak). One count
-	// change at most per decision round, fleet-wide.
-	DownStreak int
-	// ScaleCooldown is the minimum gap between actuations of the same
-	// role (default 5s) — long enough for a started daemon to begin
-	// heartbeating before the live count is re-judged.
-	ScaleCooldown time.Duration
 	// AlertFiring, when set, feeds the Grid Observatory into autoscale
 	// decisions: it returns how many obs alerts tagged with the role are
 	// currently firing, and each one adds a replica's worth (TargetLoad)
@@ -88,8 +79,7 @@ type ServerConfig struct {
 	AlertFiring func(role string) int
 
 	// Gossips lists Gossip hosts; the controller registers there and
-	// publishes the membership table and the pstate roster. Empty
-	// disables publication.
+	// publishes the pstate roster. Empty disables publication.
 	Gossips []string
 	// PStates is the initial active persistent state roster — both the
 	// quorum the controller stores its fleet spec in and the membership
@@ -107,19 +97,34 @@ type ServerConfig struct {
 	// ApplyConfig rolls member m onto the role spec's config version and
 	// release version. Nil disables rollouts.
 	ApplyConfig func(m Member, spec ServiceSpec) error
-
-	// BackoffBase/BackoffMax bound the crash-loop restart back-off
-	// (defaults 1s / 30s). Each consecutive restart of the same member
-	// doubles the delay before the next attempt is allowed.
-	BackoffBase, BackoffMax time.Duration
-	// CrashLoopReset is how long a member must stay alive before its
-	// restart history is forgiven (default 1 minute).
-	CrashLoopReset time.Duration
 }
 
 // upStreak is how many consecutive autoscale decisions must agree before
 // a role's count grows.
 const upStreak = 2
+
+// downStreak is how many consecutive autoscale decisions must agree
+// before a role's count shrinks: shrinking demands sustained quiet, while
+// growing reacts after upStreak. One count change at most per decision
+// round, fleet-wide.
+const downStreak = 5
+
+// scaleCooldown is the minimum gap between actuations of the same role —
+// long enough for a started daemon to begin heartbeating before the live
+// count is re-judged.
+const scaleCooldown = 5 * time.Second
+
+// backoffBase and backoffMax bound the crash-loop restart back-off: each
+// consecutive restart of the same member doubles the delay before the
+// next attempt is allowed, up to backoffMax.
+const (
+	backoffBase = time.Second
+	backoffMax  = 30 * time.Second
+)
+
+// crashLoopReset is how long a member must stay alive before its restart
+// history is forgiven.
+const crashLoopReset = time.Minute
 
 // maxErrorRate is the health-gate ceiling on a member's served-error
 // fraction during rollouts.
@@ -157,7 +162,6 @@ type Server struct {
 	restartN    map[string]int
 	rolling     map[string]string // role -> member ID mid-rollout
 	registered  bool
-	lastTable   string // stable reduction of the last published membership
 	lastRoster  string
 	tickN       uint64
 
@@ -187,26 +191,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 2 * time.Second
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = time.Second
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 30 * time.Second
-	}
-	if cfg.CrashLoopReset <= 0 {
-		cfg.CrashLoopReset = time.Minute
-	}
 	if cfg.ElectionInterval <= 0 {
 		cfg.ElectionInterval = 200 * time.Millisecond
 	}
 	if cfg.TargetLoad <= 0 {
 		cfg.TargetLoad = 100
-	}
-	if cfg.DownStreak <= 0 {
-		cfg.DownStreak = 5
-	}
-	if cfg.ScaleCooldown <= 0 {
-		cfg.ScaleCooldown = 5 * time.Second
 	}
 	svc := wire.NewService(wire.ServiceConfig{
 		Name:       "ctrl",
@@ -215,15 +204,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Metrics:    cfg.Metrics,
 		Logf:       cfg.Logf,
 	})
-	if cfg.Detector.Now == nil {
-		cfg.Detector.Now = svc.Metrics().Now
-	}
 	s := &Server{
 		cfg:         cfg,
 		svc:         svc,
 		client:      svc.Client(),
 		metrics:     svc.Metrics(),
-		det:         NewDetector(cfg.Detector),
+		det:         NewDetector(cfg.Detector, svc.Metrics()),
 		fc:          forecast.NewRegistry(),
 		members:     make(map[string]Member),
 		alive:       make(map[string]bool),
@@ -241,7 +227,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	s.fc.Now = s.metrics.Now
 	s.logf = func(format string, args ...any) {
 		if cfg.Logf != nil {
 			cfg.Logf("ctrl: "+format, args...)
@@ -280,10 +265,6 @@ func (s *Server) Start() (string, error) {
 	}
 	if len(s.cfg.Gossips) > 0 {
 		s.agent = gossip.NewAgent(s.svc.Server(), addr)
-		if err := s.agent.Track(MembershipKey, gossip.CmpCounter, nil); err != nil {
-			s.svc.Close()
-			return "", err
-		}
 		if err := s.agent.Track(PStateRosterKey, gossip.CmpCounter, nil); err != nil {
 			s.svc.Close()
 			return "", err
@@ -327,13 +308,10 @@ func (s *Server) recoverDurable() {
 	}
 }
 
-// register announces the controller's published keys to the first
+// register announces the controller's roster key to the first
 // reachable Gossip host; retried from the reconcile loop until it lands.
 func (s *Server) register() {
 	for _, g := range s.cfg.Gossips {
-		if err := s.agent.Register(s.client, g, MembershipKey, gossip.CmpCounter, s.cfg.CallTimeout); err != nil {
-			continue
-		}
 		if err := s.agent.Register(s.client, g, PStateRosterKey, gossip.CmpCounter, s.cfg.CallTimeout); err != nil {
 			continue
 		}

@@ -28,9 +28,9 @@ func ForDaemon(service, collector string, sampleEvery int, slow time.Duration, m
 	}
 	wc := wire.NewClient(2 * time.Second)
 	ex := NewExporter(ExporterConfig{Client: wc, Addr: collector, Metrics: metrics})
-	cfg := Config{Service: service, SampleEvery: sampleEvery, Sink: ex}
+	cfg := Config{Service: service, SampleEvery: sampleEvery, Metrics: metrics, Sink: ex}
 	if slow > 0 {
-		cfg.Tail = &TailConfig{SlowThreshold: slow, Metrics: metrics}
+		cfg.Tail = &TailConfig{SlowThreshold: slow}
 	}
 	tr := New(cfg)
 	return tr, func() {

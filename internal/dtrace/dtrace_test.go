@@ -14,6 +14,7 @@ import (
 
 	"everyware/internal/dtrace"
 	"everyware/internal/logsvc"
+	"everyware/internal/outbox"
 	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
@@ -23,11 +24,13 @@ import (
 func testTracer(service string, sampleEvery int, sink dtrace.Sink) (*dtrace.Tracer, *int64) {
 	var now int64
 	var id uint64
+	clock := telemetry.NewRegistry()
+	clock.SetNow(func() time.Time { return time.Unix(0, now) })
 	return dtrace.New(dtrace.Config{
 		Service:     service,
 		SampleEvery: sampleEvery,
+		Metrics:     clock,
 		Sink:        sink,
-		Now:         func() time.Time { return time.Unix(0, now) },
 		Rand:        func() uint64 { id++; return id },
 	}), &now
 }
@@ -331,28 +334,35 @@ func TestExporterCollectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExporterBestEffort: an unreachable collector and a full queue both
+// TestExporterBestEffort: a full queue and an unreachable collector both
 // drop (and count) rather than block or error the caller.
 func TestExporterBestEffort(t *testing.T) {
-	tp := wire.NewMemTransport()
+	tp := &gatedDial{Transport: wire.NewMemTransport(), open: make(chan struct{})}
 	wc := wire.NewClient(50 * time.Millisecond)
 	wc.Transport = tp
 	defer wc.Close()
 
 	reg := telemetry.NewRegistry()
-	ex := dtrace.NewExporter(dtrace.ExporterConfig{
-		Client: wc, Addr: "mem:nowhere", Buffer: 2, Timeout: 50 * time.Millisecond, Metrics: reg,
-	})
-	for i := 0; i < 16; i++ {
+	ex := dtrace.NewExporter(dtrace.ExporterConfig{Client: wc, Addr: "mem:nowhere", Metrics: reg})
+	// While the first export waits at the gate, the sender holds at most
+	// one batch, so a full queue plus a batch plus 16 spans overflows the
+	// queue by at least 16 before any export has failed.
+	const total = dtrace.ExportBuffer + outbox.MaxBatch + 16
+	for i := 0; i < total; i++ {
 		ex.Emit(dtrace.Span{TraceID: 1, SpanID: uint64(i + 1), Name: "x", Outcome: "ok"})
 	}
-	ex.Close()
 	snap := reg.Snapshot("")
+	if dropped, errs := snap.Value("dtrace.export.dropped"), snap.Value("dtrace.export.errors"); dropped < 16 || errs != 0 {
+		t.Fatalf("full queue dropped %d with %d export errors, want >= 16 with none", dropped, errs)
+	}
+	close(tp.open) // every dial now fails: the collector is unreachable
+	ex.Close()
+	snap = reg.Snapshot("")
 	if snap.Value("dtrace.export.spans") != 0 {
 		t.Fatal("claimed exports to an unreachable collector")
 	}
-	if snap.Value("dtrace.export.dropped") != 16 {
-		t.Fatalf("dropped %d of 16", snap.Value("dtrace.export.dropped"))
+	if snap.Value("dtrace.export.dropped") != total {
+		t.Fatalf("dropped %d of %d", snap.Value("dtrace.export.dropped"), total)
 	}
 	if snap.Value("dtrace.export.errors") == 0 {
 		t.Fatal("no export errors counted")
@@ -435,6 +445,17 @@ func TestSpanString(t *testing.T) {
 			t.Errorf("Span.String() = %q, want %q", got, tc.want)
 		}
 	}
+}
+
+// gatedDial is a Transport whose dials wait until open is closed.
+type gatedDial struct {
+	wire.Transport
+	open chan struct{}
+}
+
+func (t *gatedDial) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	<-t.open
+	return t.Transport.Dial(addr, timeout)
 }
 
 // dialCounter is a Transport that counts the dials made through it.

@@ -16,16 +16,18 @@ type ExporterConfig struct {
 	Client *wire.Client
 	// Addr is the trace collector's address (a logsvc daemon). Required.
 	Addr string
-	// Timeout bounds each export call (default 2s).
-	Timeout time.Duration
-	// Buffer bounds the spans queued for export (default 4096). When the
-	// queue is full new spans are dropped — tracing must never block or
-	// grow without bound — and the drop is counted.
-	Buffer int
 	// Metrics, when set, records "dtrace.export.spans",
 	// "dtrace.export.dropped", and "dtrace.export.errors". Nil discards.
 	Metrics *telemetry.Registry
 }
+
+// exportTimeout bounds each export call.
+const exportTimeout = 2 * time.Second
+
+// exportBuffer bounds the spans queued for export. When the queue is full
+// new spans are dropped — tracing must never block or grow without bound
+// — and the drop is counted.
+const exportBuffer = 4096
 
 // Exporter ships finished spans to the trace collector in batches of up
 // to outbox.MaxBatch, best-effort: a full queue drops spans (counted,
@@ -46,12 +48,6 @@ type Exporter struct {
 
 // NewExporter starts the exporter; Close stops it.
 func NewExporter(cfg ExporterConfig) *Exporter {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 4096
-	}
 	ex := &Exporter{cfg: cfg}
 	ex.out = outbox.NewSender(ex.shipNext)
 	return ex
@@ -61,7 +57,7 @@ func NewExporter(cfg ExporterConfig) *Exporter {
 // counting the drop) if the queue is full or the exporter is closed.
 func (ex *Exporter) Emit(s Span) {
 	ex.mu.Lock()
-	ok := !ex.closed && len(ex.queue) < ex.cfg.Buffer
+	ok := !ex.closed && len(ex.queue) < exportBuffer
 	if ok {
 		ex.queue = append(ex.queue, s)
 	}
@@ -86,7 +82,7 @@ func (ex *Exporter) shipNext() bool {
 	if n == 0 {
 		return false
 	}
-	if err := ex.cfg.Client.CallMsg(ex.cfg.Addr, MsgTraceExport, SpanList(ex.batch), nil, ex.cfg.Timeout); err != nil {
+	if err := ex.cfg.Client.CallMsg(ex.cfg.Addr, MsgTraceExport, SpanList(ex.batch), nil, exportTimeout); err != nil {
 		ex.cfg.Metrics.Counter("dtrace.export.errors").Inc()
 		ex.cfg.Metrics.Counter("dtrace.export.dropped").Add(int64(n))
 		return true

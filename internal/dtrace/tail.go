@@ -22,8 +22,8 @@ import (
 // sides of the wire — the caller's attempt span and, when the handler
 // itself is slow, the callee's serve span — so each affected daemon
 // independently promotes its own fragment and the collector assembles
-// the full path. Unpromoted spans age out after HoldFor; the buffer
-// never grows past MaxSpans.
+// the full path. Unpromoted spans age out after tailHoldFor; the buffer
+// never grows past tailMaxSpans.
 
 // TailConfig parameterizes tail-based sampling on a Tracer.
 type TailConfig struct {
@@ -31,15 +31,15 @@ type TailConfig struct {
 	// reaches it. Zero disables slowness promotion (errors still
 	// promote).
 	SlowThreshold time.Duration
-	// HoldFor bounds how long unpromoted spans stay buffered and how
-	// long a promotion verdict is remembered (default 5s).
-	HoldFor time.Duration
-	// MaxSpans caps buffered spans across all traces (default 4096).
-	// Overflow evicts the oldest buffered trace whole.
-	MaxSpans int
-	// Metrics records the dtrace.tail.* counters. Nil discards.
-	Metrics *telemetry.Registry
 }
+
+// tailHoldFor bounds how long unpromoted spans stay buffered and how long
+// a promotion verdict is remembered.
+const tailHoldFor = 5 * time.Second
+
+// tailMaxSpans caps buffered spans across all traces. Overflow evicts the
+// oldest buffered trace whole.
+const tailMaxSpans = 4096
 
 // tailBuffer is the per-tracer buffer of head-unsampled spans.
 type tailBuffer struct {
@@ -63,21 +63,17 @@ type tailTrace struct {
 	first time.Time // when the first span was buffered (tracer clock)
 }
 
-func newTailBuffer(cfg TailConfig) *tailBuffer {
-	if cfg.HoldFor <= 0 {
-		cfg.HoldFor = 5 * time.Second
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 4096
-	}
+// newTailBuffer builds the buffer; its dtrace.tail.* counters land in
+// metrics (nil discards).
+func newTailBuffer(cfg TailConfig, metrics *telemetry.Registry) *tailBuffer {
 	return &tailBuffer{
 		cfg:       cfg,
 		traces:    make(map[uint64]*tailTrace),
 		promoted:  make(map[uint64]time.Time),
-		buffered:  cfg.Metrics.Counter("dtrace.tail.buffered"),
-		promotedC: cfg.Metrics.Counter("dtrace.tail.promoted"),
-		flushed:   cfg.Metrics.Counter("dtrace.tail.flushed"),
-		evicted:   cfg.Metrics.Counter("dtrace.tail.evicted"),
+		buffered:  metrics.Counter("dtrace.tail.buffered"),
+		promotedC: metrics.Counter("dtrace.tail.promoted"),
+		flushed:   metrics.Counter("dtrace.tail.flushed"),
+		evicted:   metrics.Counter("dtrace.tail.evicted"),
 	}
 }
 
@@ -110,7 +106,7 @@ func (b *tailBuffer) record(s Span, now time.Time) []Span {
 		// Verdict reached: everything buffered for this trace, plus the
 		// deciding span, goes out; later spans of the trace flow through
 		// directly while the verdict is remembered.
-		b.promoted[s.TraceID] = now.Add(b.cfg.HoldFor)
+		b.promoted[s.TraceID] = now.Add(tailHoldFor)
 		b.promotedC.Inc()
 		var out []Span
 		if tt, ok := b.traces[s.TraceID]; ok {
@@ -134,7 +130,7 @@ func (b *tailBuffer) record(s Span, now time.Time) []Span {
 	b.buffered.Inc()
 
 	// Overflow: evict oldest traces whole until back under the cap.
-	for b.total > b.cfg.MaxSpans && len(b.order) > 0 {
+	for b.total > tailMaxSpans && len(b.order) > 0 {
 		b.evictOldest()
 	}
 	return nil
@@ -146,7 +142,7 @@ func (b *tailBuffer) gc(now time.Time) {
 	for len(b.order) > 0 {
 		tid := b.order[0]
 		tt, ok := b.traces[tid]
-		if ok && now.Sub(tt.first) <= b.cfg.HoldFor {
+		if ok && now.Sub(tt.first) <= tailHoldFor {
 			break
 		}
 		b.evictOldest()

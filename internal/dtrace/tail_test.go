@@ -8,20 +8,30 @@ import (
 	"everyware/internal/wire"
 )
 
-// tailClock is a hand-advanced virtual clock for tail-sampling tests.
-type tailClock struct{ t time.Time }
+// tailClock is a hand-advanced virtual clock for tail-sampling tests: the
+// clock of the registry the tracer under test stamps spans with and
+// counts into.
+type tailClock struct {
+	t   time.Time
+	reg *telemetry.Registry
+}
 
-func (c *tailClock) now() time.Time          { return c.t }
+func newTailClock() *tailClock {
+	c := &tailClock{t: time.Unix(1000, 0), reg: telemetry.NewRegistry()}
+	c.reg.SetNow(func() time.Time { return c.t })
+	return c
+}
+
 func (c *tailClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTailTracer(t *testing.T, tail TailConfig) (*Tracer, *Capture, *tailClock) {
 	t.Helper()
-	clk := &tailClock{t: time.Unix(1000, 0)}
+	clk := newTailClock()
 	cap := &Capture{}
 	tr := New(Config{
 		Service:     "unit@test",
 		SampleEvery: -1, // head sampling never records: everything rides the tail
-		Now:         clk.now,
+		Metrics:     clk.reg,
 		Sink:        cap,
 		Tail:        &tail,
 	})
@@ -33,8 +43,7 @@ func newTailTracer(t *testing.T, tail TailConfig) (*Tracer, *Capture, *tailClock
 // threshold, and spans finishing after the verdict flow straight through
 // — so the local fragment arrives complete, root included.
 func TestTailPromotesSlowTrace(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr, cap, clk := newTailTracer(t, TailConfig{SlowThreshold: 10 * time.Millisecond, HoldFor: time.Second, Metrics: reg})
+	tr, cap, clk := newTailTracer(t, TailConfig{SlowThreshold: 10 * time.Millisecond})
 
 	if !tr.WantUnsampled() {
 		t.Fatal("tail tracer must want unsampled spans")
@@ -74,7 +83,7 @@ func TestTailPromotesSlowTrace(t *testing.T) {
 			t.Fatalf("span %q missing from promoted trace: %v", want, names)
 		}
 	}
-	snap := reg.Snapshot("")
+	snap := clk.reg.Snapshot("")
 	if snap.Value("dtrace.tail.promoted") != 1 || snap.Value("dtrace.tail.flushed") != 3 {
 		t.Fatalf("tail counters: %+v", snap.Samples)
 	}
@@ -83,7 +92,7 @@ func TestTailPromotesSlowTrace(t *testing.T) {
 // TestTailPromotesErrorTrace: a non-ok outcome promotes regardless of
 // duration.
 func TestTailPromotesErrorTrace(t *testing.T) {
-	tr, cap, _ := newTailTracer(t, TailConfig{SlowThreshold: time.Hour, HoldFor: time.Second})
+	tr, cap, _ := newTailTracer(t, TailConfig{SlowThreshold: time.Hour})
 	root := tr.Root("failing")
 	child := tr.StartSpan("broken.hop", root.Context())
 	child.End("timeout")
@@ -96,8 +105,7 @@ func TestTailPromotesErrorTrace(t *testing.T) {
 // TestTailEvictsUnpromoted: uneventful traces age out of the buffer
 // without ever reaching the sink.
 func TestTailEvictsUnpromoted(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr, cap, clk := newTailTracer(t, TailConfig{SlowThreshold: time.Minute, HoldFor: 100 * time.Millisecond, Metrics: reg})
+	tr, cap, clk := newTailTracer(t, TailConfig{SlowThreshold: time.Minute})
 	root := tr.Root("boring")
 	child := tr.StartSpan("quick.hop", root.Context())
 	child.End("ok")
@@ -105,11 +113,17 @@ func TestTailEvictsUnpromoted(t *testing.T) {
 	if got := tr.TailBuffered(); got != 2 {
 		t.Fatalf("buffered = %d, want 2", got)
 	}
-	clk.advance(time.Second)
-	// Any later record triggers the age sweep.
+	clk.advance(tailHoldFor)
+	// Held exactly tailHoldFor: a later record's age sweep keeps it.
+	tr.Root("held").End("ok")
+	if got := tr.TailBuffered(); got != 3 {
+		t.Fatalf("buffered = %d, want 3 (nothing aged out at tailHoldFor)", got)
+	}
+	clk.advance(time.Millisecond)
+	// Past tailHoldFor: any later record triggers the age sweep.
 	other := tr.Root("later")
 	other.End("ok")
-	if got := reg.Snapshot("").Value("dtrace.tail.evicted"); got != 2 {
+	if got := clk.reg.Snapshot("").Value("dtrace.tail.evicted"); got != 2 {
 		t.Fatalf("evicted = %d, want 2", got)
 	}
 	if len(cap.Spans()) != 0 {
@@ -117,28 +131,30 @@ func TestTailEvictsUnpromoted(t *testing.T) {
 	}
 }
 
-// TestTailOverflowBounded: the buffer never holds more than MaxSpans;
-// overflow evicts oldest traces whole.
+// TestTailOverflowBounded: the buffer never holds more than
+// tailMaxSpans; overflow evicts oldest traces whole.
 func TestTailOverflowBounded(t *testing.T) {
-	tr, _, _ := newTailTracer(t, TailConfig{SlowThreshold: time.Minute, HoldFor: time.Hour, MaxSpans: 8})
-	for i := 0; i < 100; i++ {
+	tr, _, clk := newTailTracer(t, TailConfig{SlowThreshold: time.Minute})
+	const burst = tailMaxSpans + 100
+	for i := 0; i < burst; i++ {
 		sp := tr.Root("burst")
 		sp.End("ok")
 	}
-	if got := tr.TailBuffered(); got > 8 {
-		t.Fatalf("buffered = %d, want <= 8", got)
+	if got := tr.TailBuffered(); got > tailMaxSpans {
+		t.Fatalf("buffered = %d, want <= %d", got, tailMaxSpans)
+	}
+	if got := clk.reg.Snapshot("").Value("dtrace.tail.evicted"); got != burst-tailMaxSpans {
+		t.Fatalf("evicted = %d, want %d", got, burst-tailMaxSpans)
 	}
 }
 
 // TestHeadSampledBypassesTail: spans of head-sampled traces emit
 // directly, tail or no tail.
 func TestHeadSampledBypassesTail(t *testing.T) {
-	clk := &tailClock{t: time.Unix(1000, 0)}
 	cap := &Capture{}
 	tr := New(Config{
 		Service:     "unit@test",
 		SampleEvery: 1,
-		Now:         clk.now,
 		Sink:        cap,
 		Tail:        &TailConfig{SlowThreshold: time.Minute},
 	})

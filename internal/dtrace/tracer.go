@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -31,9 +32,11 @@ type Config struct {
 	// unsampled traces still propagate; they cost the trailer bytes and
 	// nothing else.
 	SampleEvery int
-	// Now is the tracer's clock (default time.Now). The simulation
-	// injects virtual time here so spans carry virtual timestamps.
-	Now func() time.Time
+	// Metrics is the daemon registry. Its clock stamps every span, so a
+	// registry on virtual time (SetNow) gives spans virtual timestamps,
+	// and tail sampling records its dtrace.tail.* counters in it. Nil
+	// means the real clock and no counters.
+	Metrics *telemetry.Registry
 	// Rand yields span/trace IDs (default: a process-seeded generator).
 	// Tests inject a deterministic source. Must be safe for concurrent
 	// use and should never return 0.
@@ -85,15 +88,12 @@ func New(cfg Config) *Tracer {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Rand == nil {
 		cfg.Rand = nextID
 	}
 	t := &Tracer{cfg: cfg}
 	if cfg.Tail != nil {
-		t.tail = newTailBuffer(*cfg.Tail)
+		t.tail = newTailBuffer(*cfg.Tail, cfg.Metrics)
 	}
 	return t
 }
@@ -153,11 +153,11 @@ func (t *Tracer) StartSpan(name string, parent wire.TraceContext) wire.ActiveSpa
 		if t.WantUnsampled() {
 			// Tail-based sampling: record the span anyway, routed into
 			// the tail buffer at End instead of straight to the sink.
-			return &span{t: t, name: name, tc: tc, start: t.cfg.Now(), tail: true}
+			return &span{t: t, name: name, tc: tc, start: t.cfg.Metrics.Now(), tail: true}
 		}
 		return wire.StartSpan(nil, name, tc) // propagate-only
 	}
-	sp := &span{t: t, name: name, tc: tc, start: t.cfg.Now()}
+	sp := &span{t: t, name: name, tc: tc, start: t.cfg.Metrics.Now()}
 	return sp
 }
 
@@ -210,7 +210,7 @@ func (s *span) Annotate(key, value string) {
 // End implements wire.ActiveSpan: it finishes the span and emits the
 // record to the tracer's sink. Second and later calls are ignored.
 func (s *span) End(outcome string) {
-	now := s.t.cfg.Now()
+	now := s.t.cfg.Metrics.Now()
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()

@@ -85,15 +85,14 @@ func startFaultyClique(t *testing.T, n int, in *Injector) ([]*clique.Member, []s
 
 // TestCliqueFormsUnderFaults: with 10% drops, 5% duplicates, 5% resets
 // and 10% delays on every protocol message, the clique still converges —
-// the token/timeout machinery absorbs the losses.
+// the token/timeout machinery absorbs the losses. The clique can form in
+// fewer messages than it takes to draw a drop, so the test waits for both
+// at once: the members agree after at least one message was dropped.
 func TestCliqueFormsUnderFaults(t *testing.T) {
 	in := New(Config{Seed: 11, Drop: 0.10, Dup: 0.05, Reset: 0.05, Delay: 0.10, MaxDelay: 5 * time.Millisecond})
 	members, ids := startFaultyClique(t, 4, in)
-	eventually(t, 10*time.Second, func() bool { return agreeOn(members, ids) },
-		"clique formation under 20% message faults")
-	if st := in.Stats(); st.Dropped == 0 {
-		t.Fatalf("no drops injected: %+v", st)
-	}
+	eventually(t, 10*time.Second, func() bool { return in.Stats().Dropped > 0 && agreeOn(members, ids) },
+		"clique agreement after a dropped message, under 20% message faults")
 }
 
 // TestCliquePartitionMergeUnderFaults: an injector-imposed partition

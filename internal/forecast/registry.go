@@ -24,18 +24,12 @@ type Key struct {
 type Registry struct {
 	mu        sync.RWMutex
 	selectors map[Key]*Selector
-	// Now returns the current time; injectable so the same registry code
-	// runs under the simulation's virtual clock.
-	Now func() time.Time
 }
 
 // NewRegistry returns an empty Registry using the DefaultBattery for new
-// keys and the real clock.
+// keys.
 func NewRegistry() *Registry {
-	return &Registry{
-		selectors: make(map[Key]*Selector),
-		Now:       time.Now,
-	}
+	return &Registry{selectors: make(map[Key]*Selector)}
 }
 
 // Selector returns the Selector for key, creating it on first use.
@@ -102,16 +96,4 @@ func (r *Registry) Keys() []Key {
 		return keys[i].Event < keys[j].Event
 	})
 	return keys
-}
-
-// StartEvent begins a dynamic benchmark of one tagged program event and
-// returns a stop function; calling stop records the elapsed time under
-// key. This is the manual instrumentation hook described in section 2.2.
-func (r *Registry) StartEvent(key Key) (stop func() time.Duration) {
-	start := r.Now()
-	return func() time.Duration {
-		d := r.Now().Sub(start)
-		r.RecordDuration(key, d)
-		return d
-	}
 }

@@ -163,26 +163,6 @@ func TestRegistryKeysSorted(t *testing.T) {
 	}
 }
 
-func TestStartEventRecordsElapsed(t *testing.T) {
-	r := NewRegistry()
-	// Virtual clock: each call advances 100 ms.
-	now := time.Unix(0, 0)
-	r.Now = func() time.Time {
-		now = now.Add(100 * time.Millisecond)
-		return now
-	}
-	k := Key{Resource: "srv", Event: "op"}
-	stop := r.StartEvent(k)
-	d := stop()
-	if d != 100*time.Millisecond {
-		t.Fatalf("elapsed = %v", d)
-	}
-	f, ok := r.Forecast(k)
-	if !ok || math.Abs(f.Value-0.1) > 1e-9 {
-		t.Fatalf("forecast = %+v, %v", f, ok)
-	}
-}
-
 func TestTimeoutPolicyDefaultBeforeData(t *testing.T) {
 	p := NewTimeoutPolicy(NewRegistry())
 	k := Key{Resource: "s", Event: "m"}

@@ -15,6 +15,6 @@ func BenchmarkReplayOneHour(b *testing.B) {
 
 func BenchmarkCondorPlacementReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		RunCondorPlacement(CondorPlacementConfig{Seed: int64(i + 1), SchedulerInPool: true, Duration: time.Hour})
+		RunCondorPlacement(CondorPlacementConfig{Seed: int64(i + 1), SchedulerInPool: true})
 	}
 }

@@ -20,15 +20,14 @@ import (
 type CondorPlacementConfig struct {
 	// Seed drives all stochastic processes.
 	Seed int64
-	// Duration of the run (default 6h).
-	Duration time.Duration
 	// SchedulerInPool selects the placement under test: true runs the
 	// scheduler on a Condor-managed host that gets reclaimed (killing the
 	// scheduler); false stations it outside the pool.
 	SchedulerInPool bool
 }
 
-// The placement experiment's pool: placementClients clients, each
+// The placement experiment runs placementDuration of virtual time over a
+// pool of placementClients clients, each
 // reporting every placementCycle at a work rate drawn around the Condor
 // profile's placementOpsPerSec. The in-pool scheduler lives
 // schedulerMeanUp on average, and a replacement is up and announced via
@@ -36,6 +35,7 @@ type CondorPlacementConfig struct {
 // locateCost per failed contact before learning of the viable scheduler:
 // repeated adaptive time-outs plus a Gossip circulation round.
 const (
+	placementDuration  = 6 * time.Hour
 	placementClients   = 100
 	placementCycle     = 60 * time.Second
 	placementOpsPerSec = 3.5e6
@@ -43,12 +43,6 @@ const (
 	schedulerMeanDown  = 2 * time.Minute
 	locateCost         = 90 * time.Second
 )
-
-func (c *CondorPlacementConfig) fill() {
-	if c.Duration == 0 {
-		c.Duration = 6 * time.Hour
-	}
-}
 
 // CondorPlacementResult reports the outcome of one placement run.
 type CondorPlacementResult struct {
@@ -64,9 +58,8 @@ type CondorPlacementResult struct {
 
 // RunCondorPlacement replays the section 5.4 experiment for one placement.
 func RunCondorPlacement(cfg CondorPlacementConfig) *CondorPlacementResult {
-	cfg.fill()
 	start := SC98Start
-	end := start.Add(cfg.Duration)
+	end := start.Add(placementDuration)
 	eng := simgrid.NewEngine(start)
 	res := &CondorPlacementResult{}
 

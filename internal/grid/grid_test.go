@@ -250,8 +250,8 @@ func TestCondorHostCountSwings(t *testing.T) {
 }
 
 func TestCondorPlacementInPoolIsWorse(t *testing.T) {
-	in := RunCondorPlacement(CondorPlacementConfig{Seed: 11, SchedulerInPool: true, Duration: 3 * time.Hour})
-	out := RunCondorPlacement(CondorPlacementConfig{Seed: 11, SchedulerInPool: false, Duration: 3 * time.Hour})
+	in := RunCondorPlacement(CondorPlacementConfig{Seed: 11, SchedulerInPool: true})
+	out := RunCondorPlacement(CondorPlacementConfig{Seed: 11, SchedulerInPool: false})
 	if in.SchedulerDeaths == 0 {
 		t.Fatal("in-pool scheduler never reclaimed")
 	}
@@ -268,8 +268,8 @@ func TestCondorPlacementInPoolIsWorse(t *testing.T) {
 }
 
 func TestCondorPlacementDeterministic(t *testing.T) {
-	a := RunCondorPlacement(CondorPlacementConfig{Seed: 4, SchedulerInPool: true, Duration: time.Hour})
-	b := RunCondorPlacement(CondorPlacementConfig{Seed: 4, SchedulerInPool: true, Duration: time.Hour})
+	a := RunCondorPlacement(CondorPlacementConfig{Seed: 4, SchedulerInPool: true})
+	b := RunCondorPlacement(CondorPlacementConfig{Seed: 4, SchedulerInPool: true})
 	if a.UsefulOps != b.UsefulOps || a.LocateEvents != b.LocateEvents {
 		t.Fatal("placement sim not deterministic")
 	}

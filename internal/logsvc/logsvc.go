@@ -96,11 +96,6 @@ type ServerConfig struct {
 	// MaxFileBytes stops file appends beyond this size (0 = unlimited) —
 	// the storage-load control the paper calls out.
 	MaxFileBytes int64
-	// MaxSpans bounds the trace collector's in-memory span ring
-	// (default 16384). The same storage-load control applies to traces:
-	// when the ring is full the oldest spans are evicted and the eviction
-	// is counted, never silent.
-	MaxSpans int
 	// Transport selects the wire substrate the listener binds on. Nil
 	// means TCP.
 	Transport wire.Transport
@@ -133,13 +128,16 @@ type Server struct {
 	spanEvicted int64
 }
 
+// maxSpans bounds the trace collector's in-memory span ring. The same
+// storage-load control as MaxEntries applies to traces: when the ring is
+// full the oldest spans are evicted and the eviction is counted, never
+// silent.
+const maxSpans = 16384
+
 // NewServer creates a logging server.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 65536
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 16384
 	}
 	svc := wire.NewService(wire.ServiceConfig{
 		Name:       "logsvc",
@@ -153,7 +151,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		svc:      svc,
 		reg:      svc.Metrics(),
 		ring:     make([]Entry, cfg.MaxEntries),
-		spanRing: make([]dtrace.Span, cfg.MaxSpans),
+		spanRing: make([]dtrace.Span, maxSpans),
 	}
 	if cfg.File != "" {
 		f, err := os.OpenFile(cfg.File, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

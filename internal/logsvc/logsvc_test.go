@@ -167,29 +167,30 @@ func TestRingEvictionCounted(t *testing.T) {
 // "logsvc.trace.dropped" — and Spans filters by trace and bounds by max
 // (most recent winning).
 func TestSpanRingBounded(t *testing.T) {
-	s := newTestServer(t, ServerConfig{MaxSpans: 4})
-	spans := make([]dtrace.Span, 10)
+	s := newTestServer(t, ServerConfig{})
+	const n = maxSpans + 6
+	spans := make([]dtrace.Span, n)
 	for i := range spans {
 		spans[i] = dtrace.Span{TraceID: uint64(1 + i%2), SpanID: uint64(i + 1), Start: int64(i), Name: "op", Outcome: "ok"}
 	}
 	s.CollectSpans(spans)
 	got := s.Spans(0, 0)
-	if len(got) != 4 {
-		t.Fatalf("span ring holds %d want 4", len(got))
+	if len(got) != maxSpans {
+		t.Fatalf("span ring holds %d want %d", len(got), maxSpans)
 	}
-	if got[0].SpanID != 7 || got[3].SpanID != 10 {
-		t.Fatalf("ring kept wrong spans: first=%d last=%d", got[0].SpanID, got[3].SpanID)
+	if got[0].SpanID != 7 || got[maxSpans-1].SpanID != n {
+		t.Fatalf("ring kept wrong spans: first=%d last=%d", got[0].SpanID, got[maxSpans-1].SpanID)
 	}
 	d := s.StatsDetail()
-	if d.Spans != 10 || d.SpanDropped != 6 {
+	if d.Spans != n || d.SpanDropped != 6 {
 		t.Fatalf("span accounting: spans=%d dropped=%d", d.Spans, d.SpanDropped)
 	}
 	snap := s.reg.Snapshot("")
 	if snap.Value("logsvc.trace.dropped") != 6 {
 		t.Fatalf("logsvc.trace.dropped = %d want 6", snap.Value("logsvc.trace.dropped"))
 	}
-	if snap.Value("logsvc.trace.spans") != 10 {
-		t.Fatalf("logsvc.trace.spans = %d want 10", snap.Value("logsvc.trace.spans"))
+	if snap.Value("logsvc.trace.spans") != n {
+		t.Fatalf("logsvc.trace.spans = %d want %d", snap.Value("logsvc.trace.spans"), n)
 	}
 	// Trace filter: only trace 2's surviving spans.
 	for _, sp := range s.Spans(0, 2) {
@@ -199,7 +200,7 @@ func TestSpanRingBounded(t *testing.T) {
 	}
 	// Bounded fetch keeps the most recent.
 	last := s.Spans(2, 0)
-	if len(last) != 2 || last[1].SpanID != 10 {
+	if len(last) != 2 || last[1].SpanID != n {
 		t.Fatalf("max=2 fetch: %+v", last)
 	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"everyware/internal/forecast"
@@ -40,7 +39,7 @@ type RunnerConfig struct {
 	// SchedulerCooldown.
 	MaxSchedulerFailures int
 	// SchedulerCooldown is how long a dead scheduler is skipped
-	// (default 10s). A roster update via SetSchedulers clears the marks —
+	// (default 10s). A newer ring via SetRing clears its members' marks —
 	// the rejoin path when scheduler birth/death circulates over Gossip.
 	SchedulerCooldown time.Duration
 	// Metrics, if set, records report outcomes, scheduler fail-overs, and
@@ -55,8 +54,8 @@ type RunnerConfig struct {
 
 // ringFailover is how many distinct shards (owner first) make up a
 // report's whole candidate list once a scheduler ring is installed (see
-// SetRing). When all of them fail the report fails: the Gossip roster and
-// the static list are consulted only while no ring is installed.
+// SetRing). When all of them fail the report fails: the static list is
+// consulted only while no ring is installed.
 const ringFailover = 3
 
 // Runner is the client-side scheduling loop: it requests work, runs the
@@ -75,32 +74,14 @@ type Runner struct {
 	health        *wire.HealthTracker
 	router        *scale.Router
 	timeouts      *forecast.TimeoutPolicy // adapts report time-outs
-
-	rosterMu sync.Mutex
-	roster   []string // overrides cfg.Schedulers when non-nil
-}
-
-// SetSchedulers replaces the scheduler list. Scheduler birth and death
-// information is circulated via the Gossip protocol (section 5.4), so a
-// client can switch to the currently viable servers without restarting.
-// An empty list restores the configured static list.
-func (r *Runner) SetSchedulers(addrs []string) {
-	r.rosterMu.Lock()
-	if len(addrs) == 0 {
-		r.roster = nil
-	} else {
-		r.roster = append([]string(nil), addrs...)
-	}
-	r.rosterMu.Unlock()
-	// The roster announces these addresses as viable: clear any dead marks
-	// so a scheduler that recovered (or moved) is rejoined immediately.
-	r.health.Reset(addrs...)
 }
 
 // SetRing installs a scheduler ring (typically decoded from the gossip
-// scale.RingKey state). A newer ring clears dead marks on its members —
-// the publication announces them viable — so routing converges on the
-// new shard layout immediately.
+// scale.RingKey state). Scheduler birth and death information circulates
+// this way (section 5.4), so a client switches to the currently viable
+// servers without restarting. A newer ring clears dead marks on its
+// members — the publication announces them viable — so routing converges
+// on the new shard layout immediately.
 func (r *Runner) SetRing(ring *scale.Ring) {
 	if r.router.SetRing(ring) {
 		r.health.Reset(ring.Nodes...)
@@ -111,16 +92,11 @@ func (r *Runner) SetRing(ring *scale.Ring) {
 func (r *Runner) Router() *scale.Router { return r.router }
 
 // schedulers returns the failover-ordered report targets: the ring route
-// for this client when a ring is installed, else the gossip roster, else
-// the configured static list.
+// for this client when a ring is installed, else the configured static
+// list.
 func (r *Runner) schedulers() []string {
 	if order := r.router.Route(r.cfg.ClientID, ringFailover); len(order) > 0 {
 		return order
-	}
-	r.rosterMu.Lock()
-	defer r.rosterMu.Unlock()
-	if r.roster != nil {
-		return r.roster
 	}
 	return r.cfg.Schedulers
 }

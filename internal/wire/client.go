@@ -225,7 +225,7 @@ func (c *Client) call(addr string, req *Packet, timeout time.Duration, callSpan 
 	for attempt := 1; attempt <= attempts; attempt++ {
 		retries := attempt - 1
 		if attempt > 1 && pol != nil {
-			pol.sleep(pol.BackoffFor(addr, attempt-1))
+			time.Sleep(pol.BackoffFor(addr, attempt-1))
 		}
 		var asp ActiveSpan
 		if callSpan != nil {

@@ -113,7 +113,7 @@ func TestClientCallMetrics(t *testing.T) {
 	}
 
 	// An unreachable address exhausts the dial ladder and counts retries.
-	c.Retry = &RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
+	c.Retry = &RetryPolicy{MaxAttempts: 3}
 	if _, err := c.Call("127.0.0.1:1", &Packet{Type: MsgPing}, 100*time.Millisecond); err == nil {
 		t.Fatal("call to closed port succeeded")
 	}

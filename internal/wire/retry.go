@@ -56,8 +56,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff clamps the pause (default 2s).
 	MaxBackoff time.Duration
-	// Sleep is injectable for tests (defaults to time.Sleep).
-	Sleep func(time.Duration)
 }
 
 func (p *RetryPolicy) attempts() int {
@@ -98,15 +96,4 @@ func (p *RetryPolicy) BackoffFor(addr string, attempt int) time.Duration {
 		d = maxB
 	}
 	return d
-}
-
-func (p *RetryPolicy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p != nil && p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
