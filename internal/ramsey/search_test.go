@@ -237,7 +237,8 @@ func TestSearcherAtR5ProductionScale(t *testing.T) {
 
 // TestSearchTrajectoryGolden pins where each heuristic is after a fixed
 // number of steps from a fixed seed, with and without edge sampling: the
-// conflict count, the best count and a hash of the working coloring. A
+// conflict count, the best count, a hash of the working coloring and the
+// integer operations counted on the way (the paper's work unit). A
 // change to a search constant (tabu tenure, the annealing schedule, the
 // min-conflicts noise) or to the order the searcher draws random numbers
 // moves these values.
@@ -248,19 +249,20 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 		steps           int64
 		conflicts, best int
 		hash            string
+		ops             int64
 	}{
-		{HeurMinConflicts, 17, 4, 0, 400, 7, 7, "4a2be0a53b734359"},
-		{HeurMinConflicts, 17, 4, 16, 400, 10, 8, "a02db625730e035f"},
-		{HeurMinConflicts, 42, 5, 0, 200, 182, 182, "b3ebd8c676aa9027"},
-		{HeurMinConflicts, 42, 5, 16, 200, 379, 367, "15e2dbbda18f366c"},
-		{HeurTabu, 17, 4, 0, 400, 10, 6, "1cfb0242886b29ea"},
-		{HeurTabu, 17, 4, 16, 400, 20, 10, "cfaf508bf9018131"},
-		{HeurTabu, 42, 5, 0, 200, 185, 181, "1a2189452659f91e"},
-		{HeurTabu, 42, 5, 16, 200, 337, 336, "7e6a478ed0aec7e0"},
-		{HeurAnneal, 17, 4, 0, 12000, 32, 5, "94ca9eb8c66fa2e5"},
-		{HeurAnneal, 17, 4, 16, 12000, 32, 5, "94ca9eb8c66fa2e5"},
-		{HeurAnneal, 42, 5, 0, 12000, 246, 208, "65fd93f29daf9007"},
-		{HeurAnneal, 42, 5, 16, 12000, 246, 208, "65fd93f29daf9007"},
+		{HeurMinConflicts, 17, 4, 0, 400, 7, 7, "4a2be0a53b734359", 2162718},
+		{HeurMinConflicts, 17, 4, 16, 400, 10, 8, "a02db625730e035f", 260101},
+		{HeurMinConflicts, 42, 5, 0, 200, 182, 182, "b3ebd8c676aa9027", 42115787},
+		{HeurMinConflicts, 42, 5, 16, 200, 379, 367, "15e2dbbda18f366c", 831544},
+		{HeurTabu, 17, 4, 0, 400, 10, 6, "1cfb0242886b29ea", 1694884},
+		{HeurTabu, 17, 4, 16, 400, 20, 10, "cfaf508bf9018131", 203229},
+		{HeurTabu, 42, 5, 0, 200, 185, 181, "1a2189452659f91e", 39045172},
+		{HeurTabu, 42, 5, 16, 200, 337, 336, "7e6a478ed0aec7e0", 762770},
+		{HeurAnneal, 17, 4, 0, 12000, 32, 5, "94ca9eb8c66fa2e5", 483025},
+		{HeurAnneal, 17, 4, 16, 12000, 32, 5, "94ca9eb8c66fa2e5", 483025},
+		{HeurAnneal, 42, 5, 0, 12000, 246, 208, "65fd93f29daf9007", 2907842},
+		{HeurAnneal, 42, 5, 16, 12000, 246, 208, "65fd93f29daf9007", 2907842},
 	}
 	for _, c := range cases {
 		s, err := NewSearcher(SearchConfig{N: c.n, K: c.k, Heuristic: c.h, Seed: 28, SampleEdges: c.sample}, nil)
@@ -270,9 +272,10 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 		s.Run(c.steps)
 		_, best := s.Best()
 		sum := sha256.Sum256(s.Current().Encode())
-		if got := hex.EncodeToString(sum[:8]); s.Conflicts() != c.conflicts || best != c.best || got != c.hash {
-			t.Errorf("%s N=%d K=%d sample=%d after %d steps: conflicts %d best %d hash %s, want %d %d %s",
-				c.h, c.n, c.k, c.sample, c.steps, s.Conflicts(), best, got, c.conflicts, c.best, c.hash)
+		got := hex.EncodeToString(sum[:8])
+		if ops := s.Ops().Total(); s.Conflicts() != c.conflicts || best != c.best || got != c.hash || ops != c.ops {
+			t.Errorf("%s N=%d K=%d sample=%d after %d steps: conflicts %d best %d hash %s ops %d, want %d %d %s %d",
+				c.h, c.n, c.k, c.sample, c.steps, s.Conflicts(), best, got, ops, c.conflicts, c.best, c.hash, c.ops)
 		}
 	}
 }
