@@ -394,7 +394,7 @@ func (a *Applet) RunParcels(n int) (found int, err error) {
 			state = best.Encode()
 			found++
 		} else {
-			state = s.Current().Encode()
+			state = s.State()
 		}
 		res := ParcelResult{
 			AppletID:   a.ID,

@@ -42,48 +42,67 @@ func CountMonoCliques(c *Coloring, k int, ops *OpCounter) int {
 	if k < 2 {
 		return 0
 	}
+	return newCliqueArena(c.n, k).count(c, k, ops)
+}
+
+// cliqueArena holds the scratch vertex sets of the clique counters, so
+// that counting allocates nothing. Level d is the candidate set of a
+// recursion with d vertices still to place: the full count's candidates
+// after its first vertex are level k-1, the edge count's after its two
+// endpoints are level k-2, and a recursion at level d writes its
+// narrowed set into level d-1. A live level is never written by a deeper
+// call, so one arena serves every count of up to its k vertices on any
+// coloring whose rows have its word count. An arena is not safe for
+// concurrent use.
+type cliqueArena struct {
+	words  []uint64
+	stride int // words per level
+}
+
+// newCliqueArena sizes an arena for k-cliques on n vertices.
+func newCliqueArena(n, k int) *cliqueArena {
+	stride := wordsFor(n)
+	return &cliqueArena{words: make([]uint64, k*stride), stride: stride}
+}
+
+// level returns level d.
+func (a *cliqueArena) level(d int) bitset {
+	off := d * a.stride
+	return a.words[off : off+a.stride]
+}
+
+// count returns the number of monochromatic k-cliques in c.
+func (a *cliqueArena) count(c *Coloring, k int, ops *OpCounter) int {
 	total := 0
 	for col := Red; col <= Blue; col++ {
-		total += countCliquesColor(c, k, col, ops)
+		total += a.countColor(c, k, col, ops)
 	}
 	return total
 }
 
-// countCliquesColor counts k-cliques within one color class.
-func countCliquesColor(c *Coloring, k int, col Color, ops *OpCounter) int {
+// countColor counts k-cliques within one color class.
+func (a *cliqueArena) countColor(c *Coloring, k int, col Color, ops *OpCounter) int {
 	n := c.n
-	cand := newBitset(n)
+	cand := a.level(k - 1)
 	count := 0
 	work := int64(0)
 	for v := 0; v < n; v++ {
-		// Only extend with vertices > v to count each clique once.
-		cand.intersect(c.adj[col][v], maskAbove(n, v))
+		// Only extend with vertices > v to count each clique once: the
+		// row has no bit for v itself or beyond n, so clearing every word
+		// below v's and the bits up to v in its word leaves those above.
+		cand.copyFrom(c.adj[col][v])
+		clear(cand[:v>>6])
+		cand[v>>6] &^= 2<<(uint(v)&63) - 1
 		work += int64(len(cand))
-		count += extendClique(c, col, cand, k-1, v+1, &work)
+		count += a.extend(c, col, cand, k-1, v+1, &work)
 	}
 	ops.Add(work)
 	return count
 }
 
-// maskAbove returns the bitset of all vertices strictly greater than v.
-func maskAbove(n, v int) bitset {
-	b := newBitset(n)
-	for w := range b {
-		b[w] = ^uint64(0)
-	}
-	// Clear bits 0..v and bits >= n.
-	for i := 0; i <= v; i++ {
-		b.clear(i)
-	}
-	for i := n; i < len(b)<<6; i++ {
-		b.clear(i)
-	}
-	return b
-}
-
-// extendClique counts (depth)-cliques among cand, all mutually adjacent in
-// color col, considering only vertices >= from.
-func extendClique(c *Coloring, col Color, cand bitset, depth, from int, work *int64) int {
+// extend counts (depth)-cliques among cand, all mutually adjacent in
+// color col, considering only vertices >= from. cand is level depth.
+func (a *cliqueArena) extend(c *Coloring, col Color, cand bitset, depth, from int, work *int64) int {
 	if depth == 0 {
 		return 1
 	}
@@ -92,11 +111,11 @@ func extendClique(c *Coloring, col Color, cand bitset, depth, from int, work *in
 		return 0
 	}
 	count := 0
-	sub := newBitset(c.n)
+	sub := a.level(depth - 1)
 	for v := cand.firstFrom(from); v >= 0; v = cand.firstFrom(v + 1) {
 		sub.intersect(cand, c.adj[col][v])
 		*work += int64(len(sub)) + 2
-		count += extendClique(c, col, sub, depth-1, v+1, work)
+		count += a.extend(c, col, sub, depth-1, v+1, work)
 	}
 	return count
 }
@@ -106,40 +125,36 @@ func extendClique(c *Coloring, col Color, cand bitset, depth, from int, work *in
 // of the local-search heuristics: flipping edge (i, j) destroys exactly
 // these cliques and creates the cliques counted for the opposite color.
 func CountMonoCliquesThroughEdge(c *Coloring, i, j, k int, ops *OpCounter) int {
-	return countThroughEdgeColor(c, i, j, k, c.Color(i, j), ops)
-}
-
-// countThroughEdgeColor counts k-cliques of the given color containing
-// edge (i, j) — whether or not (i, j) currently has that color, the count
-// assumes it does, which lets the heuristics evaluate hypothetical flips.
-func countThroughEdgeColor(c *Coloring, i, j, k int, col Color, ops *OpCounter) int {
 	if k < 2 {
 		return 0
 	}
 	if k == 2 {
 		return 1
 	}
-	cand := newBitset(c.n)
+	return newCliqueArena(c.n, k).throughEdge(c, i, j, k, c.Color(i, j), ops)
+}
+
+// throughEdge counts k-cliques (k >= 3) of the given color containing
+// edge (i, j) — whether or not (i, j) currently has that color, the count
+// assumes it does, which lets the heuristics evaluate hypothetical flips.
+func (a *cliqueArena) throughEdge(c *Coloring, i, j, k int, col Color, ops *OpCounter) int {
+	cand := a.level(k - 2)
 	cand.intersect(c.adj[col][i], c.adj[col][j])
 	cand.clear(i)
 	cand.clear(j)
 	work := int64(len(cand) + 2)
-	n := extendClique(c, col, cand, k-2, 0, &work)
+	n := a.extend(c, col, cand, k-2, 0, &work)
 	ops.Add(work)
 	return n
 }
 
-// FlipDelta returns the net change in monochromatic k-clique count if edge
-// (i, j) were flipped: cliques gained in the new color minus cliques lost
-// in the current color.
-func FlipDelta(c *Coloring, i, j, k int, ops *OpCounter) int {
+// flipDelta returns the net change in monochromatic k-clique count if
+// edge (i, j) were flipped: cliques gained in the new color minus cliques
+// lost in the current color.
+func (a *cliqueArena) flipDelta(c *Coloring, i, j, k int, ops *OpCounter) int {
 	cur := c.Color(i, j)
-	other := Red
-	if cur == Red {
-		other = Blue
-	}
-	lost := countThroughEdgeColor(c, i, j, k, cur, ops)
-	gained := countThroughEdgeColor(c, i, j, k, other, ops)
+	lost := a.throughEdge(c, i, j, k, cur, ops)
+	gained := a.throughEdge(c, i, j, k, cur^1, ops)
 	return gained - lost
 }
 

@@ -77,6 +77,24 @@ func TestCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestCountMatchesBruteForceMultiWord covers colorings whose adjacency
+// rows span more than one 64-bit word. The operation counts are pinned
+// too: the vertices below the current one only prune, so dropping them
+// from the candidate set wrongly would change the work, not the count.
+func TestCountMatchesBruteForceMultiWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, tc := range []struct {
+		n, k int
+		ops  int64
+	}{{70, 4, 177588}, {130, 3, 490584}} {
+		c := RandomColoring(tc.n, rng)
+		var o OpCounter
+		if got, want := CountMonoCliques(c, tc.k, &o), bruteCount(c, tc.k); got != want || o.Total() != tc.ops {
+			t.Fatalf("n=%d k=%d: got %d cliques in %d ops, want %d in %d", tc.n, tc.k, got, o.Total(), want, tc.ops)
+		}
+	}
+}
+
 func TestCountThroughEdgeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -113,7 +131,7 @@ func TestFlipDeltaConsistentWithRecount(t *testing.T) {
 		for i == j {
 			j = rng.Intn(n)
 		}
-		delta := FlipDelta(c, i, j, k, nil)
+		delta := newCliqueArena(n, k).flipDelta(c, i, j, k, nil)
 		c.Flip(i, j)
 		after := CountMonoCliques(c, k, nil)
 		if after-before != delta {
@@ -129,15 +147,88 @@ func TestQuickFlipDeltaAntisymmetric(t *testing.T) {
 		n := 5 + rng.Intn(6)
 		k := 3
 		c := RandomColoring(n, rng)
+		a := newCliqueArena(n, k)
 		i, j := 0, 1+rng.Intn(n-1)
-		d1 := FlipDelta(c, i, j, k, nil)
+		d1 := a.flipDelta(c, i, j, k, nil)
 		c.Flip(i, j)
-		d2 := FlipDelta(c, i, j, k, nil)
+		d2 := a.flipDelta(c, i, j, k, nil)
 		c.Flip(i, j)
 		return d1 == -d2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bruteThroughEdge counts the k-cliques of color col that contain edge
+// (i, j), taking (i, j) itself to have that color, by enumerating every
+// set of k-2 other vertices — the oracle for the arena's edge count.
+func bruteThroughEdge(c *Coloring, i, j, k int, col Color) int {
+	n := c.N()
+	idx := make([]int, 0, k)
+	var rec func(from int) int
+	rec = func(from int) int {
+		if len(idx) == k-2 {
+			return 1
+		}
+		total := 0
+		for v := from; v < n; v++ {
+			if v == i || v == j || c.Color(v, i) != col || c.Color(v, j) != col {
+				continue
+			}
+			mono := true
+			for _, u := range idx {
+				if c.Color(u, v) != col {
+					mono = false
+					break
+				}
+			}
+			if mono {
+				idx = append(idx, v)
+				total += rec(v + 1)
+				idx = idx[:len(idx)-1]
+			}
+		}
+		return total
+	}
+	return rec(0)
+}
+
+// TestCliqueArenaAliasing runs one arena over many colorings of up to 20
+// vertices and every k from 3 to 6, on every edge, so a level that a
+// deeper call overwrote while a shallower one still read it, or one left
+// dirty by the previous size, shows up as a wrong count.
+func TestCliqueArenaAliasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	a := newCliqueArena(20, 6)
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(19) // 2..20
+		k := 3 + rng.Intn(4)  // 3..6
+		c := RandomColoring(n, rng)
+		before := CountMonoCliques(c, k, nil)
+		if got := a.count(c, k, nil); got != before {
+			t.Fatalf("n=%d k=%d: arena count %d, CountMonoCliques %d", n, k, got, before)
+		}
+		if n <= 12 {
+			if want := bruteCount(c, k); before != want {
+				t.Fatalf("n=%d k=%d: count %d, brute force %d", n, k, before, want)
+			}
+		}
+		for idx := 0; idx < c.Edges(); idx++ {
+			i, j := c.EdgeAt(idx)
+			for col := Red; col <= Blue; col++ {
+				if got, want := a.throughEdge(c, i, j, k, col, nil), bruteThroughEdge(c, i, j, k, col); got != want {
+					t.Fatalf("n=%d k=%d edge (%d,%d) color %d: through-edge %d, brute force %d", n, k, i, j, col, got, want)
+				}
+			}
+			delta := a.flipDelta(c, i, j, k, nil)
+			c.Flip(i, j)
+			after := CountMonoCliques(c, k, nil)
+			c.Flip(i, j)
+			if after-before != delta {
+				t.Fatalf("n=%d k=%d edge (%d,%d): delta %d, recount says %d", n, k, i, j, delta, after-before)
+			}
+		}
 	}
 }
 

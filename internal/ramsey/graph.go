@@ -136,13 +136,18 @@ func (c *Coloring) Neighbors(v int, col Color) bitset { return c.adj[col][v] }
 // Clone returns a deep copy.
 func (c *Coloring) Clone() *Coloring {
 	out := NewColoring(c.n)
-	out.bits.copyFrom(c.bits)
+	out.copyFrom(c)
+	return out
+}
+
+// copyFrom overwrites c with o's colors. Both must have the same N.
+func (c *Coloring) copyFrom(o *Coloring) {
+	c.bits.copyFrom(o.bits)
 	for col := 0; col < 2; col++ {
 		for v := 0; v < c.n; v++ {
-			out.adj[col][v].copyFrom(c.adj[col][v])
+			c.adj[col][v].copyFrom(o.adj[col][v])
 		}
 	}
-	return out
 }
 
 // Equal reports structural equality.

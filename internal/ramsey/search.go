@@ -71,7 +71,8 @@ const (
 // Searcher runs one heuristic search incrementally. Clients call Step in a
 // loop, reporting progress to their scheduler between batches; the
 // scheduler can stop, migrate, or re-seed the search at any step boundary
-// because the full search state is capturable as a Coloring.
+// because the full search state is capturable as a Coloring. Everything
+// a step touches is sized in NewSearcher, so Step allocates nothing.
 type Searcher struct {
 	cfg      SearchConfig
 	rng      *rand.Rand
@@ -81,7 +82,10 @@ type Searcher struct {
 	bestCnt  int
 	iters    int64
 	temp     float64
-	tabu     map[int]int64 // edge index -> iteration when tabu expires
+	tabu     []int64 // edge index -> iteration when tabu expires
+	cand     []int   // the edges a greedy step evaluates
+	ties     []int   // the candidates tied for a greedy step's best delta
+	arena    *cliqueArena
 	ops      *OpCounter
 }
 
@@ -95,15 +99,26 @@ func NewSearcher(cfg SearchConfig, ops *OpCounter) (*Searcher, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	col := RandomColoring(cfg.N, rng)
+	e := col.Edges()
 	s := &Searcher{
 		cfg:      cfg,
 		rng:      rng,
 		coloring: col,
 		temp:     initTemp,
-		tabu:     make(map[int]int64),
+		tabu:     make([]int64, e),
+		arena:    newCliqueArena(cfg.N, cfg.K),
 		ops:      ops,
 	}
-	s.current = CountMonoCliques(col, cfg.K, ops)
+	if cfg.SampleEdges > 0 && cfg.SampleEdges < e {
+		s.cand = make([]int, cfg.SampleEdges)
+	} else {
+		s.cand = make([]int, e)
+		for i := range s.cand {
+			s.cand[i] = i
+		}
+	}
+	s.ties = make([]int, 0, len(s.cand))
+	s.current = s.arena.count(col, cfg.K, ops)
 	s.best = col.Clone()
 	s.bestCnt = s.current
 	return s, nil
@@ -115,10 +130,10 @@ func (s *Searcher) Restore(c *Coloring) error {
 	if c.N() != s.cfg.N {
 		return fmt.Errorf("ramsey: restore size %d != configured %d", c.N(), s.cfg.N)
 	}
-	s.coloring = c.Clone()
-	s.current = CountMonoCliques(s.coloring, s.cfg.K, s.ops)
+	s.coloring.copyFrom(c)
+	s.current = s.arena.count(s.coloring, s.cfg.K, s.ops)
 	if s.current < s.bestCnt {
-		s.best = s.coloring.Clone()
+		s.best.copyFrom(s.coloring)
 		s.bestCnt = s.current
 	}
 	return nil
@@ -133,6 +148,9 @@ func (s *Searcher) Best() (*Coloring, int) { return s.best.Clone(), s.bestCnt }
 
 // Current returns a copy of the working coloring.
 func (s *Searcher) Current() *Coloring { return s.coloring.Clone() }
+
+// State returns the working coloring encoded, without copying it first.
+func (s *Searcher) State() []byte { return s.coloring.Encode() }
 
 // Iterations returns the number of Step calls so far.
 func (s *Searcher) Iterations() int64 { return s.iters }
@@ -160,7 +178,7 @@ func (s *Searcher) Step() bool {
 	}
 	if s.current < s.bestCnt {
 		s.bestCnt = s.current
-		s.best = s.coloring.Clone()
+		s.best.copyFrom(s.coloring)
 	}
 	return s.current == 0
 }
@@ -176,34 +194,26 @@ func (s *Searcher) Run(maxSteps int64) bool {
 	return s.current == 0
 }
 
-// candidateEdges yields the edge indices a greedy step will evaluate.
+// candidateEdges yields the edge indices a greedy step will evaluate:
+// every edge, or SampleEdges of them drawn afresh into the same buffer.
 func (s *Searcher) candidateEdges() []int {
-	e := s.coloring.Edges()
-	if s.cfg.SampleEdges <= 0 || s.cfg.SampleEdges >= e {
-		all := make([]int, e)
-		for i := range all {
-			all[i] = i
+	if e := s.coloring.Edges(); len(s.cand) < e {
+		for i := range s.cand {
+			s.cand[i] = s.rng.Intn(e)
 		}
-		return all
 	}
-	out := make([]int, s.cfg.SampleEdges)
-	for i := range out {
-		out[i] = s.rng.Intn(e)
-	}
-	return out
+	return s.cand
 }
 
 func (s *Searcher) stepGreedy(useTabu bool) {
 	bestDelta := math.MaxInt32
-	var bestEdges []int
+	bestEdges := s.ties[:0]
 	for _, idx := range s.candidateEdges() {
-		if useTabu {
-			if exp, ok := s.tabu[idx]; ok && exp > s.iters {
-				continue
-			}
+		if useTabu && s.tabu[idx] > s.iters {
+			continue
 		}
 		i, j := s.coloring.EdgeAt(idx)
-		d := FlipDelta(s.coloring, i, j, s.cfg.K, s.ops)
+		d := s.arena.flipDelta(s.coloring, i, j, s.cfg.K, s.ops)
 		if d < bestDelta {
 			bestDelta = d
 			bestEdges = bestEdges[:0]
@@ -237,7 +247,7 @@ func (s *Searcher) stepGreedy(useTabu bool) {
 func (s *Searcher) randomFlip() {
 	idx := s.rng.Intn(s.coloring.Edges())
 	i, j := s.coloring.EdgeAt(idx)
-	d := FlipDelta(s.coloring, i, j, s.cfg.K, s.ops)
+	d := s.arena.flipDelta(s.coloring, i, j, s.cfg.K, s.ops)
 	s.coloring.Flip(i, j)
 	s.current += d
 }
@@ -245,7 +255,7 @@ func (s *Searcher) randomFlip() {
 func (s *Searcher) stepAnneal() {
 	idx := s.rng.Intn(s.coloring.Edges())
 	i, j := s.coloring.EdgeAt(idx)
-	d := FlipDelta(s.coloring, i, j, s.cfg.K, s.ops)
+	d := s.arena.flipDelta(s.coloring, i, j, s.cfg.K, s.ops)
 	if d <= 0 || s.rng.Float64() < math.Exp(-float64(d)/s.temp) {
 		s.coloring.Flip(i, j)
 		s.current += d

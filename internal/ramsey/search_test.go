@@ -1,6 +1,7 @@
 package ramsey
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -232,6 +233,43 @@ func TestSearcherAtR5ProductionScale(t *testing.T) {
 	}
 	if ops.Total() <= 0 {
 		t.Fatal("no ops recorded")
+	}
+}
+
+// TestSearcherStepAllocGate holds the search step to zero allocations for
+// every heuristic, at the small and the production problem, evaluating
+// every edge and sampling 16: the clique counters run in the searcher's
+// arena and every buffer a step uses is sized in NewSearcher.
+func TestSearcherStepAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, h := range Heuristics() {
+		for _, p := range []struct{ n, k int }{{17, 4}, {42, 5}} {
+			for _, sample := range []int{0, 16} {
+				s, err := NewSearcher(SearchConfig{N: p.n, K: p.k, Heuristic: h, Seed: 28, SampleEdges: sample}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Run(20) {
+					t.Fatalf("%s N=%d K=%d sample=%d solved during warm-up: the gate would time no step", h, p.n, p.k, sample)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { s.Step() }); allocs != 0 {
+					t.Errorf("%s N=%d K=%d sample=%d: Step makes %.1f allocations, want 0", h, p.n, p.k, sample, allocs)
+				}
+			}
+		}
+	}
+}
+
+func TestSearcherStateEncodesWorkingColoring(t *testing.T) {
+	s, err := NewSearcher(SearchConfig{N: 17, K: 4, Heuristic: HeurTabu, Seed: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(50)
+	if !bytes.Equal(s.State(), s.Current().Encode()) {
+		t.Fatal("State differs from the encoded working coloring")
 	}
 }
 

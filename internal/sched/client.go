@@ -284,7 +284,7 @@ func (r *Runner) Cycle() (Directive, error) {
 		}
 		state = best.Encode()
 	} else {
-		state = r.searcher.Current().Encode()
+		state = r.searcher.State()
 	}
 	// Elapsed covers the compute phase plus the previous report's round
 	// trip: communication delays count against the client, keeping
