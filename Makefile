@@ -27,7 +27,7 @@ test-race:
 # deleting:
 #   - test-harness API: faults.Injector's Slow/Unslow/SlowFor/SlowHandler/
 #     ScheduleFor/WrapEndpoint and the clique.Endpoint send filter
-#     WrapEndpoint installs; dtrace.Capture and Tracer.Root;
+#     WrapEndpoint installs; dtrace.Capture;
 #     pstate.CrashSites; wire.NewRawRequest and Messages (the msgtable
 #     listing);
 #   - encode halves whose decoder a program links: applet Parcel and
@@ -45,16 +45,16 @@ test-race:
 #     core.Component.ResumeFromCheckpoint, sched.Runner.Adopt,
 #     sched.DecodeWorkUnit (item 6);
 #   - String() and net.Conn methods;
-#   - the rest (35): accessors and one-line shorthands that tests observe
+#   - the rest (32): accessors and one-line shorthands that tests observe
 #     or drive through.
 #
 # Coverage: one coverage pass over every test in the module,
 # instrumenting internal/ and cmd/, lists the functions under internal/
 # that nothing executed and fails above DEADCODE_MAX. What remains at the
 # ceiling is called only from a cmd/ main, a benchmark or a test-failure
-# message, satisfies net.Conn / net.Addr / wire.ActiveSpan / a default
-# hook, or is the control plane's untested actuation path (ROADMAP item
-# 6); a new entry needs a caller, a test, or deleting.
+# message, satisfies net.Conn / net.Addr / a default hook, or is the
+# control plane's untested actuation path (ROADMAP item 6); a new entry
+# needs a caller, a test, or deleting.
 #
 # Settings: the same ew-unlinked run type-checks the module and lists,
 # into deadcode.unset, every field of a *Config struct under internal/
@@ -94,8 +94,8 @@ test-race:
 #     Profiles/DisableJudging/DisableTestWindow,
 #     grid.NetLoadConfig.SCINetEpisodes, condor.PoolConfig.ClaimDelay,
 #     pstate.ReplicaSetConfig.WriteQuorum (ROADMAP owes a decision).
-UNLINKED_MAX = 79
-DEADCODE_MAX = 15
+UNLINKED_MAX = 75
+DEADCODE_MAX = 12
 UNSET_MAX = 36
 deadcode:
 	$(GO) run ./cmd/ew-unlinked ./cmd/... ./examples/... ./bench > deadcode.unlinked
@@ -147,11 +147,12 @@ bench:
 # concurrent-caller demux throughput, and pipelined-window cost over TCP
 # loopback vs the in-memory transport, recorded as JSON for
 # commit-over-commit comparison. The allocation gates run first: a
-# pooling regression on the zero-alloc hot path, or an allocation on the
-# forecast read/record every message makes, fails the target before any
-# numbers are recorded.
+# pooling regression on the zero-alloc hot path, an allocation in the
+# wire.Op every spanned operation starts and ends, or one on the forecast
+# read/record every message makes, fails the target before any numbers
+# are recorded.
 bench-wire:
-	$(GO) test -run 'TestMemRoundTripAllocGate|TestForecastHotPathAllocs' -count=1 ./internal/wire/ ./internal/forecast/
+	$(GO) test -run 'TestMemRoundTripAllocGate|TestOpAllocGate|TestForecastHotPathAllocs' -count=1 ./internal/wire/ ./internal/forecast/
 	$(GO) test -bench='RoundTrip|ConcurrentCalls|Pipelined' -benchmem -run='^$$' ./internal/wire/ \
 		| $(GO) run ./cmd/ew-benchjson -o BENCH_wire.json
 
@@ -209,8 +210,8 @@ scale:
 # Grid Observatory suite: the series store, rule engine, alert codec,
 # scrape daemon, and snapshot-codec version-skew tests under the race
 # detector; the observatory-vs-autoscaler hook; the end-to-end
-# slowdown proof (anomaly alert + exemplar + tail-promoted trace) and
-# the chaos partition alert, also raced.
+# slowdown proof (anomaly alert + exemplar + the sampled trace it names)
+# and the chaos partition alert, also raced.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestAutoscalerObsAlertBoost' ./internal/ctrl/

@@ -127,7 +127,7 @@ func serve(r role, hasTrace bool) func(fs *flag.FlagSet) action {
 		env := &daemonEnv{reg: telemetry.NewRegistry()}
 		d := r(fs, env)
 		return func(ctx context.Context, w io.Writer, _ []string) int {
-			tracer, stopTrace := dtrace.ForDaemon(name, traceAddr, traceSample, 0, env.reg)
+			tracer, stopTrace := dtrace.ForDaemon(name, traceAddr, traceSample, env.reg)
 			defer stopTrace()
 			if tracer != nil {
 				env.tracer = tracer

@@ -27,8 +27,10 @@ type Config struct {
 	// OnChange, if set, is invoked (on the member's goroutine) after each
 	// committed view change.
 	OnChange func(View)
-	// Metrics, if set, records protocol events: clique.token.circulation
-	// (histogram of leader token round-trip time), clique.view.changes /
+	// Metrics, if set, records protocol events:
+	// clique.token.circulation.<outcome> (histograms of leader token
+	// round-trip time, "ok" when the token came back and "lost" when a
+	// new circulation superseded it), clique.view.changes /
 	// clique.view.split / clique.view.merge counters, the clique.members
 	// gauge, and clique.partition.declared. Nil discards.
 	Metrics *telemetry.Registry
@@ -63,12 +65,16 @@ type Member struct {
 	home      []string // full known universe of peers
 	lastHeard time.Time
 	stopped   bool
-	// tokenSeq/tokenStart time the in-flight token circulation this leader
-	// originated (zero when none); tokenSpan is the circulation's trace
-	// root, ended when the token returns (or superseded as lost).
-	tokenSeq   uint64
-	tokenStart time.Time
-	tokenSpan  wire.ActiveSpan
+	// tokenOp is the in-flight circulation this leader originated for
+	// view tokenSeq (the zero Op when none): timed and, when sampled, the
+	// root of its trace; it ends when the token returns, or as lost when
+	// superseded.
+	tokenSeq uint64
+	tokenOp  wire.Op
+	// circulation times token circulations. Only the member's goroutine
+	// touches it, creating it at the first origination rather than at
+	// fleet setup.
+	circulation *telemetry.SpanFamily
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -177,16 +183,16 @@ func (m *Member) heartbeat() {
 
 // originateToken starts one token circulation for view v.
 func (m *Member) originateToken(v View) {
-	sp := wire.StartSpan(m.cfg.Tracer, "clique.token_pass", wire.TraceContext{})
-	sp.Annotate("leader", v.Leader)
-	m.mu.Lock()
-	m.tokenSeq = v.Seq
-	m.tokenStart = time.Now()
-	if m.tokenSpan != nil {
-		// The previous circulation never came back.
-		m.tokenSpan.End("lost")
+	if m.circulation == nil {
+		m.circulation = m.cfg.Metrics.SpanFamily("clique.token.circulation")
 	}
-	m.tokenSpan = sp
+	op := wire.StartOp(m.circulation, m.cfg.Tracer, "clique.token_pass", wire.TraceContext{})
+	op.Annotate("leader", v.Leader)
+	m.mu.Lock()
+	// The previous circulation, if any, never came back.
+	m.tokenOp.End(telemetry.OutcomeLost)
+	m.tokenSeq = v.Seq
+	m.tokenOp = op
 	m.mu.Unlock()
 	t := &Token{
 		Origin:  v.Leader,
@@ -194,7 +200,7 @@ func (m *Member) originateToken(v View) {
 		Members: v.Members,
 		Visited: []string{v.Leader},
 	}
-	m.forwardToken(t, sp.Context())
+	m.forwardToken(t, op.Context())
 }
 
 // forwardToken sends the token to the next unvisited ring member after
@@ -258,12 +264,10 @@ func (m *Member) commitToken(t *Token) {
 		m.mu.Unlock()
 		return // stale token from an earlier configuration
 	}
-	if m.tokenSeq == t.Seq && !m.tokenStart.IsZero() {
-		m.cfg.Metrics.Histogram("clique.token.circulation").Observe(time.Since(m.tokenStart))
-		m.tokenStart = time.Time{}
+	var op wire.Op
+	if m.tokenSeq == t.Seq {
+		op, m.tokenOp = m.tokenOp, wire.Op{}
 	}
-	tsp := m.tokenSpan
-	m.tokenSpan = nil
 	members := sortedUnion(t.Visited, []string{self})
 	// Remove any member recorded as failed (it may appear in Visited if it
 	// handled the token but later dropped off; Failed wins conservatively).
@@ -293,21 +297,17 @@ func (m *Member) commitToken(t *Token) {
 	if same {
 		m.lastHeard = time.Now()
 		m.mu.Unlock()
-		if tsp != nil {
-			tsp.Annotate("visited", strconv.Itoa(len(t.Visited)))
-			tsp.End("ok")
-		}
+		op.Annotate("visited", strconv.Itoa(len(t.Visited)))
+		op.End(telemetry.OutcomeOK)
 		return
 	}
 	nv = View{Seq: m.view.Seq + 1, Leader: minID(members), Members: members}
 	m.commitLocked(nv)
 	v := m.view.Clone()
 	m.mu.Unlock()
-	if tsp != nil {
-		tsp.Annotate("visited", strconv.Itoa(len(t.Visited)))
-		tsp.Annotate("members", strconv.Itoa(len(v.Members)))
-		tsp.End("ok")
-	}
+	op.Annotate("visited", strconv.Itoa(len(t.Visited)))
+	op.Annotate("members", strconv.Itoa(len(v.Members)))
+	op.End(telemetry.OutcomeOK)
 	m.broadcastView(v)
 }
 

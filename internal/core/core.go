@@ -386,21 +386,21 @@ func (c *Component) Checkpoint(name, class string, data []byte) error {
 	// Each checkpoint roots a trace: the quorum write underneath it fans
 	// out into per-replica StoreAt calls, so the tree shows exactly which
 	// managers acknowledged and which were retried or failed over.
-	sp := wire.StartSpan(c.cfg.Tracer, "core.checkpoint", wire.TraceContext{})
+	sp := wire.StartOp(nil, c.cfg.Tracer, "core.checkpoint", wire.TraceContext{})
 	sp.Annotate("object", name)
 	_, err := c.replicas.StoreCtx(sp.Context(), name, class, data)
 	switch {
 	case err == nil:
 		c.metrics.Counter("core.checkpoint.ok").Inc()
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 		return nil
 	case errors.Is(err, pstate.ErrSpooled):
 		c.metrics.Counter("core.checkpoint.spooled").Inc()
-		sp.End("spooled")
+		sp.End(telemetry.OutcomeSpooled)
 		return nil
 	default:
 		c.metrics.Counter("core.checkpoint.fail").Inc()
-		sp.End("error")
+		sp.End(telemetry.OutcomeError)
 		return err
 	}
 }
@@ -415,19 +415,19 @@ func (c *Component) Recover(name string) (*pstate.Object, error) {
 		c.metrics.Counter("core.recover.fail").Inc()
 		return nil, fmt.Errorf("core: no persistent state managers configured")
 	}
-	sp := wire.StartSpan(c.cfg.Tracer, "core.recover", wire.TraceContext{})
+	sp := wire.StartOp(nil, c.cfg.Tracer, "core.recover", wire.TraceContext{})
 	sp.Annotate("object", name)
 	o, found, err := c.replicas.FetchCtx(sp.Context(), name)
 	if err != nil || !found {
 		c.metrics.Counter("core.recover.fail").Inc()
-		sp.End("error")
+		sp.End(telemetry.OutcomeError)
 		if err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("core: %q not found at any persistent state manager", name)
 	}
 	c.metrics.Counter("core.recover.ok").Inc()
-	sp.End("ok")
+	sp.End(telemetry.OutcomeOK)
 	return o, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"everyware/internal/dtrace"
+	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -45,12 +46,12 @@ func benchTracedRoundTrip(b *testing.B, tr *dtrace.Tracer) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := wire.StartSpan(tr, "bench.op", wire.TraceContext{})
+		sp := wire.StartOp(nil, tr, "bench.op", wire.TraceContext{})
 		_, err := c.Call(addr, &wire.Packet{Type: 200, Payload: payload, Trace: sp.Context()}, time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 	}
 }
 
@@ -95,9 +96,9 @@ func BenchmarkSpanRecord(b *testing.B) {
 	tr := dtrace.New(dtrace.Config{Service: "bench", Sink: sink})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Root("bench.op")
+		sp := wire.StartOp(nil, tr, "bench.op", wire.TraceContext{})
 		sp.Annotate("k", "v")
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 	}
 }
 

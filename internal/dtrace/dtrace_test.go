@@ -5,6 +5,7 @@ package dtrace_test
 import (
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,11 @@ func testTracer(service string, sampleEvery int, sink dtrace.Sink) (*dtrace.Trac
 		Sink:        sink,
 		Rand:        func() uint64 { id++; return id },
 	}), &now
+}
+
+// root starts an operation that roots a new trace on tr.
+func root(tr *dtrace.Tracer, name string) wire.Op {
+	return wire.StartOp(nil, tr, name, wire.TraceContext{})
 }
 
 func TestSpanCodecRoundTrip(t *testing.T) {
@@ -98,11 +104,11 @@ func TestTracerSampling(t *testing.T) {
 	tr, _ := testTracer("s", 5, cap)
 	sampled := 0
 	for i := 0; i < 20; i++ {
-		sp := tr.Root("op")
+		sp := root(tr, "op")
 		if sp.Context().Sampled {
 			sampled++
 		}
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 	}
 	if sampled != 4 {
 		t.Fatalf("1-in-5 sampling picked %d of 20 roots", sampled)
@@ -114,14 +120,14 @@ func TestTracerSampling(t *testing.T) {
 	// Negative SampleEvery: record nothing, but contexts stay valid so
 	// propagation is unharmed.
 	off, _ := testTracer("s", -1, cap)
-	sp := off.Root("op")
+	sp := root(off, "op")
 	if sp.Context().Sampled {
 		t.Fatal("negative SampleEvery sampled a root")
 	}
 	if !sp.Context().Valid() {
 		t.Fatal("unsampled root lost its context")
 	}
-	sp.End("ok")
+	sp.End(telemetry.OutcomeOK)
 	if got := len(cap.Spans()); got != 4 {
 		t.Fatalf("unsampled span reached the sink (%d)", got)
 	}
@@ -130,10 +136,10 @@ func TestTracerSampling(t *testing.T) {
 func TestTracerChildInheritance(t *testing.T) {
 	cap := &dtrace.Capture{}
 	tr, now := testTracer("svc@addr", 1, cap)
-	root := tr.Root("parent")
+	parent := root(tr, "parent")
 	*now += 1000
-	child := tr.StartSpan("child", root.Context())
-	ctc, rtc := child.Context(), root.Context()
+	ctc, child := tr.StartSpan("child", parent.Context())
+	rtc := parent.Context()
 	if ctc.TraceID != rtc.TraceID {
 		t.Fatal("child left the parent's trace")
 	}
@@ -148,7 +154,7 @@ func TestTracerChildInheritance(t *testing.T) {
 	child.End("ok")
 	child.End("error") // second End must be a no-op
 	*now += 250
-	root.End("ok")
+	parent.End(telemetry.OutcomeOK)
 
 	spans := cap.Spans()
 	if len(spans) != 2 {
@@ -178,14 +184,45 @@ func TestTracerChildInheritance(t *testing.T) {
 func TestNilTracerPropagates(t *testing.T) {
 	var tr *dtrace.Tracer
 	parent := wire.TraceContext{TraceID: 9, SpanID: 4, Sampled: true}
-	sp := tr.StartSpan("x", parent)
-	if sp.Context() != parent {
+	if tc, sp := tr.StartSpan("x", parent); tc != parent || sp != nil {
+		t.Fatalf("nil tracer: context %+v span %v, want the parent and no span", tc, sp)
+	}
+	op := wire.StartOp(nil, tr, "x", parent)
+	if op.Context() != parent {
 		t.Fatal("nil tracer perturbed the context")
 	}
-	sp.Annotate("a", "b")
-	sp.End("ok")
+	op.Annotate("a", "b")
+	op.End(telemetry.OutcomeOK)
 	if tr.Service() != "" {
 		t.Fatal("nil tracer has a service")
+	}
+}
+
+// TestSetServiceRacesEnd: a daemon names its tracer once its listen
+// address is known, while spans may already be ending on other
+// goroutines. Under -race the identity must be written and read
+// atomically, and every span carries one whole identity.
+func TestSetServiceRacesEnd(t *testing.T) {
+	cap := &dtrace.Capture{}
+	tr := dtrace.New(dtrace.Config{Service: "d", Sink: cap})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			tr.SetService("d@127.0.0.1:" + strconv.Itoa(i))
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		root(tr, "x").End(telemetry.OutcomeOK)
+	}
+	<-done
+	for _, s := range cap.Spans() {
+		if s.Service != "d" && !strings.HasPrefix(s.Service, "d@127.0.0.1:") {
+			t.Fatalf("span service %q", s.Service)
+		}
+	}
+	if got := tr.Service(); got != "d@127.0.0.1:199" {
+		t.Fatalf("service %q after the last SetService", got)
 	}
 }
 

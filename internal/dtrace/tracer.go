@@ -33,9 +33,8 @@ type Config struct {
 	// nothing else.
 	SampleEvery int
 	// Metrics is the daemon registry. Its clock stamps every span, so a
-	// registry on virtual time (SetNow) gives spans virtual timestamps,
-	// and tail sampling records its dtrace.tail.* counters in it. Nil
-	// means the real clock and no counters.
+	// registry on virtual time (SetNow) gives spans virtual timestamps.
+	// Nil means the real clock.
 	Metrics *telemetry.Registry
 	// Rand yields span/trace IDs (default: a process-seeded generator).
 	// Tests inject a deterministic source. Must be safe for concurrent
@@ -45,12 +44,6 @@ type Config struct {
 	// then only propagates context, which is still useful to daemons
 	// downstream).
 	Sink Sink
-	// Tail, when set, enables tail-based sampling: spans of
-	// head-unsampled traces are buffered briefly and the whole local
-	// trace fragment is promoted to the sink when one of its spans ends
-	// slow or in error — so the traces worth reading exist even at
-	// aggressive 1-in-N head sampling. See TailConfig.
-	Tail *TailConfig
 }
 
 // Tracer records causal spans and implements wire.Tracer. A nil *Tracer
@@ -58,9 +51,9 @@ type Config struct {
 // unchanged, so daemon code holds a *Tracer (or a wire.Tracer interface
 // holding one) without nil checks.
 type Tracer struct {
-	cfg   Config
-	roots atomic.Uint64 // root counter driving 1-in-N sampling
-	tail  *tailBuffer   // nil unless cfg.Tail is set
+	cfg     Config
+	roots   atomic.Uint64          // root counter driving 1-in-N sampling
+	service atomic.Pointer[string] // span identity; SetService may race End
 }
 
 // idState is the process-wide splitmix64 state behind the default Rand.
@@ -92,26 +85,8 @@ func New(cfg Config) *Tracer {
 		cfg.Rand = nextID
 	}
 	t := &Tracer{cfg: cfg}
-	if cfg.Tail != nil {
-		t.tail = newTailBuffer(*cfg.Tail, cfg.Metrics)
-	}
+	t.service.Store(&cfg.Service)
 	return t
-}
-
-// WantUnsampled implements wire.UnsampledRecorder: with tail-based
-// sampling on (and somewhere to send promoted spans), the wire layer
-// must hand this tracer the spans head sampling would skip.
-func (t *Tracer) WantUnsampled() bool {
-	return t != nil && t.tail != nil && t.cfg.Sink != nil
-}
-
-// TailBuffered reports the spans currently parked in the tail buffer (0
-// without tail sampling) — a test and introspection hook.
-func (t *Tracer) TailBuffered() int {
-	if t == nil || t.tail == nil {
-		return 0
-	}
-	return t.tail.Buffered()
 }
 
 // Service returns the tracer's span identity ("" for a nil tracer).
@@ -119,26 +94,28 @@ func (t *Tracer) Service() string {
 	if t == nil {
 		return ""
 	}
-	return t.cfg.Service
+	return *t.service.Load()
 }
 
 // SetService updates the identity stamped on subsequently recorded
 // spans. Daemons call this once their listen address is known, mirroring
-// telemetry.Registry.SetID.
+// telemetry.Registry.SetID — possibly while already serving, so spans
+// ending concurrently read the identity atomically.
 func (t *Tracer) SetService(id string) {
 	if t != nil {
-		t.cfg.Service = id
+		t.service.Store(&id)
 	}
 }
 
 // StartSpan implements wire.Tracer. With a valid parent the span joins
 // the parent's trace and inherits its sampling decision; with a zero
 // parent it becomes the root of a new trace, sampled per SampleEvery.
-// Unsampled spans are free apart from ID generation: they propagate
-// context and record nothing.
-func (t *Tracer) StartSpan(name string, parent wire.TraceContext) wire.ActiveSpan {
+// Unsampled spans are free apart from ID generation: they return the
+// context to propagate and a nil span, recording nothing. A nil tracer
+// propagates parent unchanged.
+func (t *Tracer) StartSpan(name string, parent wire.TraceContext) (wire.TraceContext, wire.ActiveSpan) {
 	if t == nil {
-		return wire.StartSpan(nil, name, parent)
+		return parent, nil
 	}
 	tc := wire.TraceContext{SpanID: t.cfg.Rand()}
 	if parent.Valid() {
@@ -150,22 +127,9 @@ func (t *Tracer) StartSpan(name string, parent wire.TraceContext) wire.ActiveSpa
 		tc.Sampled = t.sampleRoot()
 	}
 	if !tc.Sampled {
-		if t.WantUnsampled() {
-			// Tail-based sampling: record the span anyway, routed into
-			// the tail buffer at End instead of straight to the sink.
-			return &span{t: t, name: name, tc: tc, start: t.cfg.Metrics.Now(), tail: true}
-		}
-		return wire.StartSpan(nil, name, tc) // propagate-only
+		return tc, nil
 	}
-	sp := &span{t: t, name: name, tc: tc, start: t.cfg.Metrics.Now()}
-	return sp
-}
-
-// Root starts a new trace rooted at name. It is shorthand for StartSpan
-// with a zero parent, reading as intent at the call sites that own trace
-// roots (a client report, a checkpoint, a sync round).
-func (t *Tracer) Root(name string) wire.ActiveSpan {
-	return t.StartSpan(name, wire.TraceContext{})
+	return tc, &span{t: t, name: name, tc: tc, start: t.cfg.Metrics.Now()}
 }
 
 // sampleRoot makes the head-based decision for a new trace.
@@ -181,22 +145,17 @@ func (t *Tracer) sampleRoot() bool {
 	}
 }
 
-// span is one recording span — head-sampled, or head-unsampled but
-// recorded for tail-based promotion (tail set).
+// span is one recording span of a head-sampled trace.
 type span struct {
 	t     *Tracer
 	name  string
 	tc    wire.TraceContext
 	start time.Time
-	tail  bool
 
 	mu    sync.Mutex
 	notes []Annotation
 	done  bool
 }
-
-// Context implements wire.ActiveSpan.
-func (s *span) Context() wire.TraceContext { return s.tc }
 
 // Annotate implements wire.ActiveSpan.
 func (s *span) Annotate(key, value string) {
@@ -229,20 +188,12 @@ func (s *span) End(outcome string) {
 		TraceID:     s.tc.TraceID,
 		SpanID:      s.tc.SpanID,
 		ParentID:    s.tc.ParentID,
-		Service:     s.t.cfg.Service,
+		Service:     s.t.Service(),
 		Name:        s.name,
 		Start:       s.start.UnixNano(),
 		Duration:    now.Sub(s.start).Nanoseconds(),
 		Outcome:     outcome,
 		Annotations: notes,
-	}
-	if s.tail {
-		// Head-unsampled: park in the tail buffer; emit whatever the
-		// promotion verdict releases (outside the buffer's lock).
-		for _, out := range s.t.tail.record(rec, now) {
-			s.t.cfg.Sink.Emit(out)
-		}
-		return
 	}
 	s.t.cfg.Sink.Emit(rec)
 }

@@ -19,9 +19,9 @@ const msgVictimEcho wire.MsgType = 99
 func init() { wire.Define(msgVictimEcho, "test.victim_echo", false) }
 
 // TestObservatorySlowdownE2E is the observability plane's end-to-end
-// proof, run under -race: a victim daemon with 1-in-64 head-sampled
-// tail tracing serves a driver's echo calls while a Grid Observatory
-// scrapes its handle histogram. A handler-level slowdown injected with
+// proof, run under -race: a victim daemon with 1-in-4 head-sampled
+// tracing serves a driver's echo calls while a Grid Observatory scrapes
+// its handle histogram. A handler-level slowdown injected with
 // Injector.Slow must then surface through every layer at once —
 //
 //	(a) the forecast-anomaly rule on the victim's p99 fires within a
@@ -29,13 +29,12 @@ func init() { wire.Define(msgVictimEcho, "test.victim_echo", false) }
 //	(b) the scraped histogram carries an exemplar trace ID from a slow
 //	    request, and
 //	(c) that exact trace is retrievable in full from the logsvc
-//	    collector, tail-promoted past the 1-in-64 head policy.
+//	    collector: an exemplar names only a sampled trace.
 func TestObservatorySlowdownE2E(t *testing.T) {
 	const (
 		msgEcho     = msgVictimEcho
-		sampleEvery = 64
+		sampleEvery = 4
 		slowFor     = 50 * time.Millisecond
-		slowAt      = 25 * time.Millisecond
 	)
 
 	// Trace collector.
@@ -54,7 +53,7 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 	// Victim daemon: echo service, handler wrapped by the injector so
 	// Slow lands inside the request (visible to histograms and spans).
 	vreg := telemetry.NewRegistry()
-	vtr, stopVTr := dtrace.ForDaemon("victim", collectorAddr, sampleEvery, slowAt, vreg)
+	vtr, stopVTr := dtrace.ForDaemon("victim", collectorAddr, sampleEvery, vreg)
 	victim := wire.NewService(wire.ServiceConfig{
 		Name: "victim", ListenAddr: "127.0.0.1:0",
 		Metrics: vreg, Tracer: vtr, Silent: true,
@@ -70,15 +69,15 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 	defer victim.Close()
 	in.RegisterName(victimAddr, "victim")
 
-	// Driver: roots a trace per call, same head policy and tail net.
-	dtr, stopDTr := dtrace.ForDaemon("driver", collectorAddr, sampleEvery, slowAt, nil)
+	// Driver: roots a trace per call, same head policy.
+	dtr, stopDTr := dtrace.ForDaemon("driver", collectorAddr, sampleEvery, nil)
 	wc := wire.NewClient(2 * time.Second)
 	wc.Tracer = dtr
 	defer wc.Close()
 	send := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			root := wire.StartSpan(dtr, "e2e.op", wire.TraceContext{})
+			root := wire.StartOp(nil, dtr, "e2e.op", wire.TraceContext{})
 			req := wire.NewRawRequest(msgEcho, []byte("ping"))
 			req.Trace = root.Context()
 			resp, err := wc.Call(victimAddr, req, 2*time.Second)
@@ -86,7 +85,7 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 				t.Fatalf("echo call: %v", err)
 			}
 			resp.Release()
-			root.End(string(telemetry.OutcomeOK))
+			root.End(telemetry.OutcomeOK)
 		}
 	}
 
@@ -159,11 +158,9 @@ func TestObservatorySlowdownE2E(t *testing.T) {
 		t.Fatalf("alert never cleared after heal: %+v", obsSrv.Alerts())
 	}
 
-	// The exemplar's full trace must be in the collector: the victim's
-	// serve span ran past the tail threshold, promoting the local
-	// fragment a 1-in-64 head policy would have dropped; the driver's
-	// root crossed it too. Stop both exporters to flush, then fetch by
-	// the exemplar's trace ID.
+	// The exemplar's full trace must be in the collector: exemplars name
+	// only sampled traces, whose spans both daemons export. Stop both
+	// exporters to flush, then fetch by the exemplar's trace ID.
 	stopDTr()
 	stopVTr()
 	probe := wire.NewClient(2 * time.Second)

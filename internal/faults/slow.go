@@ -12,9 +12,9 @@ import (
 // shows up in the daemon's own handle histograms or serve spans, so it
 // cannot exercise the observability plane's latency detection. Slow
 // puts the injected delay INSIDE the request handler: the daemon's
-// wire.server.handle.* histograms inflate, its serve spans run long
-// (tail-based sampling promotes them), and a scraping observatory sees
-// the slowdown exactly the way it would see a real one.
+// wire.server.handle.* histograms inflate, its serve spans run long,
+// and a scraping observatory sees the slowdown exactly the way it would
+// see a real one.
 
 // slowState holds the per-label handler delays (lazily allocated so the
 // zero-cost path of an injector that never slows anything stays free).

@@ -361,7 +361,7 @@ func (s *Server) SyncRound() {
 	}
 	// Each round with work roots its own trace: every get_state poll and
 	// put_state push across every responsible key lands in one tree.
-	root := wire.StartSpan(s.cfg.Tracer, "gossip.sync_round", wire.TraceContext{})
+	root := wire.StartOp(nil, s.cfg.Tracer, "gossip.sync_round", wire.TraceContext{})
 	root.Annotate("keys", fmt.Sprintf("%d", len(keys)))
 	sort.Strings(keys)
 	for _, key := range keys {
@@ -369,7 +369,7 @@ func (s *Server) SyncRound() {
 		sort.Slice(regs, func(i, j int) bool { return regs[i].Addr < regs[j].Addr })
 		s.syncKey(root.Context(), key, regs)
 	}
-	root.End("ok")
+	root.End(telemetry.OutcomeOK)
 }
 
 // syncKey polls every holder of key, identifies the freshest copy by

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"everyware/internal/telemetry"
 	"everyware/internal/wire"
 )
 
@@ -56,7 +57,7 @@ func (s *Server) SyncNow() (int, error) {
 	s.metrics.Counter("pstate.antientropy.rounds").Inc()
 	// Each round roots its own trace: the digest exchange and every
 	// pull/push repair against every peer land in one tree.
-	root := wire.StartSpan(s.cfg.Tracer, "pstate.antientropy", wire.TraceContext{})
+	root := wire.StartOp(nil, s.cfg.Tracer, "pstate.antientropy", wire.TraceContext{})
 	tc := root.Context()
 	timeout := 2 * time.Second
 	repairs := 0
@@ -163,9 +164,9 @@ func (s *Server) SyncNow() (int, error) {
 	s.metrics.Gauge("pstate.replica.lag").Set(maxLag)
 	root.Annotate("repairs", fmt.Sprintf("%d", repairs))
 	if lastErr != nil {
-		root.End("error")
+		root.End(telemetry.OutcomeError)
 	} else {
-		root.End("ok")
+		root.End(telemetry.OutcomeOK)
 	}
 	return repairs, lastErr
 }

@@ -210,7 +210,7 @@ func (r *ReplicaSet) StoreCtx(tc wire.TraceContext, name, class string, data []b
 	if name == "" {
 		return 0, fmt.Errorf("pstate: empty object name")
 	}
-	sp := wire.StartSpan(r.cfg.Tracer, "pstate.quorum_write", tc)
+	sp := wire.StartOp(nil, r.cfg.Tracer, "pstate.quorum_write", tc)
 	sp.Annotate("object", name)
 	tc = sp.Context()
 	r.FlushSpool() // opportunistic: reconnects drain the backlog first
@@ -219,18 +219,18 @@ func (r *ReplicaSet) StoreCtx(tc wire.TraceContext, name, class string, data []b
 	acks, n, w, err := r.quorumWrite(tc, o)
 	if err != nil {
 		r.cfg.Metrics.Counter("pstate.replica.write.rejected").Inc()
-		sp.End("error")
+		sp.End(telemetry.OutcomeError)
 		return 0, err
 	}
 	sp.Annotate("acks", fmt.Sprintf("%d/%d", acks, n))
 	if acks >= w {
 		r.cfg.Metrics.Counter("pstate.replica.write.quorum_ok").Inc()
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 		return ver, nil
 	}
 	r.spoolPut(o)
 	r.cfg.Metrics.Counter("pstate.replica.write.spooled").Inc()
-	sp.End("spooled")
+	sp.End(telemetry.OutcomeSpooled)
 	return ver, ErrSpooled
 }
 
@@ -323,15 +323,15 @@ func (r *ReplicaSet) Fetch(name string) (*Object, bool, error) {
 // FetchCtx is Fetch under a causal trace context: the quorum read (and
 // any read repairs it triggers) is recorded as a child span of tc.
 func (r *ReplicaSet) FetchCtx(tc wire.TraceContext, name string) (*Object, bool, error) {
-	sp := wire.StartSpan(r.cfg.Tracer, "pstate.quorum_read", tc)
+	sp := wire.StartOp(nil, r.cfg.Tracer, "pstate.quorum_read", tc)
 	sp.Annotate("object", name)
 	tc = sp.Context()
 	o, found, err := r.fetch(tc, name)
 	switch {
 	case err != nil:
-		sp.End("error")
+		sp.End(telemetry.OutcomeError)
 	default:
-		sp.End("ok")
+		sp.End(telemetry.OutcomeOK)
 	}
 	return o, found, err
 }

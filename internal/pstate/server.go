@@ -577,7 +577,7 @@ func (s *Server) Fetch(name string) *Object {
 	defer s.mu.Unlock()
 	o := s.objects[name]
 	if o == nil || o.Tombstone {
-		sp.End("miss")
+		sp.End(telemetry.OutcomeMiss)
 		return nil
 	}
 	cp := *o

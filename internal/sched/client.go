@@ -142,7 +142,7 @@ func (r *Runner) report(rep Report) (Directive, error) {
 	// Each report roots a new trace: the call below propagates the root's
 	// context, so retries, fail-over hops, the scheduler's decision, and
 	// the forecast read underneath all land in one tree.
-	root := wire.StartSpan(r.cfg.Tracer, "sched.report", wire.TraceContext{})
+	root := wire.StartOp(nil, r.cfg.Tracer, "sched.report", wire.TraceContext{})
 	root.Annotate("client", r.cfg.ClientID)
 	scheds := r.health.Filter(r.schedulers())
 	for attempt := 0; attempt < len(scheds); attempt++ {
@@ -176,14 +176,14 @@ func (r *Runner) report(rep Report) (Directive, error) {
 			root.Annotate("failover", "true")
 		}
 		root.Annotate("sched", addr)
-		root.End("ok")
+		root.End(telemetry.OutcomeOK)
 		var dr Directive
 		derr := resp.Decode(&dr)
 		resp.Release()
 		return dr, derr
 	}
 	r.cfg.Metrics.Counter("sched.client.report.fail").Inc()
-	root.End("error")
+	root.End(telemetry.OutcomeError)
 	return Directive{}, ErrNoScheduler
 }
 

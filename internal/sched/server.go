@@ -264,13 +264,11 @@ func (s *Server) TryHandle(tc wire.TraceContext, r Report) (Directive, bool) {
 // over the wire with a trace envelope, or from the simulation's own
 // roots), with the forecast read nested inside it.
 func (s *Server) HandleCtx(tc wire.TraceContext, r Report) Directive {
-	sp := s.decision.Start()
-	dsp := wire.StartSpan(s.cfg.Tracer, "sched.decision", tc)
-	dsp.Annotate("client", r.ClientID)
-	d := s.handle(dsp.Context(), r)
-	sp.End(telemetry.OutcomeOK)
-	dsp.Annotate("directive", kindLabel(d.Kind))
-	dsp.End("ok")
+	op := wire.StartOp(s.decision, s.cfg.Tracer, "sched.decision", tc)
+	op.Annotate("client", r.ClientID)
+	d := s.handle(op.Context(), r)
+	op.Annotate("directive", kindLabel(d.Kind))
+	op.End(telemetry.OutcomeOK)
 	s.metrics.Counter("sched.reports").Inc()
 	if d.Kind == DirNewWork {
 		s.metrics.Counter("sched.dispatched." + infraLabel(r.Infra)).Inc()
@@ -374,13 +372,13 @@ func (s *Server) handle(tc wire.TraceContext, r Report) Directive {
 	// and give the slow client a fresh exploratory unit.
 	if s.cfg.MigrateBelowFraction > 0 && len(s.clients) >= minClientsForMigration {
 		myForecast := rate
-		fsp := wire.StartSpan(s.cfg.Tracer, "sched.forecast.read", tc)
+		fsp := wire.StartOp(nil, s.cfg.Tracer, "sched.forecast.read", tc)
 		fsp.Annotate("resource", r.ClientID)
 		if f, ok := s.forecasts.Forecast(key); ok {
 			myForecast = f.Value
-			fsp.End("ok")
+			fsp.End(telemetry.OutcomeOK)
 		} else {
-			fsp.End("miss")
+			fsp.End(telemetry.OutcomeMiss)
 		}
 		med := s.medianForecastLocked()
 		if med > 0 && myForecast < s.cfg.MigrateBelowFraction*med {

@@ -307,21 +307,33 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return m.histogram
 }
 
-// Outcome classifies how an RPC (or any spanned operation) ended. The
-// classes mirror the wire layer's failure taxonomy: a retry ladder
-// distinguishes requests that never left (send errors), requests that
-// vanished (timeouts), connections that died (resets), and calls that only
-// succeeded on an alternate server (fail-over).
+// Outcome classifies how an RPC (or any spanned operation) ended. It is
+// the one outcome set: histogram names ("<family>.<outcome>") and trace
+// span records use the same strings. The wire classes mirror the retry
+// ladder's failure taxonomy: requests that never left (dial and send
+// errors), requests that vanished (timeouts), connections that died
+// (resets), definitive remote refusals, and broken sends whose delivery
+// is unknown (ambiguous).
 type Outcome string
 
 // Span outcome classes.
 const (
-	OutcomeOK         Outcome = "ok"
-	OutcomeTimeout    Outcome = "timeout"
-	OutcomeReset      Outcome = "reset"
-	OutcomeRetried    Outcome = "retried"
-	OutcomeFailedOver Outcome = "failed_over"
-	OutcomeError      Outcome = "error"
+	OutcomeOK          Outcome = "ok"
+	OutcomeTimeout     Outcome = "timeout"
+	OutcomeReset       Outcome = "reset"
+	OutcomeError       Outcome = "error"
+	OutcomeDialError   Outcome = "dial_error"
+	OutcomeSendError   Outcome = "send_error"
+	OutcomeRemoteError Outcome = "remote_error"
+	OutcomeAmbiguous   Outcome = "ambiguous"
+	// OutcomeLost ends a clique token circulation superseded before it
+	// came back.
+	OutcomeLost Outcome = "lost"
+	// OutcomeMiss ends a read that found nothing.
+	OutcomeMiss Outcome = "miss"
+	// OutcomeSpooled ends a checkpoint short of its write quorum, held in
+	// the write-behind spool.
+	OutcomeSpooled Outcome = "spooled"
 )
 
 // SpanFamily times operations under one span name, recording each into

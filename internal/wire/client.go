@@ -78,18 +78,15 @@ func (c *Client) conn(addr string) (*Conn, error) {
 	return cc, nil
 }
 
-// callSpan starts a span from the cached "wire.client.call" family,
-// creating the family on first use once Metrics is set.
-func (c *Client) callSpan() telemetry.Span {
+// callFamily returns the cached "wire.client.call" span family, creating
+// it on first use once Metrics is set (nil before then).
+func (c *Client) callFamily() *telemetry.SpanFamily {
 	f := c.callFam.Load()
-	if f == nil {
-		if c.Metrics == nil {
-			return telemetry.Span{}
-		}
+	if f == nil && c.Metrics != nil {
 		f = c.Metrics.SpanFamily("wire.client.call")
 		c.callFam.Store(f)
 	}
-	return f.Start()
+	return f
 }
 
 func (c *Client) drop(addr string) {
@@ -122,33 +119,18 @@ func (c *Client) drop(addr string) {
 // is pooled; the caller releases it after decoding (callers that never
 // release are correct but bypass the pools).
 func (c *Client) Call(addr string, req *Packet, timeout time.Duration) (*Packet, error) {
-	sp := c.callSpan()
-	// The request's trace ID (captured before the ladder rewrites
-	// req.Trace with attempt contexts and releases the packet) becomes
-	// the call histogram's exemplar: a slow call's bucket remembers which
-	// trace to pull up.
-	tid := req.Trace.TraceID
-	var call ActiveSpan
 	// Only sampled contexts get call/attempt spans: an unsampled trace
-	// records nothing anywhere by design, so the fast path pays for the
-	// trailer bytes only (the <5% propagation-overhead budget) — unless
-	// the tracer buffers unsampled spans for tail-based promotion.
-	if c.Tracer != nil && req.Trace.Valid() && (req.Trace.Sampled || wantUnsampled(c.Tracer)) {
-		call = c.Tracer.StartSpan("wire.call."+MsgName(req.Type), req.Trace)
-		call.Annotate("addr", addr)
-	}
-	resp, outcome, retries, err := c.call(addr, req, timeout, call)
+	// records nothing anywhere by design.
+	tr, name := spanTracer(c.Tracer, req.Trace, "wire.call.", req.Type)
+	op := StartOp(c.callFamily(), tr, name, req.Trace)
+	op.Annotate("addr", addr)
+	resp, outcome, retries, err := c.call(addr, req, timeout, tr, op.Context())
 	req.Release() // ladder done: retransmissions, if any, are over
 	if retries > 0 {
 		c.Metrics.Counter("wire.client.retries").Add(int64(retries))
+		op.Annotate("retries", itoa(uint64(retries)))
 	}
-	sp.EndTraced(outcome, tid)
-	if call != nil {
-		if retries > 0 {
-			call.Annotate("retries", itoa(uint64(retries)))
-		}
-		call.End(string(outcome))
-	}
+	op.End(outcome)
 	return resp, err
 }
 
@@ -209,12 +191,12 @@ func (c *Client) Go(addr string, req *Packet, timeout time.Duration) *PendingCal
 	return pc
 }
 
-// call is the uninstrumented retry ladder. It reports the telemetry
-// outcome class and the number of retransmissions (attempts beyond the
-// first) alongside the result. When callSpan is non-nil, each
-// transmission attempt is recorded as its child span and the attempt
-// span's context rides the packet.
-func (c *Client) call(addr string, req *Packet, timeout time.Duration, callSpan ActiveSpan) (*Packet, telemetry.Outcome, int, error) {
+// call is the retry ladder. It reports the telemetry outcome class and
+// the number of retransmissions (attempts beyond the first) alongside
+// the result. When tr is non-nil, each transmission attempt is recorded
+// as a child span of parent and the attempt span's context rides the
+// packet.
+func (c *Client) call(addr string, req *Packet, timeout time.Duration, tr Tracer, parent TraceContext) (*Packet, telemetry.Outcome, int, error) {
 	pol := c.Retry
 	attempts := 2 // historical behaviour: one retransmit
 	if pol != nil {
@@ -227,15 +209,17 @@ func (c *Client) call(addr string, req *Packet, timeout time.Duration, callSpan 
 		if attempt > 1 && pol != nil {
 			time.Sleep(pol.BackoffFor(addr, attempt-1))
 		}
-		var asp ActiveSpan
-		if callSpan != nil {
-			asp = c.Tracer.StartSpan("wire.attempt", callSpan.Context())
-			asp.Annotate("attempt", itoa(uint64(attempt)))
-			req.Trace = asp.Context()
+		// Attempts of an unsampled call record nothing: skip even the
+		// zero Op on this per-transmission path.
+		var op Op
+		if tr != nil {
+			op = StartOp(nil, tr, "wire.attempt", parent)
+			op.Annotate("attempt", itoa(uint64(attempt)))
+			req.Trace = op.Context()
 		}
 		resp, outcome, done, err := c.attempt(addr, req, timeout, pol)
-		if asp != nil {
-			asp.End(string(outcome))
+		if tr != nil {
+			op.End(outcome)
 		}
 		if done {
 			return resp, outcome, retries, err
@@ -254,7 +238,7 @@ func (c *Client) attempt(addr string, req *Packet, timeout time.Duration, pol *R
 	if err != nil {
 		// Dial failure: nothing was sent, retry freely — unless the client
 		// itself is closed, which no retry will change.
-		return nil, "dial_error", errors.Is(err, ErrClientClosed), err
+		return nil, telemetry.OutcomeDialError, errors.Is(err, ErrClientClosed), err
 	}
 	resp, err = cc.Call(req, timeout)
 	if err == nil {
@@ -262,13 +246,13 @@ func (c *Client) attempt(addr string, req *Packet, timeout time.Duration, pol *R
 	}
 	var remote *RemoteError
 	if errors.As(err, &remote) {
-		return nil, "remote_error", true, err // definitive remote answer
+		return nil, telemetry.OutcomeRemoteError, true, err // definitive remote answer
 	}
 	var sendErr *SendError
 	if errors.As(err, &sendErr) {
 		// Not fully written: the server cannot have processed it.
 		c.drop(addr)
-		return nil, "send_error", false, err
+		return nil, telemetry.OutcomeSendError, false, err
 	}
 	if IsTimeout(err) {
 		// Fully sent, no reply within the interval. The connection
@@ -281,7 +265,7 @@ func (c *Client) attempt(addr string, req *Packet, timeout time.Duration, pol *R
 	// Connection broke after a complete send: outcome unknown.
 	c.drop(addr)
 	if !IsIdempotent(req.Type) {
-		return nil, "ambiguous", true, &AmbiguousError{Addr: addr, Err: err}
+		return nil, telemetry.OutcomeAmbiguous, true, &AmbiguousError{Addr: addr, Err: err}
 	}
 	return nil, telemetry.OutcomeReset, false, err
 }

@@ -259,38 +259,22 @@ func (s *Server) serveConn(nc net.Conn) {
 		if !ok {
 			resp = ErrorPacket(req.Tag, "no handler for message type")
 		} else {
-			var serve ActiveSpan
 			// Unsampled contexts skip the continuation span: the inbound
 			// context already reaches the handler on req.Trace, and an
-			// unsampled trace records nothing anywhere by design — unless
-			// the tracer buffers unsampled spans for tail-based promotion.
-			if s.Tracer != nil && req.Trace.Valid() && (req.Trace.Sampled || wantUnsampled(s.Tracer)) {
-				serve = s.Tracer.StartSpan("wire.serve."+MsgName(req.Type), req.Trace)
-				serve.Annotate("peer", remote)
-				// Handlers see the serve span as their parent so the RPCs
-				// they issue downstream nest under this hop.
-				req.Trace = serve.Context()
-			}
-			// In-place echo handlers mutate req.Type (and may release or
-			// reuse the packet); capture the arrival type and trace ID
-			// first. The trace ID becomes the handle histogram's exemplar,
-			// linking a latency spike to a trace — present whether or not
-			// the trace is head-sampled, since contexts always propagate.
-			reqType := req.Type
-			tid := req.Trace.TraceID
-			sp := s.fam(reqType).Start()
+			// unsampled trace records nothing anywhere by design. In-place
+			// echo handlers mutate req.Type (and may release or reuse the
+			// packet), so the arrival type names the family first.
+			tr, name := spanTracer(s.Tracer, req.Trace, "wire.serve.", req.Type)
+			op := StartOp(s.fam(req.Type), tr, name, req.Trace)
+			op.Annotate("peer", remote)
+			// Handlers see the serve span as their parent so the RPCs
+			// they issue downstream nest under this hop.
+			req.Trace = op.Context()
 			r, herr := h.Handle(remote, req)
 			if herr != nil {
-				sp.EndTraced("err", tid)
+				op.End(telemetry.OutcomeError)
 			} else {
-				sp.EndTraced(telemetry.OutcomeOK, tid)
-			}
-			if serve != nil {
-				if herr != nil {
-					serve.End("error")
-				} else {
-					serve.End(string(telemetry.OutcomeOK))
-				}
+				op.End(telemetry.OutcomeOK)
 			}
 			switch {
 			case herr != nil:

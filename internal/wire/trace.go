@@ -1,6 +1,10 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"everyware/internal/telemetry"
+)
 
 // This file is the lingua franca's half of causal distributed tracing:
 // the trace-context envelope every Packet can carry, and the minimal
@@ -66,13 +70,10 @@ type TraceContext struct {
 // Valid reports whether tc carries a trace.
 func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 
-// ActiveSpan is one in-flight span the wire layer can annotate and
+// ActiveSpan is one recording span the wire layer can annotate and
 // finish. Implementations must be safe for use from the goroutine that
 // created them; End must be called exactly once.
 type ActiveSpan interface {
-	// Context returns the context downstream packets should carry so
-	// remote spans become children of this one.
-	Context() TraceContext
 	// Annotate attaches one key=value note to the span.
 	Annotate(key, value string)
 	// End finishes the span under the given outcome class ("ok",
@@ -88,46 +89,79 @@ type Tracer interface {
 	// StartSpan begins a span named name. A valid parent makes the span
 	// its child (inheriting the trace and its sampling decision); a zero
 	// parent starts a new trace, subject to the tracer's head-based
-	// sampling policy.
-	StartSpan(name string, parent TraceContext) ActiveSpan
+	// sampling policy. It returns the span's context, which downstream
+	// packets carry, and the span to finish — nil when the trace is
+	// unsampled and nothing is recorded.
+	StartSpan(name string, parent TraceContext) (TraceContext, ActiveSpan)
 }
 
-// UnsampledRecorder is an optional Tracer capability: a tracer that
-// wants StartSpan even for contexts whose head-sampling decision was
-// "no". Tail-based sampling implements it — unsampled spans are buffered
-// briefly and the whole trace promoted when one ends slow or in error —
-// so the wire layer must hand such tracers the spans head sampling would
-// otherwise skip.
-type UnsampledRecorder interface {
-	WantUnsampled() bool
+// Op is one instrumented operation: one start, one End. It records the
+// duration into the histogram "<family>.<outcome>" when started with a
+// family, and the trace span when the operation's trace is sampled. Op
+// is a value: without a tracer, or on an unsampled trace, it holds no
+// interface value and starting, annotating and ending it allocate
+// nothing.
+type Op struct {
+	timer telemetry.Span
+	span  ActiveSpan // nil unless recording a sampled span
+	tc    TraceContext
 }
 
-// wantUnsampled reports whether tr wants spans for head-unsampled
-// contexts.
-func wantUnsampled(tr Tracer) bool {
-	u, ok := tr.(UnsampledRecorder)
-	return ok && u.WantUnsampled()
-}
-
-// nopSpan is the span returned when no tracer is configured: it records
-// nothing but preserves the parent context, so an untraced daemon in the
-// middle of a traced request path still propagates causality downstream.
-type nopSpan struct{ tc TraceContext }
-
-func (n nopSpan) Context() TraceContext { return n.tc }
-func (nopSpan) Annotate(string, string) {}
-func (nopSpan) End(string)              {}
-
-// StartSpan starts a span on tr, tolerating a nil tracer: instrumented
-// code calls it unconditionally, and with tr == nil it returns a no-op
-// span whose context is parent unchanged (propagation preserved, nothing
-// recorded). This is the entry point all daemon instrumentation uses.
-func StartSpan(tr Tracer, name string, parent TraceContext) ActiveSpan {
-	if tr == nil {
-		return nopSpan{tc: parent}
+// StartOp starts an operation named name. fam, when non-nil, times it
+// on its registry's clock. tr, when non-nil, starts its span as a child
+// of parent, or as a new trace's root for a zero parent. Without a
+// tracer the operation's context is parent unchanged, so an untraced
+// daemon in the middle of a traced request path still propagates
+// causality downstream.
+func StartOp(fam *telemetry.SpanFamily, tr Tracer, name string, parent TraceContext) Op {
+	op := Op{timer: fam.Start(), tc: parent}
+	if tr != nil {
+		op.tc, op.span = tr.StartSpan(name, parent)
 	}
-	return tr.StartSpan(name, parent)
+	return op
 }
+
+// Context returns the context the operation's downstream requests carry.
+func (o Op) Context() TraceContext { return o.tc }
+
+// Annotate attaches a key=value note to the span, if one is recording.
+func (o Op) Annotate(key, value string) {
+	if o.span != nil {
+		o.span.Annotate(key, value)
+	}
+}
+
+// End finishes the operation under outcome. The histogram's exemplar is
+// the trace ID only when the trace is sampled, so an exemplar always
+// names a trace the collector can hold. Ending the zero Op does nothing.
+func (o Op) End(outcome telemetry.Outcome) {
+	var exemplar uint64
+	if o.tc.Sampled {
+		exemplar = o.tc.TraceID
+	}
+	o.timer.EndTraced(outcome, exemplar)
+	if o.span != nil {
+		o.span.End(string(outcome))
+	}
+}
+
+// spanTracer returns tr and the span name prefix+MsgName(t) when tc is a
+// sampled trace, and a nil tracer otherwise: the wire layer never roots
+// a trace, and an unsampled trace records nothing anywhere, so its fast
+// path pays for the trailer bytes only. It tests tc.TraceID rather than
+// calling Valid to stay within the inliner's budget.
+func spanTracer(tr Tracer, tc TraceContext, prefix string, t MsgType) (Tracer, string) {
+	if tr != nil && tc.Sampled && tc.TraceID != 0 {
+		return tr, spanName(prefix, t)
+	}
+	return nil, ""
+}
+
+// spanName is kept out of line so that spanTracer's untraced check
+// inlines into the wire hot paths.
+//
+//go:noinline
+func spanName(prefix string, t MsgType) string { return prefix + MsgName(t) }
 
 // appendTraceTrailer appends tc's wire envelope to buf.
 func appendTraceTrailer(buf []byte, tc TraceContext) []byte {

@@ -298,11 +298,11 @@ type recordingTracer struct {
 	parents []TraceContext
 }
 
-func (r *recordingTracer) StartSpan(name string, parent TraceContext) ActiveSpan {
+func (r *recordingTracer) StartSpan(name string, parent TraceContext) (TraceContext, ActiveSpan) {
 	r.mu.Lock()
 	r.parents = append(r.parents, parent)
 	r.mu.Unlock()
-	return nopSpan{tc: parent}
+	return parent, nil
 }
 
 func (r *recordingTracer) sawTrace(id uint64) bool {
